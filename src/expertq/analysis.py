@@ -10,6 +10,7 @@ a stability check under certified misestimation of research times.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -211,8 +212,11 @@ def capacity_boundary_sweep(
     """Simulate a sorted load grid across seeds and bracket the boundary.
 
     Cells are independent runs (seeded per cell), so ``workers > 1``
-    executes them in a process pool without changing any result.
+    executes them in a process pool without changing any result. The pool
+    never has more processes than CPUs or cells.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     lambdas = tuple(float(v) for v in lambdas)
     if list(lambdas) != sorted(lambdas):
         raise ValueError("load grid must be sorted ascending")
@@ -222,6 +226,7 @@ def capacity_boundary_sweep(
         for lam in lambdas
         for seed in seeds
     ]
+    workers = min(workers, os.cpu_count() or 1, len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             cells = tuple(pool.map(_sweep_cell, jobs))

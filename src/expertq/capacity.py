@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp import LinearProgram, solve_lp
+from .lp import LinearProgram, composition_blocks, solve_lp
 from .model import ExpertProfile
 
 __all__ = [
@@ -260,32 +260,23 @@ def degraded_capacity(p, q_hat, gamma: float) -> float:
     return gamma * single_capacity(p, q_hat).lambda_star
 
 
-def simplex_grid(n: int, resolution: float) -> np.ndarray:
-    """All weight vectors of length n on the unit simplex at step ~resolution.
-
-    The actual step is ``1/k`` with ``k = round(1/resolution)``, so grid
-    points sum to 1 exactly.
-    """
+def _grid_steps(n: int, resolution: float) -> int:
     if n < 1:
         raise ValueError("need at least one coordinate")
     if resolution <= 0:
         raise ValueError("resolution must be positive")
-    k = max(1, round(1.0 / resolution))
-    return _compositions(k, n).astype(np.float64) / k
+    return max(1, round(1.0 / resolution))
 
 
-def _compositions(total: int, parts: int) -> np.ndarray:
-    if parts == 1:
-        return np.array([[total]], dtype=np.int64)
-    if parts == 2:
-        first = np.arange(total + 1, dtype=np.int64)
-        return np.column_stack([first, total - first])
-    blocks = []
-    for first in range(total + 1):
-        rest = _compositions(total - first, parts - 1)
-        head = np.full((rest.shape[0], 1), first, dtype=np.int64)
-        blocks.append(np.hstack([head, rest]))
-    return np.vstack(blocks)
+def simplex_grid(n: int, resolution: float) -> np.ndarray:
+    """All weight vectors of length n on the unit simplex at step ~resolution.
+
+    The actual step is ``1/k`` with ``k = round(1/resolution)``, so grid
+    points sum to 1 exactly. Rows are in the order
+    :func:`multi_capacity_primal` scans them.
+    """
+    k = _grid_steps(n, resolution)
+    return np.vstack(list(composition_blocks(k, n))).astype(np.float64) / k
 
 
 def multi_capacity_primal(
@@ -302,7 +293,9 @@ def multi_capacity_primal(
 
     Topics with arrival mass that no expert can answer yield capacity 0,
     or raise when ``strict`` is set. Intended for small expert counts
-    (the grid grows combinatorially; n <= 4 is the practical limit).
+    (the grid grows combinatorially; n <= 4 is the practical limit). The
+    grid is scanned block by block, so memory grows as ``k**(n-2)`` for
+    ``k = round(1/resolution)`` while time grows as ``k**(n-1)``.
     """
     p = np.asarray(p_merged, dtype=np.float64)
     qmat = np.vstack([e.success_prob for e in experts])
@@ -324,27 +317,35 @@ def multi_capacity_primal(
         return CapacityResult(0.0)
 
     cols = np.nonzero(mass)[0]
-    grid = simplex_grid(n, resolution)
+    k = _grid_steps(n, resolution)
     if cols.size == 0:
-        return CapacityResult(math.inf, RoutingPolicy(alpha=grid[-1]))
+        # The last grid point: all weight on the first expert.
+        alpha = np.zeros(n)
+        alpha[0] = 1.0
+        return CapacityResult(math.inf, RoutingPolicy(alpha=alpha))
 
     ratio = np.zeros((n, cols.size), dtype=np.float64)
     ans = answerable[:, cols]
     mass_rows = np.broadcast_to(p[cols], (n, cols.size))
     ratio[ans] = mass_rows[ans] / qmat[:, cols][ans]
 
+    # argmax keeps the first maximum within a chunk and the strict ``>``
+    # across chunks, so the first best grid point wins.
     best_obj = -math.inf
-    best_alpha = grid[0]
+    best_alpha = np.zeros(n)  # the first grid point: all weight on the last expert
+    best_alpha[-1] = 1.0
     chunk = max(1, 200_000 // max(1, cols.size))
-    for start in range(0, grid.shape[0], chunk):
-        alphas = grid[start : start + chunk]
-        terms = alphas[:, :, None] * ratio[None, :, :]
-        terms[:, ~ans] = np.inf
-        objs = terms.min(axis=1).sum(axis=1)
-        j = int(np.argmax(objs))
-        if objs[j] > best_obj:
-            best_obj = float(objs[j])
-            best_alpha = alphas[j]
+    for block in composition_blocks(k, n):
+        weights = block.astype(np.float64) / k
+        for start in range(0, weights.shape[0], chunk):
+            alphas = weights[start : start + chunk]
+            terms = alphas[:, :, None] * ratio[None, :, :]
+            terms[:, ~ans] = np.inf
+            objs = terms.min(axis=1).sum(axis=1)
+            j = int(np.argmax(objs))
+            if objs[j] > best_obj:
+                best_obj = float(objs[j])
+                best_alpha = alphas[j].copy()
 
     lam = math.inf if best_obj <= 0.0 else 1.0 / best_obj
     return CapacityResult(lam, RoutingPolicy(alpha=best_alpha))

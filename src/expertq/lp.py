@@ -9,15 +9,17 @@ with the solver.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 __all__ = ["LinearProgram", "LpSolution", "solve_lp", "brute_force_lp"]
 
 FEAS_TOL = 1e-7
 MAX_GRID_POINTS = 20_000_000
+# Grid points evaluated at once by the oracle.
+GRID_CHUNK = 65_536
 
 
 @dataclass(frozen=True)
@@ -84,6 +86,10 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     Infeasible and unbounded problems are reported through the status
     field, never as garbage values.
     """
+    # Imported here: scipy.optimize costs about half a second, and callers
+    # that never solve an LP should not pay it.
+    from scipy.optimize import linprog
+
     res = linprog(
         c=lp.objective,
         A_ub=lp.ub_matrix if lp.ub_matrix.shape[0] else None,
@@ -123,19 +129,24 @@ def _simplex_partition(lp: LinearProgram) -> tuple[list[list[int]], list[int]]:
     return groups, free
 
 
-def _compositions(total: int, parts: int) -> np.ndarray:
-    """All non-negative integer vectors of the given length summing to total."""
+def composition_blocks(total: int, parts: int) -> Iterator[np.ndarray]:
+    """All non-negative int64 vectors of length ``parts`` summing to ``total``.
+
+    Rows come in lexicographic order, one block per value of the leading
+    coordinate (a single block when ``parts <= 2``), so a caller that scans
+    the blocks holds O(total**(parts-2)) rows at a time instead of all
+    O(total**(parts-1)).
+    """
     if parts == 1:
-        return np.array([[total]], dtype=np.int64)
-    if parts == 2:
+        yield np.array([[total]], dtype=np.int64)
+    elif parts == 2:
         first = np.arange(total + 1, dtype=np.int64)
-        return np.column_stack([first, total - first])
-    blocks = []
-    for first in range(total + 1):
-        rest = _compositions(total - first, parts - 1)
-        head = np.full((rest.shape[0], 1), first, dtype=np.int64)
-        blocks.append(np.hstack([head, rest]))
-    return np.vstack(blocks)
+        yield np.column_stack([first, total - first])
+    else:
+        for first in range(total + 1):
+            rest = np.vstack(list(composition_blocks(total - first, parts - 1)))
+            head = np.full((rest.shape[0], 1), first, dtype=np.int64)
+            yield np.hstack([head, rest])
 
 
 def brute_force_lp(lp: LinearProgram, resolution: float) -> LpSolution:
@@ -174,7 +185,8 @@ def brute_force_lp(lp: LinearProgram, resolution: float) -> LpSolution:
         axes_vals.append(vals.reshape(-1, 1))
     steps = max(1, round(1.0 / resolution))
     for g in groups:
-        combos = _compositions(steps, len(g)).astype(np.float64) / steps
+        combos = np.vstack(list(composition_blocks(steps, len(g))))
+        combos = combos.astype(np.float64) / steps
         ok = np.ones(combos.shape[0], dtype=bool)
         for k, j in enumerate(g):
             lo, hi = lp.bounds[j]
@@ -196,22 +208,34 @@ def brute_force_lp(lp: LinearProgram, resolution: float) -> LpSolution:
     if total == 0:
         return LpSolution(status="infeasible", x=None, objective_value=None)
 
-    points = np.zeros((total, lp.n_vars), dtype=np.float64)
-    stride = total
-    for vars_, vals in zip(axes_vars, axes_vals):
-        size = vals.shape[0]
-        stride //= size
-        idx = (np.arange(total) // stride) % size
-        points[:, vars_] = vals[idx]
+    # Scan the flat Cartesian index range in chunks; the strict ``<`` across
+    # chunks and argmin's first-minimum rule within one keep the first best
+    # point in index order.
+    best_obj = np.inf
+    best_x = None
+    for start in range(0, total, GRID_CHUNK):
+        flat = np.arange(start, min(start + GRID_CHUNK, total))
+        points = np.zeros((flat.shape[0], lp.n_vars), dtype=np.float64)
+        stride = total
+        for vars_, vals in zip(axes_vars, axes_vals):
+            size = vals.shape[0]
+            stride //= size
+            points[:, vars_] = vals[(flat // stride) % size]
 
-    feasible = np.ones(total, dtype=bool)
-    if lp.ub_matrix.shape[0]:
-        feasible &= np.all(points @ lp.ub_matrix.T <= lp.ub_rhs + FEAS_TOL, axis=1)
-    if not feasible.any():
+        feasible = np.ones(flat.shape[0], dtype=bool)
+        if lp.ub_matrix.shape[0]:
+            feasible &= np.all(points @ lp.ub_matrix.T <= lp.ub_rhs + FEAS_TOL, axis=1)
+        if not feasible.any():
+            continue
+        objective = points @ lp.objective
+        objective[~feasible] = np.inf
+        j = int(np.argmin(objective))
+        if best_x is None or objective[j] < best_obj:
+            best_obj = objective[j]
+            best_x = points[j].copy()
+
+    if best_x is None:
         return LpSolution(status="infeasible", x=None, objective_value=None)
-
-    objective = points @ lp.objective
-    objective[~feasible] = np.inf
-    best = int(np.argmin(objective))
-    x = points[best]
-    return LpSolution(status="optimal", x=x, objective_value=float(lp.objective @ x))
+    return LpSolution(
+        status="optimal", x=best_x, objective_value=float(lp.objective @ best_x)
+    )

@@ -39,7 +39,10 @@ __all__ = [
     "write_trace_csv",
 ]
 
-ARRIVAL_BLOCK = 16384
+# Bytes of float64 uniforms drawn for arrivals at once: 16384 slots at
+# 1 expert x 2 topics, 20 slots at 32 x 50. Splitting the draws into
+# blocks does not change them.
+ARRIVAL_BLOCK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -303,15 +306,23 @@ def run(config: SimConfig) -> TraceStats:
         weights = [
             [(1.0 / qv if qv > 0.0 else 0.0) for qv in row] for row in engine.qprob
         ]
-        lyap: list[list[float]] = [[] for _ in range(n)]
-        busy: list[list[bool]] = [[] for _ in range(n)]
+
+        def lyapunov_row() -> list[float]:
+            return [
+                sum(wrow[x] * row[x] for x in range(n_topics) if row[x])
+                for row, wrow in zip(engine.queues, weights)
+            ]
+
+        lyap = np.empty((horizon + 1, n), dtype=np.float64)
+        busy = np.empty((horizon, n), dtype=bool)
 
     arrivals_gen = streams.arrivals
     probs = engine.probs
     n_topics = engine.n_topics
+    block_rows = max(1, ARRIVAL_BLOCK_BYTES // (8 * n * n_topics))
     done = 0
     while done < horizon:
-        block = min(ARRIVAL_BLOCK, horizon - done)
+        block = min(block_rows, horizon - done)
         hits = arrivals_gen.random((block, n, n_topics)) < probs[None, :, :]
         slot_idx, exp_idx, top_idx = np.nonzero(hits)
         slot_l = slot_idx.tolist()
@@ -338,13 +349,8 @@ def run(config: SimConfig) -> TraceStats:
             if system_empty:
                 empty_slots += 1
             if record:
-                for i in range(n):
-                    row = engine.queues[i]
-                    wrow = weights[i]
-                    lyap[i].append(
-                        sum(wrow[x] * row[x] for x in range(n_topics) if row[x])
-                    )
-                    busy[i].append(totals[i] > 0)
+                lyap[t_abs] = lyapunov_row()
+                busy[t_abs] = [v > 0 for v in totals]
             slot_arrivals = []
             while ptr < n_hits and slot_l[ptr] == s:
                 slot_arrivals.append((exp_l[ptr], top_l[ptr]))
@@ -363,10 +369,7 @@ def run(config: SimConfig) -> TraceStats:
     sample_loss.append(engine.losses_total)
     sample_dep.append(engine.deps_total)
     if record:
-        for i in range(n):
-            row = engine.queues[i]
-            wrow = weights[i]
-            lyap[i].append(sum(wrow[x] * row[x] for x in range(n_topics) if row[x]))
+        lyap[horizon] = lyapunov_row()
 
     loss_per_expert = np.array([sum(row) for row in engine.cum_loss], dtype=np.float64)
     loss_quarter = loss_per_expert - np.array(loss_at_quarter, dtype=np.float64)
@@ -387,8 +390,8 @@ def run(config: SimConfig) -> TraceStats:
         empty_fraction=empty_slots / horizon,
         empty_fraction_per_expert=np.array(empty_per_expert, dtype=np.float64)
         / horizon,
-        lyapunov_series=np.array(lyap, dtype=np.float64).T if record else None,
-        busy_series=np.array(busy, dtype=bool).T if record else None,
+        lyapunov_series=lyap if record else None,
+        busy_series=busy if record else None,
         final_state=engine.snapshot(),
     )
 

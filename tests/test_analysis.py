@@ -1,8 +1,10 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
+from expertq import analysis
 from expertq.analysis import (
     analytic_boundary,
     capacity_boundary_sweep,
@@ -243,6 +245,47 @@ class TestBoundarySweep:
             inst, sched, grid, horizon=10_000, seeds=[0, 1], workers=2
         )
         assert serial.cells == parallel.cells
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_non_positive_workers_rejected(self, workers):
+        inst = single_expert_instance(0.5, [1.0], [1.0])
+        sched = work_conserving_single(inst)
+        with pytest.raises(ValueError, match="workers"):
+            capacity_boundary_sweep(
+                inst, sched, [0.4], horizon=10, seeds=[0], workers=workers
+            )
+
+    @pytest.mark.parametrize(
+        "workers, cpus, expected",
+        [(64, 3, 3), (64, None, None), (64, 16, 4), (3, 16, 3), (2, 2, 2), (1, 16, None)],
+    )
+    def test_pool_size_is_clamped(self, monkeypatch, workers, cpus, expected):
+        """The pool never exceeds the CPUs or the 4 cells; a pool of one
+        runs the cells in this process."""
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(analysis, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        inst = single_expert_instance(0.5, [1.0], [1.0])
+        sched = work_conserving_single(inst)
+        result = capacity_boundary_sweep(
+            inst, sched, [0.3, 0.4], horizon=50, seeds=[0, 1], workers=workers
+        )
+        assert len(result.cells) == 4
+        assert pools == ([] if expected is None else [expected])
 
 
 class TestAnalyticBoundary:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -249,6 +250,33 @@ class TestDegradedCapacity:
                 degraded_capacity([1.0], [1.0], gamma)
 
 
+def random_experts(rng, n, n_topics):
+    """Seeded experts with mixed speeds and one skill gap per expert."""
+    experts = []
+    for i in range(n):
+        q = rng.uniform(0.2, 1.0, size=n_topics)
+        q[(i + 1) % n_topics] = 0.0
+        experts.append(ExpertProfile.from_success_probs(i, q))
+    return experts
+
+
+def primal_on_full_grid(p, experts, resolution):
+    """The max-min objective evaluated over the whole simplex grid at once,
+    as a reference for the block-by-block scan."""
+    p = np.asarray(p, dtype=np.float64)
+    qmat = np.vstack([e.success_prob for e in experts])
+    cols = np.nonzero(p > 0)[0]
+    ans = qmat[:, cols] > 0
+    ratio = np.zeros(ans.shape)
+    ratio[ans] = np.broadcast_to(p[cols], ans.shape)[ans] / qmat[:, cols][ans]
+    grid = simplex_grid(len(experts), resolution)
+    terms = grid[:, :, None] * ratio[None, :, :]
+    terms[:, ~ans] = np.inf
+    objs = terms.min(axis=1).sum(axis=1)
+    j = int(np.argmax(objs))
+    return 1.0 / objs[j], grid[j]
+
+
 class TestSimplexGrid:
     def test_rows_sum_to_one(self):
         grid = simplex_grid(3, 0.1)
@@ -257,6 +285,62 @@ class TestSimplexGrid:
 
     def test_single_coordinate(self):
         assert np.array_equal(simplex_grid(1, 0.25), [[1.0]])
+
+    def test_lexicographic_order(self):
+        grid = simplex_grid(3, 0.5)
+        assert grid.tolist() == [
+            [0.0, 0.0, 1.0],
+            [0.0, 0.5, 0.5],
+            [0.0, 1.0, 0.0],
+            [0.5, 0.0, 0.5],
+            [0.5, 0.5, 0.0],
+            [1.0, 0.0, 0.0],
+        ]
+
+
+class TestPrimalGridScan:
+    @pytest.mark.parametrize(
+        "n, resolution", [(2, 1e-3), (3, 0.01), (4, 0.02), (4, 1 / 3)]
+    )
+    def test_matches_full_grid_bit_for_bit(self, n, resolution):
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            experts = random_experts(rng, n, 6)
+            p = rng.dirichlet(np.ones(6))
+            p[rng.integers(6)] = 0.0
+            lam, alpha = primal_on_full_grid(p, experts, resolution)
+            result = multi_capacity_primal(p, experts, resolution)
+            assert result.lambda_star == lam
+            assert result.certificate.alpha.tolist() == alpha.tolist()
+
+    def test_ties_keep_the_first_grid_point(self):
+        # Identical generalists: every interior weight vector ties with its
+        # permutations, and the scan must report the first in grid order.
+        experts = generalists(3)
+        lam, alpha = primal_on_full_grid([1 / 3] * 3, experts, 0.05)
+        result = multi_capacity_primal([1 / 3] * 3, experts, 0.05)
+        assert result.lambda_star == lam
+        assert result.certificate.alpha.tolist() == alpha.tolist()
+
+    def test_massless_instance_reports_the_last_grid_point(self):
+        experts = [ExpertProfile.from_success_probs(i, [0.5, 0.5]) for i in range(3)]
+        result = multi_capacity_primal([0.0, 0.0], experts, 0.1)
+        assert math.isinf(result.lambda_star)
+        assert result.certificate.alpha.tolist() == simplex_grid(3, 0.1)[-1].tolist()
+
+    def test_peak_memory_is_bounded(self):
+        # 4 experts at resolution 0.004: 2.67 M grid points. Holding the
+        # whole grid (and its float copy) peaked at 162.8 MB.
+        experts = random_experts(np.random.default_rng(7), 4, 12)
+        p = np.full(12, 1 / 12)
+        tracemalloc.start()
+        try:
+            result = multi_capacity_primal(p, experts, 0.004)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.lambda_star > 0
+        assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 class TestMultiCapacity:

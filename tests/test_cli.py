@@ -252,6 +252,22 @@ class TestSweepCommand:
         assert bracket["lambda_hi"] == 0.8
         assert bracket["lambda_lo"] <= lam_star <= bracket["lambda_hi"]
 
+    def test_zero_workers_is_a_config_error(self, tmp_path, runner):
+        cfg = write_json(
+            tmp_path / "cfg.json",
+            {
+                "instance": single_expert_doc(),
+                "scheduler": {"kind": "work_conserving"},
+                "lambdas": [0.3],
+                "horizon": 100,
+                "seeds": [0],
+                "workers": 0,
+            },
+        )
+        result = runner.invoke(main, ["sweep", cfg, "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert "workers" in result.output
+
 
 class TestVerifyCommand:
     def test_specialist_instance_passes(self, tmp_path, runner):

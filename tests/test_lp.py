@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from expertq import lp as lp_module
 from expertq.capacity import routing_lp
 from expertq.lp import LinearProgram, brute_force_lp, solve_lp
 from expertq.model import ExpertProfile
@@ -238,6 +239,55 @@ class TestBruteForceOracle:
             brute_force_lp(lp, resolution=0.1)
 
     def test_infeasible_detected(self):
+        lp = LinearProgram(
+            objective=[1.0],
+            eq_matrix=np.empty((0, 1)),
+            eq_rhs=[],
+            ub_matrix=[[1.0]],
+            ub_rhs=[-1.0],
+            bounds=((0.0, 1.0),),
+        )
+        assert brute_force_lp(lp, resolution=0.1).status == "infeasible"
+
+
+def specialist_routing_lp():
+    experts = [
+        ExpertProfile.from_success_probs(i, [1.0 if x == i else 0.0 for x in range(3)])
+        for i in range(3)
+    ]
+    return routing_lp([1 / 3, 1 / 3, 1 / 3], experts)[0]
+
+
+class TestBruteForceChunking:
+    """The oracle scans its grid in chunks; one chunk spanning the whole
+    grid is the unchunked evaluation."""
+
+    CASES = [
+        (lp_min_x_at_least_3, 1e-3),
+        (lp_box_simplex_vertex, 1e-3),
+        (specialist_routing_lp, 0.05),
+    ] + [
+        (lambda seed=seed: random_box_lp(np.random.default_rng(seed)), 0.05)
+        for seed in range(4)
+    ]
+
+    @staticmethod
+    def solve(lp, resolution):
+        sol = brute_force_lp(lp, resolution)
+        return sol.status, None if sol.x is None else sol.x.tolist(), sol.objective_value
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_chunk_size_does_not_change_the_result(self, monkeypatch, case):
+        make, resolution = self.CASES[case]
+        lp = make()
+        default = self.solve(lp, resolution)
+        assert default[0] == "optimal"
+        for chunk in (7, lp_module.MAX_GRID_POINTS):
+            monkeypatch.setattr(lp_module, "GRID_CHUNK", chunk)
+            assert self.solve(lp, resolution) == default
+
+    def test_infeasible_with_small_chunks(self, monkeypatch):
+        monkeypatch.setattr(lp_module, "GRID_CHUNK", 3)
         lp = LinearProgram(
             objective=[1.0],
             eq_matrix=np.empty((0, 1)),

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from expertq.capacity import multi_capacity_dual
+from expertq import sim
+from expertq.capacity import RoutingPolicy, multi_capacity_dual
 from expertq.model import ArrivalSpec, ExpertProfile, Instance, merged_pmf
 from expertq.rng import RngStreams
 from expertq.sched import offline_routing_scheduler, work_conserving_single
@@ -259,6 +261,84 @@ class TestRun:
             )
         )
         assert stats.sample_times.tolist() == [0, 250, 500, 750, 1000]
+
+
+def generalist_instance(lam, n, n_topics, q=0.5):
+    experts = tuple(
+        ExpertProfile.from_success_probs(i, [q] * n_topics) for i in range(n)
+    )
+    pmf = [[1.0 / n_topics] * n_topics for _ in range(n)]
+    return Instance(experts=experts, arrivals=ArrivalSpec(lam=lam, pmf=pmf))
+
+
+def uniform_routing(inst):
+    s = np.full((inst.n_experts, inst.n_topics), 1.0 / inst.n_experts)
+    return offline_routing_scheduler(inst, RoutingPolicy(s=s))
+
+
+class TestArrivalBlocks:
+    """The arrival draw is split into blocks by bytes; the split must not
+    change a single draw."""
+
+    @staticmethod
+    def outcome(stats):
+        state = stats.final_state
+        return (
+            stats.summary(),
+            [
+                arr.tolist()
+                for arr in (
+                    state.q,
+                    state.cum_arrivals,
+                    state.cum_departures,
+                    state.cum_losses,
+                    stats.sample_times,
+                    stats.total_queue_series,
+                    stats.cum_loss_series,
+                    stats.cum_departure_series,
+                    stats.lyapunov_series,
+                    stats.busy_series,
+                )
+            ],
+        )
+
+    @pytest.mark.parametrize("kind", ["single", "routing"])
+    def test_block_size_does_not_change_the_trajectory(self, monkeypatch, kind):
+        if kind == "single":
+            inst = single_expert_instance(0.7, [0.5, 0.3, 0.2], [1.0, 0.5, 0.25])
+            sched = work_conserving_single(inst, tie_break="uniform-random")
+        else:
+            inst = generalist_instance(0.3, 3, 4)
+            sched = uniform_routing(inst)
+        config = SimConfig(
+            instance=inst,
+            scheduler=sched,
+            horizon=1000,
+            seed=11,
+            sample_interval=7,
+            record_lyapunov=True,
+        )
+        reference = self.outcome(run(config))
+        row_bytes = 8 * inst.n_experts * inst.n_topics
+        for budget in (1, 3 * row_bytes):
+            monkeypatch.setattr(sim, "ARRIVAL_BLOCK_BYTES", budget)
+            assert self.outcome(run(config)) == reference
+
+    def test_wide_run_peak_memory_is_bounded(self):
+        # 32 experts x 50 topics: an arrival block of 2000 slots held 28.8 MB
+        # of uniforms and hit mask; blocks of 256 KiB keep the whole run small.
+        inst = generalist_instance(0.3, 32, 50)
+        config = SimConfig(
+            instance=inst, scheduler=uniform_routing(inst), horizon=2000, seed=1
+        )
+        tracemalloc.start()
+        try:
+            stats = run(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stats.throughput > 0
+        assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 class TestGeometricService:
