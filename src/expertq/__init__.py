@@ -9,6 +9,8 @@ from .analysis import (
     classify_stability,
     drift_check,
     misestimation_check,
+    policy_load,
+    verify,
     with_load,
 )
 from .capacity import (
@@ -30,7 +32,6 @@ from .model import (
     ArrivalSpec,
     ExpertProfile,
     Instance,
-    expertise,
     instance_from_dict,
     instance_to_dict,
     load_instance,

@@ -4,7 +4,8 @@ These are the harnesses that tie simulation output back to the analytic
 capacity values: a one-slot drift estimator for the service-weighted
 queue sum, an empirical stable/unstable verdict with an explicit
 inconclusive band, a load sweep that brackets the capacity boundary, and
-a stability check under certified misestimation of research times.
+a stability check under certified misestimation of research times, and
+the cross-checks that ``expertq verify`` reports.
 """
 
 from __future__ import annotations
@@ -16,10 +17,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import single_capacity
-from .model import ArrivalSpec, Instance
-from .sched import Scheduler, work_conserving_single
-from .sim import SimConfig, TraceStats, run
+from .capacity import (
+    RoutingPolicy,
+    duality_gap,
+    multi_capacity_dual,
+    routing_policy_violations,
+    single_capacity,
+)
+from .model import ArrivalSpec, Instance, merged_pmf
+from .sched import Scheduler, offline_routing_scheduler, work_conserving_single
+from .sim import SimConfig, TraceStats, geometric_service_check, run
 
 __all__ = [
     "DriftReport",
@@ -32,9 +39,14 @@ __all__ = [
     "classify_stability",
     "capacity_boundary_sweep",
     "misestimation_check",
+    "policy_load",
     "analytic_boundary",
+    "verify",
     "with_load",
 ]
+
+GAMMA_DEFAULT = 0.5
+RESOLUTION_DEFAULT = 1e-3
 
 
 @dataclass(frozen=True)
@@ -129,7 +141,7 @@ def classify_stability(
     if int(mask.sum()) < 2:
         return StabilityVerdict("inconclusive", math.nan, final_quarter_mean, threshold)
     slope = float(np.polyfit(times[mask], totals[mask].astype(np.float64), 1)[0])
-    if slope <= threshold and math.isfinite(final_quarter_mean):
+    if slope <= threshold:
         verdict = "stable"
     elif slope >= 10.0 * threshold:
         verdict = "unstable"
@@ -143,7 +155,6 @@ def with_load(inst: Instance, lam: float) -> Instance:
     return Instance(
         experts=inst.experts,
         arrivals=ArrivalSpec(lam=lam, pmf=inst.arrivals.pmf),
-        graph=inst.graph,
     )
 
 
@@ -172,9 +183,6 @@ class SweepResult:
     seeds: tuple[int, ...]
     lambda_lo: float | None
     lambda_hi: float | None
-
-    def verdicts(self, lam: float) -> list[str]:
-        return [c.verdict for c in self.cells if c.lam == lam]
 
 
 def _sweep_cell(args) -> SweepCell:
@@ -250,45 +258,42 @@ def capacity_boundary_sweep(
     )
 
 
+def policy_load(inst: Instance, sched: Scheduler) -> float:
+    """Worst per-expert service load per unit of arrival rate under a policy.
+
+    Expert i's load is ``sum_x f[i, x] * mu[x] / q[i, x]``, where the flow
+    ``f`` is the arrival pmf when the policy keeps requests at their door
+    expert and ``merged_pmf(inst) * s`` when it routes them, and ``mu`` is
+    1 when the policy admits everything. Flow sent to an expert that cannot
+    answer its topic makes the load infinite.
+    """
+    qmat = inst.success_matrix()
+    flow = inst.arrivals.pmf if sched.s is None else merged_pmf(inst) * sched.s
+    if sched.mu is not None:
+        flow = flow * sched.mu
+    worst = 0.0
+    for i in range(inst.n_experts):
+        load = 0.0
+        for x in range(inst.n_topics):
+            if flow[i, x] <= 0.0:
+                continue
+            if qmat[i, x] <= 0.0:
+                return math.inf
+            load += flow[i, x] / qmat[i, x]
+        worst = max(worst, load)
+    return worst
+
+
 def analytic_boundary(inst: Instance, sched: Scheduler) -> float:
     """Capacity of the instance under the given policy, in arrival-load units.
 
-    For a single expert this is the closed-form capacity (with admission
-    probabilities folded into the topic masses for a loss policy). For
-    fixed-routing schedulers it is the reciprocal of the worst per-expert
-    service load per unit of arrival rate, computed from the routing
-    actually in use; for the optimal routing matrix this coincides with
-    the coordinated capacity.
+    The reciprocal of :func:`policy_load`: for a single expert this is the
+    closed-form capacity (with admission probabilities folded into the
+    topic masses for a loss policy), and for the optimal routing matrix it
+    coincides with the coordinated capacity.
     """
-    kind = getattr(sched, "kind", None)
-    if kind in ("work_conserving", "loss"):
-        p = inst.arrivals.pmf[0]
-        q = inst.experts[0].success_prob
-        if kind == "loss":
-            p = p * sched.policy.mu
-        return single_capacity(p, q).lambda_star
-    if kind in ("routing", "baseline"):
-        merged = inst.arrivals.pmf.sum(axis=0)
-        qmat = inst.success_matrix()
-        if kind == "routing":
-            s = sched.policy.s
-        else:
-            s = np.zeros_like(qmat)
-            for x, dest in enumerate(sched.destination):
-                s[dest, x] = 1.0
-        worst = 0.0
-        for i in range(inst.n_experts):
-            load = 0.0
-            for x in range(inst.n_topics):
-                flow = merged[x] * s[i, x]
-                if flow <= 0.0:
-                    continue
-                if qmat[i, x] <= 0.0:
-                    return 0.0
-                load += flow / qmat[i, x]
-            worst = max(worst, load)
-        return math.inf if worst == 0.0 else 1.0 / worst
-    raise ValueError(f"no analytic boundary known for scheduler kind {kind!r}")
+    load = policy_load(inst, sched)
+    return math.inf if load == 0.0 else 1.0 / load
 
 
 @dataclass(frozen=True)
@@ -360,23 +365,153 @@ def misestimation_check(
             q_hat = np.where(np.isfinite(estimated), 1.0 / estimated, 0.0)
         est_capacity = single_capacity(p, q_hat).lambda_star
         lam = load_fraction * gamma * est_capacity
-        stats = run(
-            SimConfig(
-                instance=with_load(inst, lam),
-                scheduler=sched,
-                horizon=horizon,
-                seed=int(seed),
-                sample_interval=sample_interval,
-            )
+        cell = _sweep_cell(
+            (inst, sched, lam, int(seed), horizon, sample_interval, slope_threshold)
         )
-        verdict = classify_stability(stats, lam, slope_threshold)
         runs.append(
             MisestimationRun(
-                seed=int(seed),
+                seed=cell.seed,
                 estimated_capacity=est_capacity,
                 lam=lam,
-                verdict=verdict.verdict,
-                growth_slope=verdict.growth_slope,
+                verdict=cell.verdict,
+                growth_slope=cell.growth_slope,
             )
         )
     return MisestimationResult(runs=tuple(runs), gamma=float(gamma))
+
+
+def verify(inst: Instance, cfg: dict, seed: int) -> list[dict]:
+    """The checks of ``expertq verify``, one dict with ``name`` and
+    ``passed`` each: the duality gap and geometric service times always,
+    then drift and misestimation stability for one expert, or the validity,
+    load and simulated frequencies of a routing matrix for several."""
+    checks: list[dict] = []
+    experts = list(inst.experts)
+    n = inst.n_experts
+
+    resolution = float(cfg.get("resolution", RESOLUTION_DEFAULT))
+    p_system = merged_pmf(inst) / n
+    dual = multi_capacity_dual(p_system, experts)
+    gap = duality_gap(p_system, experts, resolution)
+    gap_tol = 10.0 * resolution * dual.lambda_star
+    checks.append(
+        {
+            "name": "duality_gap",
+            "passed": bool(gap <= gap_tol),
+            "measured": gap,
+            "tolerance": gap_tol,
+        }
+    )
+
+    geom_cfg = cfg.get("geometric", {})
+    trials = int(geom_cfg.get("trials", 1_000_000))
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 1])))
+    for q_val in geom_cfg.get("q_values", [1.0, 0.5, 0.1]):
+        q_val = float(q_val)
+        mean = geometric_service_check(q_val, trials, rng)
+        tol = 4.0 * math.sqrt(1.0 - q_val) / q_val / math.sqrt(trials)
+        checks.append(
+            {
+                "name": f"geometric_service_q={q_val}",
+                "passed": bool(abs(mean - 1.0 / q_val) <= tol),
+                "measured": mean,
+                "expected": 1.0 / q_val,
+                "tolerance": tol,
+            }
+        )
+
+    if n == 1:
+        p = inst.arrivals.pmf[0]
+        q = inst.experts[0].success_prob
+        drift_cfg = cfg.get("drift", {})
+        lam = float(drift_cfg.get("lambda", 0.75 * single_capacity(p, q).lambda_star))
+        horizon = int(drift_cfg.get("horizon", 100_000))
+        stats = run(
+            SimConfig(
+                instance=with_load(inst, lam),
+                scheduler=work_conserving_single(inst),
+                horizon=horizon,
+                seed=seed,
+                record_lyapunov=True,
+            )
+        )
+        report = drift_check(stats, p, q, lam)
+        checks.append(
+            {
+                "name": "drift",
+                "passed": bool(report.within(4.0)),
+                "measured": report.empirical_drift,
+                "expected": report.predicted_drift,
+                "tolerance": 4.0 * report.std_error,
+            }
+        )
+
+        mis_cfg = cfg.get("misestimation", {})
+        result = misestimation_check(
+            inst,
+            gamma=float(mis_cfg.get("gamma", GAMMA_DEFAULT)),
+            seeds=mis_cfg.get("seeds", [seed, seed + 1, seed + 2]),
+            horizon=int(mis_cfg.get("horizon", 100_000)),
+        )
+        checks.append(
+            {
+                "name": "misestimation_stability",
+                "passed": bool(result.all_stable),
+                "measured": [r.verdict for r in result.runs],
+                "loads": [r.lam for r in result.runs],
+            }
+        )
+    else:
+        routing_cfg = cfg.get("routing_check", {})
+        optimal = multi_capacity_dual(merged_pmf(inst), experts)
+        if "s" in routing_cfg:
+            policy = RoutingPolicy(s=np.asarray(routing_cfg["s"], dtype=np.float64))
+        else:
+            policy = optimal.certificate
+        problems = routing_policy_violations(policy, inst.success_matrix())
+        checks.append(
+            {
+                "name": "routing_policy_valid",
+                "passed": not problems,
+                "measured": problems,
+            }
+        )
+        if not problems:
+            sched = offline_routing_scheduler(inst, policy)
+            load = policy_load(inst, sched)
+            bound = optimal.certificate.dual_mu * (1.0 + 1e-6) + 1e-9
+            checks.append(
+                {
+                    "name": "routing_certificate_load",
+                    "passed": bool(load <= bound),
+                    "measured": load,
+                    "tolerance": bound,
+                }
+            )
+            horizon = int(routing_cfg.get("horizon", 50_000))
+            stats = run(
+                SimConfig(instance=inst, scheduler=sched, horizon=horizon, seed=seed)
+            )
+            counts = stats.final_state.cum_arrivals  # (topics, experts)
+            worst = 0.0
+            ok = True
+            for x in range(inst.n_topics):
+                total = counts[x].sum()
+                if total < 100:
+                    continue
+                for i in range(n):
+                    share = policy.s[i, x]
+                    observed = counts[x, i] / total
+                    tol = 4.0 * math.sqrt(max(share * (1 - share), 1e-12) / total)
+                    dev = abs(observed - share)
+                    worst = max(worst, dev - tol)
+                    if dev > tol:
+                        ok = False
+            checks.append(
+                {
+                    "name": "routing_frequencies",
+                    "passed": ok,
+                    "measured_worst_excess": worst,
+                }
+            )
+    return checks

@@ -25,10 +25,6 @@ import numpy as np
 
 from . import analysis, capacity, model, sched, sim
 
-GAMMA_DEFAULT = 0.5
-RESOLUTION_DEFAULT = 1e-3
-
-
 class ConfigError(Exception):
     pass
 
@@ -210,7 +206,7 @@ def cmd_capacity(config_path: str, out_dir: str, force: bool) -> None:
             p_system = model.merged_pmf(inst) / inst.n_experts
             experts = list(inst.experts)
             if mode == "multi-primal":
-                resolution = float(cfg.get("resolution", RESOLUTION_DEFAULT))
+                resolution = float(cfg.get("resolution", analysis.RESOLUTION_DEFAULT))
                 result = capacity.multi_capacity_primal(p_system, experts, resolution)
                 if result.certificate is not None:
                     payload["certificate"] = {"alpha": result.certificate.alpha}
@@ -338,154 +334,6 @@ def cmd_sweep(config_path, out_dir, force, seed_override) -> None:
     _run_guarded(go)
 
 
-def _verify_checks(cfg: dict, inst: model.Instance, seed: int) -> list[dict]:
-    checks: list[dict] = []
-    experts = list(inst.experts)
-    n = inst.n_experts
-
-    resolution = float(cfg.get("resolution", RESOLUTION_DEFAULT))
-    p_system = model.merged_pmf(inst) / n
-    dual = capacity.multi_capacity_dual(p_system, experts)
-    gap = capacity.duality_gap(p_system, experts, resolution)
-    gap_tol = 10.0 * resolution * dual.lambda_star
-    checks.append(
-        {
-            "name": "duality_gap",
-            "passed": bool(gap <= gap_tol),
-            "measured": gap,
-            "tolerance": gap_tol,
-        }
-    )
-
-    geom_cfg = cfg.get("geometric", {})
-    trials = int(geom_cfg.get("trials", 1_000_000))
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 1])))
-    for q_val in geom_cfg.get("q_values", [1.0, 0.5, 0.1]):
-        q_val = float(q_val)
-        mean = sim.geometric_service_check(q_val, trials, rng)
-        tol = 4.0 * math.sqrt(1.0 - q_val) / q_val / math.sqrt(trials)
-        checks.append(
-            {
-                "name": f"geometric_service_q={q_val}",
-                "passed": bool(abs(mean - 1.0 / q_val) <= tol),
-                "measured": mean,
-                "expected": 1.0 / q_val,
-                "tolerance": tol,
-            }
-        )
-
-    if n == 1:
-        p = inst.arrivals.pmf[0]
-        q = inst.experts[0].success_prob
-        drift_cfg = cfg.get("drift", {})
-        lam = float(drift_cfg.get("lambda", 0.75 * capacity.single_capacity(p, q).lambda_star))
-        horizon = int(drift_cfg.get("horizon", 100_000))
-        stats = sim.run(
-            sim.SimConfig(
-                instance=analysis.with_load(inst, lam),
-                scheduler=sched.work_conserving_single(inst),
-                horizon=horizon,
-                seed=seed,
-                record_lyapunov=True,
-            )
-        )
-        report = analysis.drift_check(stats, p, q, lam)
-        checks.append(
-            {
-                "name": "drift",
-                "passed": bool(report.within(4.0)),
-                "measured": report.empirical_drift,
-                "expected": report.predicted_drift,
-                "tolerance": 4.0 * report.std_error,
-            }
-        )
-
-        mis_cfg = cfg.get("misestimation", {})
-        result = analysis.misestimation_check(
-            inst,
-            gamma=float(mis_cfg.get("gamma", GAMMA_DEFAULT)),
-            seeds=mis_cfg.get("seeds", [seed, seed + 1, seed + 2]),
-            horizon=int(mis_cfg.get("horizon", 100_000)),
-        )
-        checks.append(
-            {
-                "name": "misestimation_stability",
-                "passed": bool(result.all_stable),
-                "measured": [r.verdict for r in result.runs],
-                "loads": [r.lam for r in result.runs],
-            }
-        )
-    else:
-        routing_cfg = cfg.get("routing_check", {})
-        merged = model.merged_pmf(inst)
-        optimal = capacity.multi_capacity_dual(merged, experts)
-        if "s" in routing_cfg:
-            policy = capacity.RoutingPolicy(
-                s=np.asarray(routing_cfg["s"], dtype=np.float64)
-            )
-        else:
-            policy = optimal.certificate
-        problems = capacity.routing_policy_violations(policy, inst.success_matrix())
-        checks.append(
-            {
-                "name": "routing_policy_valid",
-                "passed": not problems,
-                "measured": problems,
-            }
-        )
-        if not problems:
-            qmat = inst.success_matrix()
-            loads = []
-            for i in range(n):
-                load = 0.0
-                for x in range(inst.n_topics):
-                    flow = merged[x] * policy.s[i, x]
-                    if flow > 0:
-                        load += flow / qmat[i, x]
-                loads.append(load)
-            bound = optimal.certificate.dual_mu * (1.0 + 1e-6) + 1e-9
-            checks.append(
-                {
-                    "name": "routing_certificate_load",
-                    "passed": bool(max(loads) <= bound),
-                    "measured": max(loads),
-                    "tolerance": bound,
-                }
-            )
-            horizon = int(routing_cfg.get("horizon", 50_000))
-            stats = sim.run(
-                sim.SimConfig(
-                    instance=inst,
-                    scheduler=sched.offline_routing_scheduler(inst, policy),
-                    horizon=horizon,
-                    seed=seed,
-                )
-            )
-            counts = stats.final_state.cum_arrivals  # (topics, experts)
-            worst = 0.0
-            ok = True
-            for x in range(inst.n_topics):
-                total = counts[x].sum()
-                if total < 100:
-                    continue
-                for i in range(n):
-                    share = policy.s[i, x]
-                    observed = counts[x, i] / total
-                    tol = 4.0 * math.sqrt(max(share * (1 - share), 1e-12) / total)
-                    dev = abs(observed - share)
-                    worst = max(worst, dev - tol)
-                    if dev > tol:
-                        ok = False
-            checks.append(
-                {
-                    "name": "routing_frequencies",
-                    "passed": ok,
-                    "measured_worst_excess": worst,
-                }
-            )
-    return checks
-
-
 @main.command("verify")
 @click.argument("config_path", type=click.Path(exists=False))
 @click.option("--out", "out_dir", default=".", show_default=True)
@@ -503,7 +351,7 @@ def cmd_verify(config_path, out_dir, force, seed_override) -> None:
         seed = int(cfg.get("seed", 0)) if seed_override is None else seed_override
         target = _prepare_output(out_dir, "verify.json", force)
         try:
-            checks = _verify_checks(cfg, inst, seed)
+            checks = analysis.verify(inst, cfg, seed)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         all_passed = all(c["passed"] for c in checks)

@@ -9,6 +9,7 @@ with the solver.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -137,6 +138,8 @@ def composition_blocks(total: int, parts: int) -> Iterator[np.ndarray]:
     the blocks holds O(total**(parts-2)) rows at a time instead of all
     O(total**(parts-1)).
     """
+    if parts < 1:
+        raise ValueError(f"compositions need at least one part, got {parts}")
     if parts == 1:
         yield np.array([[total]], dtype=np.int64)
     elif parts == 2:
@@ -149,19 +152,31 @@ def composition_blocks(total: int, parts: int) -> Iterator[np.ndarray]:
             yield np.hstack([head, rest])
 
 
+def _check_grid_size(points: int) -> None:
+    if points > MAX_GRID_POINTS:
+        raise ValueError(
+            f"{points} grid points; coarsen the resolution (limit {MAX_GRID_POINTS})"
+        )
+
+
 def brute_force_lp(lp: LinearProgram, resolution: float) -> LpSolution:
     """Grid-search oracle over the feasible box, for test-time certification.
 
     Simplex equality groups are enumerated exactly on the unit simplex at
     roughly the requested resolution; remaining variables sweep their
     bounded range (unbounded ranges are capped from the constraint data).
-    At most 4 free dimensions are supported; more is an error. The result
+    At most 4 free dimensions are supported; more is an error, and so is
+    an axis or a grid of more than ``MAX_GRID_POINTS`` points, counted
+    before the axis is built. The result
     is the best feasible grid point, so its objective is only accurate to
     a resolution-dependent tolerance.
     """
     if resolution <= 0:
         raise ValueError("resolution must be positive")
     groups, free = _simplex_partition(lp)
+    if any(not g for g in groups):
+        # An equality row with no variables reads 0 = 1.
+        return LpSolution(status="infeasible", x=None, objective_value=None)
     free_dims = len(free) + sum(len(g) - 1 for g in groups)
     if free_dims > 4:
         raise ValueError(f"{free_dims} free dimensions exceed the oracle limit of 4")
@@ -178,6 +193,7 @@ def brute_force_lp(lp: LinearProgram, resolution: float) -> LpSolution:
         lo, hi = lp.bounds[j]
         hi = cap if hi is None else hi
         count = int(np.floor((hi - lo) / resolution)) + 1
+        _check_grid_size(count)
         vals = lo + resolution * np.arange(count, dtype=np.float64)
         if vals[-1] < hi - 1e-12:
             vals = np.append(vals, hi)
@@ -185,6 +201,7 @@ def brute_force_lp(lp: LinearProgram, resolution: float) -> LpSolution:
         axes_vals.append(vals.reshape(-1, 1))
     steps = max(1, round(1.0 / resolution))
     for g in groups:
+        _check_grid_size(math.comb(steps + len(g) - 1, len(g) - 1))
         combos = np.vstack(list(composition_blocks(steps, len(g))))
         combos = combos.astype(np.float64) / steps
         ok = np.ones(combos.shape[0], dtype=bool)
@@ -201,10 +218,7 @@ def brute_force_lp(lp: LinearProgram, resolution: float) -> LpSolution:
     total = 1
     for vals in axes_vals:
         total *= vals.shape[0]
-    if total > MAX_GRID_POINTS:
-        raise ValueError(
-            f"{total} grid points; coarsen the resolution (limit {MAX_GRID_POINTS})"
-        )
+    _check_grid_size(total)
     if total == 0:
         return LpSolution(status="infeasible", x=None, objective_value=None)
 

@@ -22,21 +22,16 @@ from pathlib import Path
 import numpy as np
 
 __all__ = [
-    "TopicId",
     "ExpertProfile",
     "ArrivalSpec",
     "Instance",
     "validate_instance",
     "merged_pmf",
-    "expertise",
     "instance_to_dict",
     "instance_from_dict",
     "load_instance",
     "save_instance",
 ]
-
-# Dense non-negative index into the topic universe.
-TopicId = int
 
 PMF_TOL = 1e-9
 CONSISTENCY_TOL = 1e-12
@@ -120,14 +115,13 @@ class ArrivalSpec:
 class Instance:
     """A complete problem instance: experts plus the arrival process.
 
-    Only the complete coordination graph is supported: any expert may be
-    handed any request. The arrival spec defines the topic universe width;
-    every expert profile must be indexed over the same universe.
+    Any expert may be handed any request (a complete coordination graph).
+    The arrival spec defines the topic universe width; every expert
+    profile must be indexed over the same universe.
     """
 
     experts: tuple[ExpertProfile, ...]
     arrivals: ArrivalSpec
-    graph: str = "complete"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "experts", tuple(self.experts))
@@ -155,8 +149,6 @@ def validate_instance(inst: Instance) -> list[str]:
 
     if inst.n_experts < 1:
         violations.append("instance: needs at least one expert")
-    if inst.graph != "complete":
-        violations.append(f"graph: only 'complete' is supported, got {inst.graph!r}")
 
     n_topics = inst.n_topics
     if inst.arrivals.n_experts != inst.n_experts:
@@ -224,11 +216,6 @@ def merged_pmf(inst: Instance) -> np.ndarray:
     divided by n (system load units).
     """
     return inst.arrivals.pmf.sum(axis=0)
-
-
-def expertise(e: ExpertProfile) -> float:
-    """Crude scalar skill measure: the sum of per-topic success probabilities."""
-    return float(e.success_prob.sum())
 
 
 def instance_to_dict(inst: Instance) -> dict:

@@ -1,10 +1,11 @@
 """Scheduling policies: admission, routing, and per-slot service selection.
 
-A scheduler is an immutable policy table consumed by the simulator. All
-randomness comes from the per-run streams handed in at each decision, so
-scheduler objects can be shared freely across concurrent runs. Policies
-are memoryless: decisions may read current queue lengths and the fixed
-tables, never per-request history.
+A scheduler is the stationary randomized policy of the model held as data:
+admission probabilities ``mu[x]``, a routing matrix ``s[i, x]`` and a
+selection rule. All randomness comes from the per-run streams handed in at
+each decision, so scheduler objects can be shared freely across concurrent
+runs. Policies are memoryless: decisions may read current queue lengths and
+the fixed tables, never per-request history.
 """
 
 from __future__ import annotations
@@ -23,42 +24,92 @@ __all__ = [
     "mismatch_baseline",
 ]
 
-TIE_BREAKS = ("arbitrary", "uniform_random", "longest_queue")
-SELECTION_MODES = ("request_weighted", "topic_uniform")
+# The names each constructor accepts and the selection rule each names;
+# uniform_random and topic_uniform name the same rule.
+TIE_BREAKS = {"arbitrary": "first", "uniform_random": "uniform", "longest_queue": "longest"}
+SELECTION_MODES = {"request_weighted": "weighted", "topic_uniform": "uniform"}
+RULES = ("first", "longest", "uniform", "weighted")
 
 
-def _normalize(name: str, allowed: tuple[str, ...], what: str) -> str:
+def _rule(name: str, allowed: dict[str, str], what: str) -> str:
     norm = name.replace("-", "_")
     if norm not in allowed:
-        raise ValueError(f"unknown {what} {name!r}; expected one of {allowed}")
-    return norm
+        raise ValueError(f"unknown {what} {name!r}; expected one of {tuple(allowed)}")
+    return allowed[norm]
 
 
 class Scheduler:
-    """Base policy: admit everything, keep requests where they arrive,
-    serve work-conservingly.
+    """A stationary randomized policy ``(mu, s, rule)``.
+
+    ``mu[x]`` is the probability of admitting a topic-x arrival, or None
+    to admit every arrival without a draw. Column x of ``s``, of shape
+    (n_experts, n_topics), is the distribution of an admitted topic-x
+    arrival's destination expert, or ``s`` is None to keep every request
+    at its door expert without a draw. ``rule`` picks the topic an expert
+    serves: the ``first`` non-empty queue, the ``longest`` queue (the
+    first one on ties), a ``uniform`` draw over the non-empty queues, or a
+    draw ``weighted`` by queue length. ``kind`` names the constructor that
+    built the policy.
 
     ``admit`` and ``route`` run once per arrival; ``select`` runs once per
-    expert per slot and is only called with a non-empty queue row, so a
-    compliant implementation can never pick an empty queue.
+    expert per slot and is only called with a non-empty queue row, so it
+    can never pick an empty queue.
     """
 
-    kind = "base"
-
-    def __init__(self, n_experts: int, n_topics: int) -> None:
-        self.n_experts = n_experts
-        self.n_topics = n_topics
+    def __init__(self, kind: str, inst: Instance, mu, s, rule: str) -> None:
+        if rule not in RULES:
+            raise ValueError(f"unknown selection rule {rule!r}; expected one of {RULES}")
+        self.kind = kind
+        self.n_experts = inst.n_experts
+        self.n_topics = inst.n_topics
+        self.mu = None if mu is None else np.asarray(mu, dtype=np.float64)
+        self.s = None if s is None else np.asarray(s, dtype=np.float64)
+        self.rule = rule
+        self._admit_prob = None if mu is None else self.mu.tolist()
+        self._cumulative = None if s is None else np.cumsum(self.s, axis=0).T.tolist()
 
     def admit(self, topic: int, door_expert: int, streams: RngStreams) -> bool:
-        return True
+        prob = self._admit_prob
+        return prob is None or streams.admission.next() < prob[topic]
 
     def route(self, topic: int, door_expert: int, streams: RngStreams) -> int:
-        return door_expert
+        cumulative = self._cumulative
+        if cumulative is None:
+            return door_expert
+        u = streams.routing.next()
+        for i, edge in enumerate(cumulative[topic]):
+            if u < edge:
+                return i
+        return self.n_experts - 1
 
     def select(
         self, expert: int, queue_row: list[int], total: int, streams: RngStreams
     ) -> int:
-        raise NotImplementedError
+        rule = self.rule
+        if rule == "weighted":
+            target = streams.selection.next() * total
+            acc = 0.0
+            for x, count in enumerate(queue_row):
+                acc += count
+                if target < acc:
+                    return x
+            for x in range(len(queue_row) - 1, -1, -1):
+                if queue_row[x]:
+                    return x
+        elif rule == "longest":
+            best, best_count = 0, -1
+            for x, count in enumerate(queue_row):
+                if count > best_count:
+                    best, best_count = x, count
+            return best
+        elif rule == "first":
+            for x, count in enumerate(queue_row):
+                if count:
+                    return x
+        else:
+            nonempty = [x for x, count in enumerate(queue_row) if count]
+            return nonempty[int(streams.selection.next() * len(nonempty))]
+        raise AssertionError("select called with empty queues")
 
     def compatible_with(self, inst: Instance) -> None:
         if inst.n_experts != self.n_experts or inst.n_topics != self.n_topics:
@@ -69,111 +120,13 @@ class Scheduler:
             )
 
 
-class _TieBreakSelect(Scheduler):
-    """Work-conserving single-queue-set selection with a pluggable tie break."""
-
-    def __init__(self, n_experts: int, n_topics: int, tie_break: str) -> None:
-        super().__init__(n_experts, n_topics)
-        self.tie_break = _normalize(tie_break, TIE_BREAKS, "tie break")
-
-    def select(self, expert, queue_row, total, streams):
-        if self.tie_break == "arbitrary":
-            for x, count in enumerate(queue_row):
-                if count:
-                    return x
-        elif self.tie_break == "longest_queue":
-            best, best_count = 0, -1
-            for x, count in enumerate(queue_row):
-                if count > best_count:
-                    best, best_count = x, count
-            return best
-        else:
-            nonempty = [x for x, count in enumerate(queue_row) if count]
-            return nonempty[int(streams.selection.next() * len(nonempty))]
-        raise AssertionError("select called with empty queues")
-
-
-class _WorkConservingSingle(_TieBreakSelect):
-    kind = "work_conserving"
-
-
-class _LossScheduler(_TieBreakSelect):
-    """Drop a topic-x arrival with probability 1 - mu[x], independently of
-    queue state; otherwise behave like the work-conserving scheduler."""
-
-    kind = "loss"
-
-    def __init__(self, n_topics: int, policy: LossPolicy, tie_break: str) -> None:
-        super().__init__(1, n_topics, tie_break)
-        self.policy = policy
-        self.mu = policy.mu.tolist()
-
-    def admit(self, topic, door_expert, streams):
-        return streams.admission.next() < self.mu[topic]
-
-
-class _QueueDrawSelect(Scheduler):
-    """Selection over one expert's own queues, request- or topic-weighted."""
-
-    def __init__(self, n_experts: int, n_topics: int, selection: str) -> None:
-        super().__init__(n_experts, n_topics)
-        self.selection = _normalize(selection, SELECTION_MODES, "selection mode")
-
-    def select(self, expert, queue_row, total, streams):
-        if self.selection == "request_weighted":
-            target = streams.selection.next() * total
-            acc = 0.0
-            for x, count in enumerate(queue_row):
-                acc += count
-                if target < acc:
-                    return x
-            for x in range(len(queue_row) - 1, -1, -1):
-                if queue_row[x]:
-                    return x
-        nonempty = [x for x, count in enumerate(queue_row) if count]
-        return nonempty[int(streams.selection.next() * len(nonempty))]
-
-
-class _RoutingScheduler(_QueueDrawSelect):
-    """Send each admitted arrival to an expert drawn from that topic's
-    routing distribution; the door expert is ignored (complete graph)."""
-
-    kind = "routing"
-
-    def __init__(self, n_experts, n_topics, policy: RoutingPolicy, selection) -> None:
-        super().__init__(n_experts, n_topics, selection)
-        self.policy = policy
-        self.cumulative = np.cumsum(policy.s, axis=0).T.tolist()
-
-    def route(self, topic, door_expert, streams):
-        u = streams.routing.next()
-        cum = self.cumulative[topic]
-        for i, edge in enumerate(cum):
-            if u < edge:
-                return i
-        return self.n_experts - 1
-
-
-class _MismatchBaseline(_QueueDrawSelect):
-    """Negative control: deterministically route every topic to the
-    slowest expert still able to answer it."""
-
-    kind = "baseline"
-
-    def __init__(self, n_experts, n_topics, destination: list[int], selection) -> None:
-        super().__init__(n_experts, n_topics, selection)
-        self.destination = destination
-
-    def route(self, topic, door_expert, streams):
-        return self.destination[topic]
-
-
 def work_conserving_single(inst: Instance, tie_break: str = "arbitrary") -> Scheduler:
     """Single-expert scheduler that admits everything and never idles while
     any topic queue is non-empty. Any tie break keeps the same capacity."""
     if inst.n_experts != 1:
         raise ValueError("work-conserving single-expert scheduler needs exactly 1 expert")
-    return _WorkConservingSingle(1, inst.n_topics, tie_break)
+    rule = _rule(tie_break, TIE_BREAKS, "tie break")
+    return Scheduler("work_conserving", inst, None, None, rule)
 
 
 def offline_loss_scheduler(
@@ -191,7 +144,8 @@ def offline_loss_scheduler(
             f"admission policy covers {policy.mu.shape[0]} topics, "
             f"instance has {inst.n_topics}"
         )
-    return _LossScheduler(inst.n_topics, policy, tie_break)
+    rule = _rule(tie_break, TIE_BREAKS, "tie break")
+    return Scheduler("loss", inst, policy.mu, None, rule)
 
 
 def offline_routing_scheduler(
@@ -211,7 +165,8 @@ def offline_routing_scheduler(
     problems = routing_policy_violations(policy, inst.success_matrix())
     if problems:
         raise ValueError("invalid routing policy: " + "; ".join(problems))
-    return _RoutingScheduler(inst.n_experts, inst.n_topics, policy, selection)
+    rule = _rule(selection, SELECTION_MODES, "selection mode")
+    return Scheduler("routing", inst, None, policy.s, rule)
 
 
 def mismatch_baseline(inst: Instance, selection: str = "request_weighted") -> Scheduler:
@@ -220,15 +175,12 @@ def mismatch_baseline(inst: Instance, selection: str = "request_weighted") -> Sc
     Every topic goes to the expert with the smallest positive success
     probability for it (the worst per-request service ratio among experts
     that can answer at all). Topics nobody can answer fall back to expert
-    0; they pile up wherever they land.
+    0; they pile up wherever they land. The routing matrix is one-hot, so
+    each route still takes one draw from the routing stream.
     """
     qmat = inst.success_matrix()
-    destination = []
-    for x in range(inst.n_topics):
-        col = qmat[:, x]
-        candidates = np.nonzero(col > 0)[0]
-        if candidates.size == 0:
-            destination.append(0)
-        else:
-            destination.append(int(candidates[np.argmin(col[candidates])]))
-    return _MismatchBaseline(inst.n_experts, inst.n_topics, destination, selection)
+    slowest = np.argmin(np.where(qmat > 0, qmat, np.inf), axis=0)
+    s = np.zeros_like(qmat)
+    s[slowest, np.arange(inst.n_topics)] = 1.0
+    rule = _rule(selection, SELECTION_MODES, "selection mode")
+    return Scheduler("baseline", inst, None, s, rule)

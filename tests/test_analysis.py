@@ -11,11 +11,13 @@ from expertq.analysis import (
     classify_stability,
     drift_check,
     misestimation_check,
+    policy_load,
     with_load,
 )
-from expertq.capacity import LossPolicy, multi_capacity_dual
+from expertq.capacity import LossPolicy, multi_capacity_dual, single_capacity
 from expertq.model import ArrivalSpec, ExpertProfile, Instance, merged_pmf
 from expertq.sched import (
+    Scheduler,
     mismatch_baseline,
     offline_loss_scheduler,
     offline_routing_scheduler,
@@ -309,6 +311,74 @@ class TestAnalyticBoundary:
         )
         sched = mismatch_baseline(inst)
         assert analytic_boundary(inst, sched) == pytest.approx(0.1, abs=1e-12)
+
+
+class TestPolicyLoad:
+    def crossed_skill_instance(self):
+        experts = (
+            ExpertProfile.from_success_probs(0, [0.9, 0.1]),
+            ExpertProfile.from_success_probs(1, [0.1, 0.9]),
+        )
+        return Instance(
+            experts=experts, arrivals=ArrivalSpec(lam=0.1, pmf=[[0.5, 0.5]] * 2)
+        )
+
+    @pytest.mark.parametrize("tie_break", ["arbitrary", "uniform-random", "longest-queue"])
+    def test_work_conserving_is_inverse_single_capacity(self, tie_break):
+        inst = single_expert_instance(0.5, [0.5, 0.3, 0.2], [1.0, 0.5, 0.25])
+        sched = work_conserving_single(inst, tie_break=tie_break)
+        capacity = single_capacity([0.5, 0.3, 0.2], [1.0, 0.5, 0.25]).lambda_star
+        assert policy_load(inst, sched) == 1.0 / capacity
+
+    def test_loss_is_inverse_single_capacity_of_admitted_mass(self):
+        p, q, mu = np.array([0.5, 0.3, 0.2]), [1.0, 0.5, 0.0], np.array([1.0, 0.6, 0.0])
+        inst = single_expert_instance(0.5, p, q)
+        sched = offline_loss_scheduler(inst, LossPolicy(mu=mu, epsilon=0.2))
+        assert policy_load(inst, sched) == 1.0 / single_capacity(p * mu, q).lambda_star
+
+    def test_dual_certificate_within_verify_bound(self):
+        experts = tuple(
+            ExpertProfile.from_success_probs(i, row)
+            for i, row in enumerate([[0.9, 0.2, 0.0], [0.3, 0.8, 0.4], [0.0, 0.5, 0.7]])
+        )
+        inst = Instance(
+            experts=experts,
+            arrivals=ArrivalSpec(lam=0.2, pmf=[[0.5, 0.3, 0.2], [0.2, 0.3, 0.5], [1 / 3] * 3]),
+        )
+        policy = multi_capacity_dual(merged_pmf(inst), list(experts)).certificate
+        load = policy_load(inst, offline_routing_scheduler(inst, policy))
+        assert load <= policy.dual_mu * (1.0 + 1e-6) + 1e-9
+        assert load == pytest.approx(policy.dual_mu, rel=1e-6)
+
+    def test_crossed_skill_baseline(self):
+        inst = self.crossed_skill_instance()
+        assert policy_load(inst, mismatch_baseline(inst)) == pytest.approx(10.0, abs=1e-12)
+
+    def test_mass_sent_where_it_cannot_be_answered(self):
+        inst = single_expert_instance(0.5, [0.5, 0.5], [1.0, 0.0])
+        sched = work_conserving_single(inst)
+        assert policy_load(inst, sched) == math.inf
+        assert analytic_boundary(inst, sched) == 0.0
+        crossed = self.crossed_skill_instance()
+        one_sided = Scheduler(
+            "routing", crossed, None, [[1.0, 1.0], [0.0, 0.0]], "weighted"
+        )
+        assert policy_load(crossed, one_sided) == pytest.approx(1 / 0.9 + 10.0)
+        to_nobody = Instance(
+            experts=(
+                ExpertProfile.from_success_probs(0, [1.0, 0.0]),
+                ExpertProfile.from_success_probs(1, [1.0, 0.0]),
+            ),
+            arrivals=crossed.arrivals,
+        )
+        assert policy_load(to_nobody, one_sided) == math.inf
+        assert analytic_boundary(to_nobody, one_sided) == 0.0
+
+    def test_no_traffic_has_unbounded_boundary(self):
+        inst = single_expert_instance(0.5, [1.0, 0.0], [1.0, 0.5])
+        sched = offline_loss_scheduler(inst, LossPolicy(mu=[0.0, 1.0], epsilon=1.0))
+        assert policy_load(inst, sched) == 0.0
+        assert analytic_boundary(inst, sched) == math.inf
 
 
 class TestMisestimation:

@@ -1,11 +1,14 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from expertq import cli
 from expertq.cli import main
+from expertq.model import load_instance, validate_instance
 
 
 def write_json(path, doc):
@@ -326,3 +329,31 @@ class TestVerifyCommand:
         assert by_name["routing_certificate_load"]["passed"] is False
         # measured values are still reported on failure
         assert "measured" in by_name["routing_certificate_load"]
+
+
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+
+
+class TestShippedConfigs:
+    def test_configs_are_shipped(self):
+        assert len(CONFIGS) >= 6
+
+    @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+    def test_config_parses_and_builds(self, path):
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        if "topics" in doc:  # an instance document that configs point at
+            assert validate_instance(load_instance(path)) == []
+            return
+        inst = cli._instance_from_config(doc, str(path))
+        if "scheduler" in doc:
+            scheduler = cli._build_scheduler(inst, doc["scheduler"])
+            assert scheduler.kind == doc["scheduler"]["kind"]
+
+    def test_capacity_multi_dual_runs(self, tmp_path, runner):
+        (path,) = [p for p in CONFIGS if p.name == "capacity_multi_dual.json"]
+        result = runner.invoke(main, ["capacity", str(path), "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        payload = json.loads((tmp_path / "capacity.json").read_text())
+        assert payload["mode"] == "multi-dual"
+        assert payload["lambda_star"] == pytest.approx(3.0, abs=1e-9)
+        assert np.allclose(payload["certificate"]["s"], np.eye(3), atol=1e-9)

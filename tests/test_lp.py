@@ -250,6 +250,57 @@ class TestBruteForceOracle:
         assert brute_force_lp(lp, resolution=0.1).status == "infeasible"
 
 
+class TestOracleGuards:
+    def test_empty_unit_sum_row_is_infeasible_for_both(self):
+        # The equality row reads 0 = 1.
+        lp = LinearProgram(
+            objective=[1.0, 1.0],
+            eq_matrix=[[0.0, 0.0]],
+            eq_rhs=[1.0],
+            ub_matrix=np.empty((0, 2)),
+            ub_rhs=[],
+            bounds=((0.0, 1.0),) * 2,
+        )
+        assert solve_lp(lp).status == "infeasible"
+        assert brute_force_lp(lp, resolution=0.1).status == "infeasible"
+
+    @pytest.mark.parametrize("parts", [0, -1])
+    def test_compositions_need_a_part(self, parts):
+        with pytest.raises(ValueError, match="part"):
+            next(lp_module.composition_blocks(3, parts))
+
+    def test_oversized_group_rejected_before_building(self, monkeypatch):
+        def unbuildable(total, parts):
+            raise AssertionError("the group's compositions were built")
+
+        monkeypatch.setattr(lp_module, "MAX_GRID_POINTS", 100)
+        monkeypatch.setattr(lp_module, "composition_blocks", unbuildable)
+        # C(14, 4) = 1001 compositions of 10 steps into 5 parts.
+        lp = LinearProgram(
+            objective=[1.0] * 5,
+            eq_matrix=[[1.0] * 5],
+            eq_rhs=[1.0],
+            ub_matrix=np.empty((0, 5)),
+            ub_rhs=[],
+            bounds=((0.0, 1.0),) * 5,
+        )
+        with pytest.raises(ValueError, match="1001 grid points"):
+            brute_force_lp(lp, resolution=0.1)
+
+    def test_oversized_free_axis_rejected_before_building(self):
+        # 10**12 + 1 values on one axis: 8 TB if it were built.
+        lp = LinearProgram(
+            objective=[1.0],
+            eq_matrix=np.empty((0, 1)),
+            eq_rhs=[],
+            ub_matrix=np.empty((0, 1)),
+            ub_rhs=[],
+            bounds=((0.0, 1e12),),
+        )
+        with pytest.raises(ValueError, match="grid points"):
+            brute_force_lp(lp, resolution=1.0)
+
+
 def specialist_routing_lp():
     experts = [
         ExpertProfile.from_success_probs(i, [1.0 if x == i else 0.0 for x in range(3)])

@@ -10,7 +10,6 @@ from expertq.model import (
     ArrivalSpec,
     ExpertProfile,
     Instance,
-    expertise,
     instance_from_dict,
     instance_to_dict,
     load_instance,
@@ -99,11 +98,6 @@ class TestValidation:
         inst = Instance(experts=(expert,), arrivals=ArrivalSpec(lam=0.5, pmf=[[1.0]]))
         assert any("universe" in v for v in validate_instance(inst))
 
-    def test_unsupported_graph(self):
-        inst = make_instance([[1.0]], [[1.0]])
-        bad = Instance(experts=inst.experts, arrivals=inst.arrivals, graph="ring")
-        assert any("complete" in v for v in validate_instance(bad))
-
     @given(instances())
     @settings(max_examples=30, deadline=None)
     def test_validate_is_pure_and_idempotent(self, inst):
@@ -136,31 +130,6 @@ class TestMergedPmf:
                 naive += float(inst.arrivals.pmf[i, x])
             assert merged[x] == pytest.approx(naive, abs=1e-12)
         assert float(merged.sum()) == pytest.approx(inst.n_experts, abs=1e-9)
-
-
-class TestExpertise:
-    def test_examples(self):
-        assert expertise(ExpertProfile.from_success_probs(0, [1, 0, 0])) == 1.0
-        assert expertise(
-            ExpertProfile.from_success_probs(0, [1 / 3, 1 / 3, 1 / 3])
-        ) == pytest.approx(1.0, abs=1e-12)
-        assert expertise(ExpertProfile.from_success_probs(0, [0, 0])) == 0.0
-
-    @given(
-        st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=6),
-        st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=6),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_linearity_under_averaging(self, qa, qb):
-        size = min(len(qa), len(qb))
-        a = ExpertProfile.from_success_probs(0, qa[:size])
-        b = ExpertProfile.from_success_probs(1, qb[:size])
-        avg = ExpertProfile.from_success_probs(
-            2, (a.success_prob + b.success_prob) / 2.0
-        )
-        assert expertise(avg) == pytest.approx(
-            (expertise(a) + expertise(b)) / 2.0, abs=1e-12
-        )
 
 
 class TestImmutability:
