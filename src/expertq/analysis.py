@@ -19,8 +19,9 @@ import numpy as np
 
 from .capacity import (
     RoutingPolicy,
-    duality_gap,
+    degraded_capacity,
     multi_capacity_dual,
+    multi_capacity_primal,
     routing_policy_violations,
     single_capacity,
 )
@@ -47,6 +48,9 @@ __all__ = [
 
 GAMMA_DEFAULT = 0.5
 RESOLUTION_DEFAULT = 1e-3
+# The misestimation check drives the true system at this fraction of the
+# guaranteed load.
+LOAD_FRACTION = 0.95
 
 
 @dataclass(frozen=True)
@@ -325,17 +329,13 @@ def misestimation_check(
     seeds,
     horizon: int = 100_000,
     inflate=None,
-    load_fraction: float = 0.95,
-    tie_break: str = "arbitrary",
-    slope_threshold: float | None = None,
-    sample_interval: int = 100,
 ) -> MisestimationResult:
     """Stability under capacity computed from misestimated research times.
 
     For each seed, an estimate generator produces per-topic times bounded
     below by ``gamma`` times the truth (anything violating that bound is
     rejected before any simulation). The run then drives the true system
-    at ``load_fraction * gamma`` times the capacity computed from the
+    at ``LOAD_FRACTION`` of the :func:`degraded_capacity` of the
     estimates; every such load is guaranteed sustainable, so each run
     should classify stable.
     """
@@ -346,7 +346,7 @@ def misestimation_check(
     generator = _default_inflate if inflate is None else inflate
     true_times = inst.experts[0].mean_time
     p = inst.arrivals.pmf[0]
-    sched = work_conserving_single(inst, tie_break=tie_break)
+    sched = work_conserving_single(inst)
 
     runs = []
     for seed in seeds:
@@ -363,15 +363,13 @@ def misestimation_check(
             )
         with np.errstate(divide="ignore"):
             q_hat = np.where(np.isfinite(estimated), 1.0 / estimated, 0.0)
-        est_capacity = single_capacity(p, q_hat).lambda_star
-        lam = load_fraction * gamma * est_capacity
-        cell = _sweep_cell(
-            (inst, sched, lam, int(seed), horizon, sample_interval, slope_threshold)
-        )
+        lam = LOAD_FRACTION * degraded_capacity(p, q_hat, gamma)
+        # A sample every 100 slots, and classify_stability's default threshold.
+        cell = _sweep_cell((inst, sched, lam, int(seed), horizon, 100, None))
         runs.append(
             MisestimationRun(
                 seed=cell.seed,
-                estimated_capacity=est_capacity,
+                estimated_capacity=single_capacity(p, q_hat).lambda_star,
                 lam=lam,
                 verdict=cell.verdict,
                 growth_slope=cell.growth_slope,
@@ -384,16 +382,23 @@ def verify(inst: Instance, cfg: dict, seed: int) -> list[dict]:
     """The checks of ``expertq verify``, one dict with ``name`` and
     ``passed`` each: the duality gap and geometric service times always,
     then drift and misestimation stability for one expert, or the validity,
-    load and simulated frequencies of a routing matrix for several."""
+    load and simulated frequencies of a routing matrix for several.
+
+    The routing LP is solved once, on the per-door pmf the routing
+    simulation uses. The gap is taken in system units, where the capacity
+    is ``n`` times the per-door one: the grid oracle runs on the system
+    pmf ``merged_pmf / n``."""
     checks: list[dict] = []
     experts = list(inst.experts)
     n = inst.n_experts
 
     resolution = float(cfg.get("resolution", RESOLUTION_DEFAULT))
-    p_system = merged_pmf(inst) / n
-    dual = multi_capacity_dual(p_system, experts)
-    gap = duality_gap(p_system, experts, resolution)
-    gap_tol = 10.0 * resolution * dual.lambda_star
+    merged = merged_pmf(inst)
+    optimal = multi_capacity_dual(merged, experts)
+    system = n * optimal.lambda_star
+    primal = multi_capacity_primal(merged / n, experts, resolution).lambda_star
+    gap = 0.0 if math.isinf(primal) and math.isinf(system) else abs(primal - system)
+    gap_tol = 10.0 * resolution * system
     checks.append(
         {
             "name": "duality_gap",
@@ -463,7 +468,6 @@ def verify(inst: Instance, cfg: dict, seed: int) -> list[dict]:
         )
     else:
         routing_cfg = cfg.get("routing_check", {})
-        optimal = multi_capacity_dual(merged_pmf(inst), experts)
         if "s" in routing_cfg:
             policy = RoutingPolicy(s=np.asarray(routing_cfg["s"], dtype=np.float64))
         else:
@@ -493,7 +497,7 @@ def verify(inst: Instance, cfg: dict, seed: int) -> list[dict]:
                 SimConfig(instance=inst, scheduler=sched, horizon=horizon, seed=seed)
             )
             counts = stats.final_state.cum_arrivals  # (topics, experts)
-            worst = 0.0
+            worst = -math.inf  # signed: negative is the margin left
             ok = True
             for x in range(inst.n_topics):
                 total = counts[x].sum()
@@ -511,7 +515,7 @@ def verify(inst: Instance, cfg: dict, seed: int) -> list[dict]:
                 {
                     "name": "routing_frequencies",
                     "passed": ok,
-                    "measured_worst_excess": worst,
+                    "measured_worst_excess": None if worst == -math.inf else worst,
                 }
             )
     return checks

@@ -6,7 +6,7 @@ Covers the sustainable-load calculations this package is built around:
   the inverse of the service-weighted request mix ``sum_x p(x)/q(x)``.
 * :func:`loss_capacity` -- the largest load one expert can carry when up to
   ``epsilon`` requests per slot may be dropped at the door, together with
-  the per-topic admission probabilities that achieve it.
+  the per-topic admission probabilities that achieve it, in closed form.
 * :func:`degraded_capacity` -- the guaranteed-achievable load when the
   mean research times are misestimated within a known factor.
 * :func:`multi_capacity_primal` / :func:`multi_capacity_dual` -- the
@@ -162,13 +162,6 @@ def single_capacity(p, q) -> CapacityResult:
     return CapacityResult(math.inf if denom == 0.0 else 1.0 / denom)
 
 
-def _drop_order(p, q):
-    """Droppable topics sorted most-expensive-to-serve first."""
-    idx = np.nonzero((p > 0) & (q > 0))[0]
-    order = idx[np.argsort(-1.0 / q[idx], kind="stable")]
-    return [(int(x), float(1.0 / q[x]), float(p[x])) for x in order]
-
-
 def loss_capacity(p, q, epsilon: float) -> CapacityResult:
     """Largest load sustainable by one expert given a per-slot loss budget.
 
@@ -179,11 +172,14 @@ def loss_capacity(p, q, epsilon: float) -> CapacityResult:
     expert cannot answer are forced to ``mu(x) = 0``: their mass never
     touches the service constraint and counts entirely as loss.
 
-    Solved by bisection on ``lam``; for each candidate load, the cheapest
-    feasible admission policy drops unanswerable mass first and then sheds
-    the worst ``p/q`` ratios, a fractional-knapsack argument that makes
-    the feasibility test exact. At ``epsilon == 0`` the result reduces to
-    :func:`single_capacity` exactly.
+    Solved in closed form by one greedy pass. Shedding a unit of topic-x
+    mass lowers the service load by ``1/q(x)``, so the slowest topics go
+    first (a fractional knapsack). With ``load`` the kept service load and
+    ``shed`` the dropped mass, shedding pays until ``epsilon * load ==
+    shed``, where both constraints bind; each take is the smaller of the
+    topic's mass and the amount that reaches that balance. The capacity is
+    then ``epsilon / shed``, or ``1 / load`` when nothing is shed, which at
+    ``epsilon == 0`` is exactly :func:`single_capacity`.
     """
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
@@ -191,60 +187,29 @@ def loss_capacity(p, q, epsilon: float) -> CapacityResult:
         raise ValueError("topic mass and success vectors differ in length")
     if epsilon < 0:
         raise ValueError("loss budget must be non-negative")
+    epsilon = float(epsilon)
 
-    keepable = q > 0
-    mu_base = np.where(keepable, 1.0, 0.0)
-
-    if epsilon == 0.0:
-        lam = single_capacity(p, q).lambda_star
-        return CapacityResult(lam, LossPolicy(mu=mu_base, epsilon=0.0))
-
-    forced_mass = float(np.sum(p[~keepable & (p > 0)]))
-    base_load = float(np.sum((p[keepable & (p > 0)] / q[keepable & (p > 0)])))
-    order = _drop_order(p, q)
-
-    def feasible(lam: float) -> bool:
-        if lam <= 0.0:
-            return True
-        budget = epsilon / lam - forced_mass
-        if budget < -1e-15:
-            return False
-        load = base_load
-        for _, ratio, mass in order:
-            if budget <= 0.0:
-                break
-            take = mass if mass <= budget else budget
-            load -= take * ratio
-            budget -= take
-        return lam * load <= 1.0 + 1e-12
-
-    q_max = float(q.max()) if q.size else 0.0
-    lo, hi = 0.0, q_max + epsilon + 1.0
-    for _ in range(200):
-        if hi - lo <= 5e-13 * max(1.0, hi):
+    mu = np.where(q > 0, 1.0, 0.0)
+    served = (p > 0) & (q > 0)
+    shed = float(np.sum(p[(p > 0) & (q <= 0)]))
+    load = float(np.sum(p[served] / q[served]))
+    idx = np.nonzero(served)[0]
+    for x in idx[np.argsort(q[idx], kind="stable")]:
+        mass, qx = float(p[x]), float(q[x])
+        take = min(mass, (epsilon * load - shed) / (1.0 + epsilon / qx))
+        if take <= 0.0:
             break
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
+        mu[x] = 1.0 - take / mass
+        load -= take / qx
+        shed += take
+        if take < mass:  # balanced; rounding must not shed the next topic
+            break
 
-    lam = lo
-    mu = mu_base.copy()
-    if lam > 0.0:
-        # Minimal dropping: shed only as much answerable mass as service
-        # feasibility requires, never the whole budget.
-        budget = max(epsilon / lam - forced_mass, 0.0)
-        need = base_load - 1.0 / lam
-        for x, ratio, mass in order:
-            if need <= 1e-15 or budget <= 1e-15:
-                break
-            take = min(mass, budget, need / ratio)
-            mu[x] = 1.0 - take / p[x]
-            need -= take * ratio
-            budget -= take
-    np.clip(mu, 0.0, 1.0, out=mu)
-    return CapacityResult(lam, LossPolicy(mu=mu, epsilon=float(epsilon)))
+    if shed > 0.0:
+        lam = epsilon / shed
+    else:
+        lam = math.inf if load == 0.0 else 1.0 / load
+    return CapacityResult(lam, LossPolicy(mu=mu, epsilon=epsilon))
 
 
 def degraded_capacity(p, q_hat, gamma: float) -> float:
@@ -280,7 +245,7 @@ def simplex_grid(n: int, resolution: float) -> np.ndarray:
 
 
 def multi_capacity_primal(
-    p_merged, experts: list[ExpertProfile], resolution: float, strict: bool = False
+    p_merged, experts: list[ExpertProfile], resolution: float
 ) -> CapacityResult:
     """Coordinated capacity via grid search over expert weights.
 
@@ -291,11 +256,11 @@ def multi_capacity_primal(
     search is the independent oracle against which the dual linear program
     is certified, so it must share nothing with the LP path.
 
-    Topics with arrival mass that no expert can answer yield capacity 0,
-    or raise when ``strict`` is set. Intended for small expert counts
-    (the grid grows combinatorially; n <= 4 is the practical limit). The
-    grid is scanned block by block, so memory grows as ``k**(n-2)`` for
-    ``k = round(1/resolution)`` while time grows as ``k**(n-1)``.
+    Topics with arrival mass that no expert can answer yield capacity 0.
+    Intended for small expert counts (the grid grows combinatorially;
+    n <= 4 is the practical limit). The grid is scanned block by block, so
+    memory grows as ``k**(n-2)`` for ``k = round(1/resolution)`` while time
+    grows as ``k**(n-1)``.
     """
     p = np.asarray(p_merged, dtype=np.float64)
     qmat = np.vstack([e.success_prob for e in experts])
@@ -307,13 +272,7 @@ def multi_capacity_primal(
 
     answerable = qmat > 0
     mass = p > 0
-    dead = mass & ~answerable.any(axis=0)
-    if dead.any():
-        if strict:
-            raise ValueError(
-                f"topics {np.nonzero(dead)[0].tolist()} carry mass but no expert "
-                "can answer them"
-            )
+    if (mass & ~answerable.any(axis=0)).any():
         return CapacityResult(0.0)
 
     cols = np.nonzero(mass)[0]

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from expertq import analysis
+from expertq import analysis, capacity
 from expertq.analysis import (
     analytic_boundary,
     capacity_boundary_sweep,
@@ -14,7 +14,12 @@ from expertq.analysis import (
     policy_load,
     with_load,
 )
-from expertq.capacity import LossPolicy, multi_capacity_dual, single_capacity
+from expertq.capacity import (
+    LossPolicy,
+    degraded_capacity,
+    multi_capacity_dual,
+    single_capacity,
+)
 from expertq.model import ArrivalSpec, ExpertProfile, Instance, merged_pmf
 from expertq.sched import (
     Scheduler,
@@ -420,6 +425,20 @@ class TestMisestimation:
         for r in result.runs:
             assert r.lam <= 0.95 * (2 / 3) + 1e-12
 
+    def test_load_is_a_fraction_of_the_degraded_capacity(self):
+        result = misestimation_check(
+            self.base_instance(),
+            gamma=0.55,
+            seeds=[0],
+            horizon=1_000,
+            inflate=lambda t, g, rng: t.copy(),
+        )
+        (r,) = result.runs
+        # 0.95 * 0.55 * (2/3) rounds one ulp below 0.95 * (0.55 * (2/3))
+        guaranteed = degraded_capacity([0.5, 0.5], [1.0, 0.5], 0.55)
+        assert r.lam == analysis.LOAD_FRACTION * guaranteed
+        assert r.estimated_capacity == single_capacity([0.5, 0.5], [1.0, 0.5]).lambda_star
+
     def test_bound_violations_rejected_before_simulation(self):
         with pytest.raises(ValueError, match="bound"):
             misestimation_check(
@@ -443,3 +462,48 @@ class TestMisestimation:
     def test_gamma_validated(self):
         with pytest.raises(ValueError):
             misestimation_check(self.base_instance(), gamma=1.5, seeds=[0])
+
+
+class TestVerify:
+    def mixed_instance(self):
+        experts = tuple(
+            ExpertProfile.from_success_probs(i, row)
+            for i, row in enumerate([[0.9, 0.2, 0.0], [0.3, 0.8, 0.4], [0.0, 0.5, 0.7]])
+        )
+        return Instance(
+            experts=experts,
+            arrivals=ArrivalSpec(lam=0.3, pmf=[[0.5, 0.3, 0.2], [0.2, 0.3, 0.5], [1 / 3] * 3]),
+        )
+
+    def config(self, horizon):
+        return {
+            "resolution": 0.01,
+            "geometric": {"trials": 10_000},
+            "routing_check": {"horizon": horizon},
+        }
+
+    def checks(self, horizon, seed=4):
+        checks = analysis.verify(self.mixed_instance(), self.config(horizon), seed)
+        return {c["name"]: c for c in checks}
+
+    def test_passing_routing_run_reports_its_margin(self):
+        check = self.checks(5_000)["routing_frequencies"]
+        assert check["passed"] is True
+        assert check["measured_worst_excess"] < 0.0
+
+    def test_no_topic_with_enough_arrivals_reports_null(self):
+        check = self.checks(10)["routing_frequencies"]
+        assert check["passed"] is True
+        assert check["measured_worst_excess"] is None
+
+    def test_routing_lp_is_solved_once(self, monkeypatch):
+        calls = []
+
+        def counted(lp):
+            calls.append(lp)
+            return solve(lp)
+
+        solve = capacity.solve_lp
+        monkeypatch.setattr(capacity, "solve_lp", counted)
+        self.checks(10)
+        assert len(calls) == 1

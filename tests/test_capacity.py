@@ -17,6 +17,7 @@ from expertq.capacity import (
     simplex_grid,
     single_capacity,
 )
+from expertq.lp import LinearProgram, solve_lp
 from expertq.model import ExpertProfile
 
 
@@ -38,7 +39,7 @@ def loss_capacity_grid_oracle(p, q, epsilon, resolution=1e-3):
 
     For each admission vector the largest feasible load is the smaller of
     the service cap 1/sum(mu p/q) and the loss cap epsilon/sum((1-mu) p).
-    Independent of the bisection implementation under test.
+    Independent of the greedy implementation under test.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -59,6 +60,47 @@ def loss_capacity_grid_oracle(p, q, epsilon, resolution=1e-3):
         lost = (1.0 - m0) * p[0] + (1.0 - m1) * p[1]
         loss_cap = np.where(lost > 0, epsilon / np.where(lost > 0, lost, 1.0), np.inf)
     return float(np.minimum(service_cap, loss_cap).max())
+
+
+def loss_capacity_lp(p, q, epsilon):
+    """The loss capacity as a linear program in ``(lam, y)`` with ``y = lam * mu``.
+
+    Maximizes ``lam`` subject to ``sum_x y p/q <= 1``, ``lam * sum(p) -
+    sum_x y p <= epsilon`` and ``0 <= y <= lam``, with ``y = 0`` where the
+    expert cannot answer. Shares nothing with the greedy pass under test.
+    """
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    n = p.size
+    service = np.zeros(1 + n)
+    service[1:][q > 0] = p[q > 0] / q[q > 0]
+    loss = np.concatenate([[p.sum()], -p])
+    cap = np.hstack([-np.ones((n, 1)), np.eye(n)])
+    bounds = [(0.0, None)] + [(0.0, None if qx > 0 else 0.0) for qx in q]
+    sol = solve_lp(
+        LinearProgram(
+            objective=-np.eye(1 + n)[0],
+            eq_matrix=np.zeros((0, 1 + n)),
+            eq_rhs=np.zeros(0),
+            ub_matrix=np.vstack([service, loss, cap]),
+            ub_rhs=np.concatenate([[1.0, epsilon], np.zeros(n)]),
+            bounds=tuple(bounds),
+        )
+    )
+    assert sol.status == "optimal"
+    return float(sol.x[0])
+
+
+def random_loss_problem(rng):
+    """1-7 topics with some unanswerable and some zero-mass topics."""
+    n = int(rng.integers(1, 8))
+    p = rng.dirichlet(np.ones(n))
+    p[rng.random(n) < 0.2] = 0.0
+    if p.sum() == 0.0:
+        p[0] = 1.0
+    q = rng.uniform(0.05, 1.0, size=n)
+    q[rng.random(n) < 0.2] = 0.0
+    return p / p.sum(), q, float(rng.uniform(0.0, 3.0))
 
 
 class TestSingleCapacity:
@@ -140,9 +182,7 @@ class TestLossCapacity:
         for _ in range(10):
             p = rng.dirichlet(np.ones(4))
             q = rng.uniform(0.1, 1.0, size=4)
-            assert loss_capacity(p, q, 0.0).lambda_star == pytest.approx(
-                single_capacity(p, q).lambda_star, abs=1e-12
-            )
+            assert loss_capacity(p, q, 0.0).lambda_star == single_capacity(p, q).lambda_star
 
     def test_matches_admission_grid_oracle(self):
         p, q, eps = [0.5, 0.5], [1.0, 0.25], 0.1
@@ -211,6 +251,23 @@ class TestLossCapacity:
             assert lost == pytest.approx(eps, abs=1e-6)
             combined = float(np.sum(mu[keep] * p[keep] * (q[keep] + eps) / q[keep]))
             assert combined == pytest.approx(1.0, abs=1e-6)
+
+    def test_matches_linear_program_reference(self):
+        rng = np.random.default_rng(41)
+        for _ in range(200):
+            p, q, eps = random_loss_problem(rng)
+            assert loss_capacity(p, q, eps).lambda_star == pytest.approx(
+                loss_capacity_lp(p, q, eps), rel=1e-7, abs=1e-7
+            )
+
+    def test_scale_covariance(self):
+        # 0.05 of the mass of test_matches_admission_grid_oracle's problem
+        result = loss_capacity([0.025, 0.025], [1.0, 0.25], 0.1)
+        assert result.lambda_star == pytest.approx(0.56 / 0.05, rel=1e-12)
+
+    def test_no_traffic_has_unbounded_capacity(self):
+        assert loss_capacity([0.0, 0.0], [1.0, 0.5], 0.2).lambda_star == math.inf
+        assert loss_capacity([], [], 0.2).lambda_star == math.inf
 
     def test_all_unanswerable_caps_at_budget(self):
         result = loss_capacity([0.5, 0.5], [0.0, 0.0], 0.25)
@@ -380,8 +437,6 @@ class TestMultiCapacity:
     def test_unanswerable_mass(self):
         experts = [ExpertProfile.from_success_probs(0, [1.0, 0.0])]
         assert multi_capacity_primal([0.5, 0.5], experts, 0.1).lambda_star == 0.0
-        with pytest.raises(ValueError):
-            multi_capacity_primal([0.5, 0.5], experts, 0.1, strict=True)
         with pytest.raises(ValueError, match="infeasible"):
             multi_capacity_dual([0.5, 0.5], experts)
 
