@@ -46,6 +46,8 @@ __all__ = [
 ]
 
 POLICY_TOL = 1e-7
+# Grid-point x topic products the primal scan evaluates at once.
+PRIMAL_CHUNK_ELEMENTS = 50_000
 
 
 def _frozen(arr) -> np.ndarray:
@@ -289,18 +291,24 @@ def multi_capacity_primal(
     ratio[ans] = mass_rows[ans] / qmat[:, cols][ans]
 
     # argmax keeps the first maximum within a chunk and the strict ``>``
-    # across chunks, so the first best grid point wins.
+    # across chunks, so the first best grid point wins. The minimum over
+    # experts is kept running in a (chunk, topics) buffer, with no
+    # (chunk, experts, topics) cube; a skill-less expert's product is set
+    # to inf after multiplying, so 0 * inf never occurs.
     best_obj = -math.inf
     best_alpha = np.zeros(n)  # the first grid point: all weight on the last expert
     best_alpha[-1] = 1.0
-    chunk = max(1, 200_000 // max(1, cols.size))
+    chunk = max(1, PRIMAL_CHUNK_ELEMENTS // cols.size)
     for block in composition_blocks(k, n):
-        weights = block.astype(np.float64) / k
-        for start in range(0, weights.shape[0], chunk):
-            alphas = weights[start : start + chunk]
-            terms = alphas[:, :, None] * ratio[None, :, :]
-            terms[:, ~ans] = np.inf
-            objs = terms.min(axis=1).sum(axis=1)
+        for start in range(0, block.shape[0], chunk):
+            alphas = block[start : start + chunk].astype(np.float64) / k
+            least = np.full((alphas.shape[0], cols.size), np.inf)
+            term = np.empty_like(least)
+            for i in range(n):
+                np.multiply(alphas[:, i, None], ratio[i], out=term)
+                term[:, ~ans[i]] = np.inf
+                np.minimum(least, term, out=least)
+            objs = least.sum(axis=1)
             j = int(np.argmax(objs))
             if objs[j] > best_obj:
                 best_obj = float(objs[j])

@@ -140,16 +140,33 @@ def composition_blocks(total: int, parts: int) -> Iterator[np.ndarray]:
     """
     if parts < 1:
         raise ValueError(f"compositions need at least one part, got {parts}")
-    if parts == 1:
-        yield np.array([[total]], dtype=np.int64)
-    elif parts == 2:
-        first = np.arange(total + 1, dtype=np.int64)
-        yield np.column_stack([first, total - first])
+    if parts <= 2:
+        yield _compositions(total, parts)
     else:
         for first in range(total + 1):
-            rest = np.vstack(list(composition_blocks(total - first, parts - 1)))
-            head = np.full((rest.shape[0], 1), first, dtype=np.int64)
-            yield np.hstack([head, rest])
+            rest = _compositions(total - first, parts - 1)
+            head = np.full(rest.shape[0], first, dtype=np.int64)
+            yield np.column_stack([head, rest])
+
+
+def _compositions(total: int, parts: int) -> np.ndarray:
+    """All compositions of ``total`` into ``parts``, in lexicographic order.
+
+    Each coordinate but the last is one vectorized step: a row with
+    ``left`` units still to place is repeated ``left + 1`` times and the
+    copies take the values ``0, 1, ..., left``. The last coordinate takes
+    what is left.
+    """
+    left = np.array([total], dtype=np.int64)
+    cols: list[np.ndarray] = []
+    for _ in range(parts - 1):
+        counts = left + 1
+        rows = np.repeat(np.arange(left.shape[0]), counts)
+        ends = np.cumsum(counts)
+        value = np.arange(ends[-1], dtype=np.int64) - np.repeat(ends - counts, counts)
+        cols = [c[rows] for c in cols] + [value]
+        left = left[rows] - value
+    return np.column_stack(cols + [left])
 
 
 def _check_grid_size(points: int) -> None:

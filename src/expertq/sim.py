@@ -43,6 +43,8 @@ __all__ = [
 # 1 expert x 2 topics, 20 slots at 32 x 50. Splitting the draws into
 # blocks does not change them.
 ARRIVAL_BLOCK_BYTES = 1 << 18
+# Uniforms the geometric service check draws at once (512 KiB of float64).
+GEOMETRIC_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -404,11 +406,15 @@ def geometric_service_check(
     Runs ``trials`` independent requests, each retried slot by slot until
     its uniform draw lands below ``q_val``; returns the average number of
     slots consumed. Should match 1/q within a few standard errors of the
-    geometric distribution.
+    geometric distribution. Each round draws its uniforms in blocks of
+    ``GEOMETRIC_BLOCK``, which does not change them, so memory does not
+    grow with ``trials``.
     """
     if not (0.0 < q_val <= 1.0):
         raise ValueError("per-slot success probability must lie in (0, 1]")
     trials = int(trials)
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     alive = trials
     slots_used = 0
     max_rounds = int(200.0 / q_val) + 200
@@ -416,8 +422,11 @@ def geometric_service_check(
         if alive == 0:
             break
         slots_used += alive
-        failures = rng.random(alive) >= q_val
-        alive = int(np.count_nonzero(failures))
+        failures = 0
+        for start in range(0, alive, GEOMETRIC_BLOCK):
+            draws = rng.random(min(GEOMETRIC_BLOCK, alive - start))
+            failures += int(np.count_nonzero(draws >= q_val))
+        alive = failures
     if alive:
         raise RuntimeError("service check failed to terminate; q too small")
     return slots_used / trials

@@ -16,6 +16,7 @@ from expertq.analysis import (
 )
 from expertq.capacity import (
     LossPolicy,
+    RoutingPolicy,
     degraded_capacity,
     multi_capacity_dual,
     single_capacity,
@@ -490,6 +491,43 @@ class TestVerify:
         check = self.checks(5_000)["routing_frequencies"]
         assert check["passed"] is True
         assert check["measured_worst_excess"] < 0.0
+
+    def test_fractional_routing_reports_its_excess(self):
+        # Every answerable pair gets a share strictly between 0 and 1; the
+        # zero shares of skill-less pairs are left out of the maximum.
+        inst = self.mixed_instance()
+        s = np.array([[0.5, 0.2, 0.0], [0.5, 0.5, 0.6], [0.0, 0.3, 0.4]])
+        cfg = self.config(5_000)
+        cfg["routing_check"]["s"] = s.tolist()
+        checks = {c["name"]: c for c in analysis.verify(inst, cfg, 4)}
+        excess = checks["routing_frequencies"]["measured_worst_excess"]
+
+        sched = offline_routing_scheduler(inst, RoutingPolicy(s=s))
+        stats = run(SimConfig(instance=inst, scheduler=sched, horizon=5_000, seed=4))
+        counts = stats.final_state.cum_arrivals
+        expected = -math.inf
+        for x in range(inst.n_topics):
+            total = counts[x].sum()
+            for i in np.nonzero((s[:, x] > 0) & (s[:, x] < 1))[0]:
+                tol = 4.0 * math.sqrt(s[i, x] * (1 - s[i, x]) / total)
+                expected = max(expected, abs(counts[x, i] / total - s[i, x]) - tol)
+        assert checks["routing_frequencies"]["passed"] is True
+        assert excess == expected
+        assert excess < -1e-3  # far below the -4e-8 of a deterministic share
+
+    def test_deterministic_routing_reports_null(self):
+        # Specialists: every share is 0 or 1, so no pair has a margin to show.
+        experts = tuple(
+            ExpertProfile.from_success_probs(i, [1.0 if x == i else 0.0 for x in range(3)])
+            for i in range(3)
+        )
+        inst = Instance(
+            experts=experts, arrivals=ArrivalSpec(lam=0.6, pmf=[[1 / 3] * 3] * 3)
+        )
+        checks = {c["name"]: c for c in analysis.verify(inst, self.config(5_000), 4)}
+        check = checks["routing_frequencies"]
+        assert check["passed"] is True
+        assert check["measured_worst_excess"] is None
 
     def test_no_topic_with_enough_arrivals_reports_null(self):
         check = self.checks(10)["routing_frequencies"]

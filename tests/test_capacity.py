@@ -399,6 +399,21 @@ class TestPrimalGridScan:
         assert result.lambda_star > 0
         assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
+    def test_scan_keeps_no_expert_cube(self):
+        # The same scan with a (chunk, experts, topics) product cube and a
+        # float copy of each whole block peaked at 14.7 MiB; a running
+        # minimum over experts in one (chunk, topics) buffer needs ~4 MiB.
+        experts = random_experts(np.random.default_rng(7), 4, 12)
+        p = np.full(12, 1 / 12)
+        tracemalloc.start()
+        try:
+            result = multi_capacity_primal(p, experts, 0.004)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.lambda_star > 0
+        assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
 
 class TestMultiCapacity:
     def test_identical_generalists(self):

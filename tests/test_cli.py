@@ -330,6 +330,21 @@ class TestVerifyCommand:
         # measured values are still reported on failure
         assert "measured" in by_name["routing_certificate_load"]
 
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_nonpositive_trials_exit_2(self, tmp_path, runner, trials):
+        cfg = write_json(
+            tmp_path / "cfg.json",
+            {
+                "instance": generalist_doc(),
+                "resolution": 0.1,
+                "geometric": {"trials": trials},
+            },
+        )
+        result = runner.invoke(main, ["verify", cfg, "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert "trials must be at least 1" in result.output
+        assert not (tmp_path / "out" / "verify.json").exists()
+
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 

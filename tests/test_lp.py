@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -268,6 +270,23 @@ class TestOracleGuards:
     def test_compositions_need_a_part(self, parts):
         with pytest.raises(ValueError, match="part"):
             next(lp_module.composition_blocks(3, parts))
+
+    @pytest.mark.parametrize("parts", range(1, 6))
+    def test_compositions_match_a_product_reference(self, parts):
+        for total in range(9):
+            reference = [
+                row
+                for row in itertools.product(range(total + 1), repeat=parts)
+                if sum(row) == total
+            ]
+            blocks = list(lp_module.composition_blocks(total, parts))
+            assert len(blocks) == (1 if parts <= 2 else total + 1)
+            for first, block in enumerate(blocks):
+                assert block.dtype == np.int64
+                assert block.shape[1] == parts
+                if parts > 2:
+                    assert (block[:, 0] == first).all()
+            assert [tuple(row) for row in np.vstack(blocks).tolist()] == reference
 
     def test_oversized_group_rejected_before_building(self, monkeypatch):
         def unbuildable(total, parts):

@@ -360,6 +360,43 @@ class TestGeometricService:
             with pytest.raises(ValueError):
                 geometric_service_check(bad, 10, rng)
 
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_trials_must_be_positive(self, trials):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            geometric_service_check(0.5, trials, rng)
+
+    @staticmethod
+    def one_shot(q_val, trials, rng):
+        # Each round's uniforms in one draw: the unblocked reference.
+        alive, slots_used = trials, 0
+        while alive:
+            slots_used += alive
+            alive = int(np.count_nonzero(rng.random(alive) >= q_val))
+        return slots_used / trials
+
+    @pytest.mark.parametrize("q_val", [0.5, 0.1])
+    def test_blocks_match_one_shot_draws(self, q_val):
+        # The first rounds span four blocks, the last ones part of one.
+        trials = 3 * sim.GEOMETRIC_BLOCK + 17
+        blocked = np.random.default_rng(21)
+        reference = np.random.default_rng(21)
+        mean = geometric_service_check(q_val, trials, blocked)
+        assert mean == self.one_shot(q_val, trials, reference)
+        assert blocked.random() == reference.random()
+
+    def test_peak_memory_is_bounded(self):
+        # 4 M trials: one draw per round held 36 MB of uniforms and mask.
+        rng = np.random.default_rng(3)
+        tracemalloc.start()
+        try:
+            mean = geometric_service_check(0.5, 4_000_000, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(mean - 2.0) < 0.01
+        assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
 
 class TestTraceCsv:
     def test_columns_and_rows(self, tmp_path):
