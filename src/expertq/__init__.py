@@ -18,16 +18,14 @@ from .capacity import (
     LossPolicy,
     RoutingPolicy,
     degraded_capacity,
-    duality_gap,
     loss_capacity,
+    max_min_load,
     multi_capacity_dual,
-    multi_capacity_primal,
     routing_lp,
     routing_policy_violations,
-    simplex_grid,
     single_capacity,
 )
-from .lp import LinearProgram, LpSolution, brute_force_lp, solve_lp
+from .lp import LinearProgram, LpSolution, solve_lp
 from .model import (
     ArrivalSpec,
     ExpertProfile,

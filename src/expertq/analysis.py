@@ -20,8 +20,8 @@ import numpy as np
 from .capacity import (
     RoutingPolicy,
     degraded_capacity,
+    max_min_load,
     multi_capacity_dual,
-    multi_capacity_primal,
     routing_policy_violations,
     single_capacity,
 )
@@ -47,7 +47,6 @@ __all__ = [
 ]
 
 GAMMA_DEFAULT = 0.5
-RESOLUTION_DEFAULT = 1e-3
 # The misestimation check drives the true system at this fraction of the
 # guaranteed load.
 LOAD_FRACTION = 0.95
@@ -96,7 +95,7 @@ def drift_check(stats: TraceStats, p, q, lam: float, expert: int = 0) -> DriftRe
     """Compare the simulated busy-slot drift against its analytic value.
 
     Requires a run recorded with ``record_lyapunov``; raises if the trace
-    lacks per-slot resolution or if some mass-bearing topic has zero
+    lacks per-slot samples or if some mass-bearing topic has zero
     success probability (the weighted sum is undefined there). On
     multi-expert runs, checks the given expert against the topic mass and
     success vector her queues actually see.
@@ -385,20 +384,20 @@ def verify(inst: Instance, cfg: dict, seed: int) -> list[dict]:
     load and simulated frequencies of a routing matrix for several.
 
     The routing LP is solved once, on the per-door pmf the routing
-    simulation uses. The gap is taken in system units, where the capacity
-    is ``n`` times the per-door one: the grid oracle runs on the system
-    pmf ``merged_pmf / n``."""
+    simulation uses. The duality gap compares the LP's capacity with the
+    one its own expert weights certify, ``1/max_min_load(alpha*)``, in
+    system units, where the capacity is ``n`` times the per-door one."""
     checks: list[dict] = []
     experts = list(inst.experts)
     n = inst.n_experts
 
-    resolution = float(cfg.get("resolution", RESOLUTION_DEFAULT))
     merged = merged_pmf(inst)
     optimal = multi_capacity_dual(merged, experts)
     system = n * optimal.lambda_star
-    primal = multi_capacity_primal(merged / n, experts, resolution).lambda_star
-    gap = 0.0 if math.isinf(primal) and math.isinf(system) else abs(primal - system)
-    gap_tol = 10.0 * resolution * system
+    load = max_min_load(merged, experts, optimal.certificate.alpha)
+    certified = math.inf if load == 0.0 else n / load
+    gap = 0.0 if certified == system else abs(certified - system)  # inf == inf
+    gap_tol = 1e-9 * system
     checks.append(
         {
             "name": "duality_gap",

@@ -152,6 +152,32 @@ def _build_scheduler(inst: model.Instance, cfg: dict) -> sched.Scheduler:
     raise ConfigError(f"unknown scheduler kind {kind!r}")
 
 
+def _capacity(inst: model.Instance, cfg: dict, mode: str) -> tuple[dict | None, float]:
+    """The certificate and capacity that ``expertq capacity`` reports."""
+    if mode in ("single", "loss"):
+        if inst.n_experts != 1:
+            raise ConfigError(f"mode {mode!r} needs a single-expert instance")
+        p, q = inst.arrivals.pmf[0], inst.experts[0].success_prob
+        if mode == "single":
+            return None, capacity.single_capacity(p, q).lambda_star
+        result = capacity.loss_capacity(p, q, float(_require(cfg, "epsilon")))
+        cert = result.certificate
+        return {"mu": cert.mu, "epsilon": cert.epsilon}, result.lambda_star
+    if mode not in ("multi-primal", "multi-dual"):
+        raise ConfigError(f"unknown capacity mode {mode!r}")
+    # System-level capacity: the merged topic mass is normalized back to a
+    # distribution over topics.
+    p_system = model.merged_pmf(inst) / inst.n_experts
+    experts = list(inst.experts)
+    result = capacity.multi_capacity_dual(p_system, experts)
+    cert = result.certificate
+    if mode == "multi-dual":
+        return {"s": cert.s, "dual_mu": cert.dual_mu}, result.lambda_star
+    # The max-min side of the duality, at the LP's own weights.
+    load = capacity.max_min_load(p_system, experts, cert.alpha)
+    return {"alpha": cert.alpha}, math.inf if load == 0.0 else 1.0 / load
+
+
 def _require(cfg: dict, key: str):
     if key not in cfg:
         raise ConfigError(f"config is missing required field {key!r}")
@@ -185,44 +211,14 @@ def cmd_capacity(config_path: str, out_dir: str, force: bool) -> None:
         cfg = _load_config(config_path)
         inst = _instance_from_config(cfg, config_path)
         mode = _require(cfg, "mode")
+        try:
+            certificate, lambda_star = _capacity(inst, cfg, mode)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         payload: dict = {"mode": mode}
-
-        if mode in ("single", "loss"):
-            if inst.n_experts != 1:
-                raise ConfigError(f"mode {mode!r} needs a single-expert instance")
-            p = inst.arrivals.pmf[0]
-            q = inst.experts[0].success_prob
-            if mode == "single":
-                result = capacity.single_capacity(p, q)
-            else:
-                result = capacity.loss_capacity(p, q, float(_require(cfg, "epsilon")))
-                payload["certificate"] = {
-                    "mu": result.certificate.mu,
-                    "epsilon": result.certificate.epsilon,
-                }
-        elif mode in ("multi-primal", "multi-dual"):
-            # Report system-level capacity: the merged topic mass is
-            # normalized back to a distribution over topics.
-            p_system = model.merged_pmf(inst) / inst.n_experts
-            experts = list(inst.experts)
-            if mode == "multi-primal":
-                resolution = float(cfg.get("resolution", analysis.RESOLUTION_DEFAULT))
-                result = capacity.multi_capacity_primal(p_system, experts, resolution)
-                if result.certificate is not None:
-                    payload["certificate"] = {"alpha": result.certificate.alpha}
-            else:
-                try:
-                    result = capacity.multi_capacity_dual(p_system, experts)
-                except ValueError as exc:
-                    raise ConfigError(str(exc)) from exc
-                payload["certificate"] = {
-                    "s": result.certificate.s,
-                    "dual_mu": result.certificate.dual_mu,
-                }
-        else:
-            raise ConfigError(f"unknown capacity mode {mode!r}")
-
-        payload["lambda_star"] = result.lambda_star
+        if certificate is not None:
+            payload["certificate"] = certificate
+        payload["lambda_star"] = lambda_star
         target = _prepare_output(out_dir, "capacity.json", force)
         _write_json(target, payload)
         click.echo(f"wrote {target}")
@@ -346,8 +342,6 @@ def cmd_verify(config_path, out_dir, force, seed_override) -> None:
     def go() -> None:
         cfg = _load_config(config_path)
         inst = _instance_from_config(cfg, config_path)
-        if inst.n_experts > 4:
-            raise ConfigError("verify needs at most 4 experts (grid oracle limit)")
         seed = int(cfg.get("seed", 0)) if seed_override is None else seed_override
         target = _prepare_output(out_dir, "verify.json", force)
         try:

@@ -164,9 +164,12 @@ def validate_instance(inst: Instance) -> list[str]:
         violations.append(f"arrivals.lambda: must lie in [0, 1), got {lam}")
 
     for i, row in enumerate(inst.arrivals.pmf):
-        neg = np.nonzero(row < 0)[0]
-        for x in neg:
-            violations.append(f"arrivals.pmf[expert {i}][topic {x}]: negative mass {row[x]}")
+        # NaN fails every comparison, so it is named here or nowhere.
+        for x in np.nonzero(~(np.isfinite(row) & (row >= 0)))[0]:
+            violations.append(
+                f"arrivals.pmf[expert {i}][topic {x}]: mass must be finite and "
+                f"non-negative, got {row[x]}"
+            )
         total = float(row.sum())
         if abs(total - 1.0) > PMF_TOL:
             violations.append(
@@ -183,7 +186,13 @@ def validate_instance(inst: Instance) -> list[str]:
         for x in range(n_topics):
             t = e.mean_time[x]
             q = e.success_prob[x]
-            if np.isinf(t):
+            if np.isnan(t):
+                violations.append(
+                    f"expert {e.expert_id}.mean_time[topic {x}]: must be a time or "
+                    "null (cannot answer), got nan"
+                )
+                continue
+            if t == np.inf:
                 if q != 0.0:
                     violations.append(
                         f"expert {e.expert_id}.success_prob[topic {x}]: "

@@ -24,10 +24,9 @@ from expertq.analysis import (
 )
 from expertq.capacity import (
     RoutingPolicy,
-    duality_gap,
     loss_capacity,
+    max_min_load,
     multi_capacity_dual,
-    multi_capacity_primal,
     single_capacity,
 )
 from expertq.model import ArrivalSpec, ExpertProfile, Instance
@@ -38,6 +37,7 @@ from expertq.sched import (
     work_conserving_single,
 )
 from expertq.sim import SimConfig, geometric_service_check, initial_state, run, step
+from oracles import duality_gap, multi_capacity_primal
 
 LAMBDA_STAR = 2 / 3  # capacity of the reference instance below
 
@@ -202,6 +202,7 @@ def test_criterion_5_multi_expert_capacity_and_duality():
     resolution = 1e-3
     rng = np.random.default_rng(20260810)
     worst = 0.0
+    worst_certificate = 0.0
     for _ in range(25):
         n = int(rng.integers(1, 4))
         n_topics = int(rng.integers(2, 5))
@@ -211,11 +212,19 @@ def test_criterion_5_multi_expert_capacity_and_duality():
         gap = duality_gap(p, experts, resolution)
         worst = max(worst, gap)
         assert gap <= 10 * resolution, (n, n_topics, gap)
+        # The LP's own weights certify its capacity exactly.
+        dual = multi_capacity_dual(p, experts)
+        certified = 1.0 / max_min_load(p, experts, dual.certificate.alpha)
+        worst_certificate = max(
+            worst_certificate, abs(certified - dual.lambda_star) / dual.lambda_star
+        )
+        assert worst_certificate <= 1e-9, (n, n_topics, certified, dual.lambda_star)
 
     print(
         f"\nACCEPTANCE 5 PASS: generalists=1 and specialists=n for n in "
         f"{{2,3,4}} on both routes; worst duality gap over 25 random "
-        f"instances {worst:.2e} <= 1e-2"
+        f"instances {worst:.2e} <= 1e-2 against the grid, "
+        f"{worst_certificate:.1e} <= 1e-9 relative against 1/max_min_load(alpha*)"
     )
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 
@@ -478,7 +479,6 @@ class TestVerify:
 
     def config(self, horizon):
         return {
-            "resolution": 0.01,
             "geometric": {"trials": 10_000},
             "routing_check": {"horizon": horizon},
         }
@@ -545,3 +545,31 @@ class TestVerify:
         monkeypatch.setattr(capacity, "solve_lp", counted)
         self.checks(10)
         assert len(calls) == 1
+
+    def test_duality_gap_is_exact(self):
+        check = self.checks(10)["duality_gap"]
+        assert check["passed"] is True
+        assert check["measured"] <= check["tolerance"]
+        # 1e-9 of the system capacity, n = 3 times the per-door one.
+        inst = self.mixed_instance()
+        lam = multi_capacity_dual(merged_pmf(inst), list(inst.experts)).lambda_star
+        assert check["tolerance"] == 1e-9 * 3 * lam
+
+    @pytest.mark.parametrize("perturb", ["alpha", "lambda_star"])
+    def test_duality_gap_catches_a_perturbed_certificate(self, monkeypatch, perturb):
+        # The check is not vacuous: weights that are not the LP's duals, or
+        # a capacity that is not the LP's, open a gap far above 1e-9.
+        exact = analysis.multi_capacity_dual
+
+        def perturbed(p, experts):
+            result = exact(p, experts)
+            if perturb == "alpha":
+                alpha = np.roll(result.certificate.alpha, 1)
+                cert = dataclasses.replace(result.certificate, alpha=alpha)
+                return dataclasses.replace(result, certificate=cert)
+            return dataclasses.replace(result, lambda_star=result.lambda_star * (1 + 1e-6))
+
+        monkeypatch.setattr(analysis, "multi_capacity_dual", perturbed)
+        check = self.checks(10)["duality_gap"]
+        assert check["passed"] is False
+        assert check["measured"] > check["tolerance"]

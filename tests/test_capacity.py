@@ -6,19 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from expertq import analysis
 from expertq.capacity import (
+    LossPolicy,
     RoutingPolicy,
     degraded_capacity,
-    duality_gap,
     loss_capacity,
+    max_min_load,
     multi_capacity_dual,
-    multi_capacity_primal,
     routing_policy_violations,
-    simplex_grid,
     single_capacity,
 )
 from expertq.lp import LinearProgram, solve_lp
-from expertq.model import ExpertProfile
+from expertq.model import ArrivalSpec, ExpertProfile, Instance
+from expertq.sched import offline_routing_scheduler
+from oracles import duality_gap, multi_capacity_primal, simplex_grid
 
 
 def specialists(n):
@@ -278,6 +280,26 @@ class TestLossCapacity:
         with pytest.raises(ValueError):
             loss_capacity([1.0], [1.0], -0.1)
 
+    def test_nan_budget_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            loss_capacity([1.0], [1.0], math.nan)
+
+
+class TestLossPolicyValidation:
+    @pytest.mark.parametrize(
+        "mu, epsilon, message",
+        [
+            ([math.nan, 1.0], 0.1, "finite"),
+            ([math.inf, 1.0], 0.1, "finite"),
+            ([0.5, 1.5], 0.1, r"\[0, 1\]"),
+            ([0.5, 1.0], math.nan, "non-negative"),
+            ([0.5, 1.0], -0.1, "non-negative"),
+        ],
+    )
+    def test_bad_policy_rejected(self, mu, epsilon, message):
+        with pytest.raises(ValueError, match=message):
+            LossPolicy(mu=mu, epsilon=epsilon)
+
 
 class TestDegradedCapacity:
     def test_no_error_is_identity(self):
@@ -455,6 +477,20 @@ class TestMultiCapacity:
         with pytest.raises(ValueError, match="infeasible"):
             multi_capacity_dual([0.5, 0.5], experts)
 
+    def test_dual_alpha_is_a_distribution(self):
+        result = multi_capacity_dual([0.25, 0.75], generalists(2))
+        alpha = result.certificate.alpha
+        assert alpha.shape == (2,)
+        assert alpha.min() >= 0.0
+        assert float(alpha.sum()) == pytest.approx(1.0, abs=1e-12)
+
+    def test_massless_instance_gets_uniform_alpha(self):
+        experts = [ExpertProfile.from_success_probs(i, [0.5, 0.5]) for i in range(3)]
+        result = multi_capacity_dual([0.0, 0.0], experts)
+        assert math.isinf(result.lambda_star)
+        assert result.certificate.alpha.tolist() == [1 / 3] * 3
+        assert max_min_load([0.0, 0.0], experts, result.certificate.alpha) == 0.0
+
     def test_primal_alpha_is_a_distribution(self):
         result = multi_capacity_primal([0.25, 0.75], generalists(2), 1e-2)
         alpha = result.certificate.alpha
@@ -531,3 +567,113 @@ class TestRoutingPolicyValidation:
         q = np.ones((2, 2))
         policy = RoutingPolicy(alpha=[0.8, 0.8])
         assert any("alpha" in v for v in routing_policy_violations(policy, q))
+
+    @pytest.mark.parametrize(
+        "s, alpha, message",
+        [
+            ([[math.nan, 1.0], [math.nan, 0.0]], None, "routing matrix has non-finite"),
+            ([[math.inf, 1.0], [0.0, 0.0]], None, "routing matrix has non-finite"),
+            (None, [math.nan, 1.0], "alpha has non-finite"),
+            (None, [-math.inf, math.inf], "alpha has non-finite"),
+        ],
+    )
+    def test_non_finite_entries_flagged(self, s, alpha, message):
+        # NaN fails every comparison, so the range and sum checks miss it.
+        q = np.ones((2, 2))
+        violations = routing_policy_violations(RoutingPolicy(s=s, alpha=alpha), q)
+        assert violations == [message + " entries"]
+
+
+def certificate_instance(rng):
+    """Experts and topic mass with skill-less pairs, massless topics, and a
+    topic only the first expert answers, while a second expert is ten times
+    slower everywhere else: its weight is often 0 on a topic it cannot
+    answer, the 0 * inf case."""
+    n = int(rng.integers(1, 12))
+    n_topics = int(rng.integers(1, 40))
+    q = rng.uniform(0.05, 1.0, size=(n, n_topics))
+    q[rng.random((n, n_topics)) < 0.3] = 0.0
+    q[0, ~(q > 0).any(axis=0)] = 0.5
+    if n > 1:
+        q[1] *= 0.1
+        q[1:, 0] = 0.0
+        q[0, 0] = 1.0
+    p = rng.dirichlet(np.ones(n_topics))
+    p[rng.random(n_topics) < 0.2] = 0.0
+    if p.sum() == 0.0:
+        p[0] = 1.0
+    experts = [ExpertProfile.from_success_probs(i, q[i]) for i in range(n)]
+    return p, experts
+
+
+@pytest.mark.filterwarnings("error")
+class TestDualityCertificate:
+    """``max_min_load`` at the LP's duals certifies the LP optimum exactly."""
+
+    def test_certificate_is_exact_on_random_instances(self):
+        rng = np.random.default_rng(20261018)
+        zero_weights = 0
+        for _ in range(200):
+            p, experts = certificate_instance(rng)
+            result = multi_capacity_dual(p, experts)
+            alpha, mu = result.certificate.alpha, result.certificate.dual_mu
+            assert alpha.min() >= 0.0
+            assert abs(float(alpha.sum()) - 1.0) <= 1e-12
+            g = max_min_load(p, experts, alpha)
+            assert abs(g - mu) <= 1e-9 * mu
+            # Weak duality: no weight vector beats the load of a routing.
+            n = len(experts)
+            inst = Instance(
+                experts=tuple(experts), arrivals=ArrivalSpec(lam=0.1, pmf=[p / n] * n)
+            )
+            sched = offline_routing_scheduler(inst, result.certificate)
+            assert g <= analysis.policy_load(inst, sched) * (1 + 1e-12)
+            qmat = np.vstack([e.success_prob for e in experts])
+            skill_less = (qmat[:, p > 0] == 0.0).any(axis=1)
+            zero_weights += int(((alpha == 0.0) & skill_less).any())
+        assert zero_weights > 0
+
+    def test_any_weight_vector_is_a_lower_bound(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            p, experts = certificate_instance(rng)
+            mu = multi_capacity_dual(p, experts).certificate.dual_mu
+            alpha = rng.dirichlet(np.ones(len(experts)))
+            assert max_min_load(p, experts, alpha) <= mu * (1 + 1e-12)
+
+    def test_zero_weight_on_a_skill_less_expert(self):
+        # Expert 1 cannot answer topic 0 and gets no weight: 0 * inf must
+        # not become NaN (RuntimeWarnings fail the suite).
+        experts = [
+            ExpertProfile.from_success_probs(0, [1.0, 1.0]),
+            ExpertProfile.from_success_probs(1, [0.0, 0.5]),
+        ]
+        assert max_min_load([0.5, 0.5], experts, [1.0, 0.0]) == 0.5
+        assert max_min_load([0.5, 0.5], experts, [0.0, 1.0]) == 0.0
+
+    def test_unanswerable_mass_is_infinite(self):
+        experts = [ExpertProfile.from_success_probs(0, [1.0, 0.0])]
+        assert max_min_load([0.5, 0.5], experts, [1.0]) == math.inf
+        assert max_min_load([1.0, 0.0], experts, [1.0]) == 1.0
+
+    def test_shapes_are_checked(self):
+        with pytest.raises(ValueError, match="topic mass"):
+            max_min_load([1.0], generalists(2), [0.5, 0.5])
+        with pytest.raises(ValueError, match="alpha shape"):
+            max_min_load([0.5, 0.5], generalists(2), [1.0])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_grid_oracle_agrees_with_the_certificate(self, n):
+        rng = np.random.default_rng(100 + n)
+        resolution = 1e-3 if n <= 3 else 1e-2
+        for _ in range(3):
+            experts = random_experts(rng, n, 5)
+            p = rng.dirichlet(np.ones(5))
+            p[~np.vstack([e.success_prob for e in experts]).any(axis=0)] = 0.0
+            result = multi_capacity_dual(p, experts)
+            certified = 1.0 / max_min_load(p, experts, result.certificate.alpha)
+            grid = multi_capacity_primal(p, experts, resolution)
+            assert certified == pytest.approx(result.lambda_star, rel=1e-9)
+            # The grid's best point is one weight vector: never above mu*.
+            assert grid.lambda_star >= certified * (1 - 1e-12)
+            assert grid.lambda_star - certified <= 10 * resolution * certified

@@ -73,6 +73,16 @@ class TestCapacityCommand:
         assert payload["lambda_star"] == pytest.approx(3.0, abs=1e-9)
         assert np.allclose(payload["certificate"]["s"], np.eye(3), atol=1e-9)
 
+    @pytest.mark.parametrize("mode", ["multi-primal", "multi-dual"])
+    def test_unanswerable_mass_exits_2(self, tmp_path, runner, mode):
+        doc = specialist_doc()
+        doc["experts"][2]["T"] = [None, None, None]
+        cfg = write_json(tmp_path / "cfg.json", {"instance": doc, "mode": mode})
+        result = runner.invoke(main, ["capacity", cfg, "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert "topics [2] carry mass but no expert can answer them" in result.output
+        assert not (tmp_path / "out" / "capacity.json").exists()
+
     def test_zero_budget_loss_matches_single_exactly(self, tmp_path, runner):
         single_cfg = write_json(
             tmp_path / "single.json",
@@ -115,6 +125,67 @@ class TestCapacityCommand:
             runner.invoke(main, ["capacity", cfg, "--out", out, "--force"]).exit_code
             == 0
         )
+
+
+NAN = float("nan")
+
+
+def nan_cases():
+    """(command, config, message) for each validator NaN used to get past."""
+    specialists = specialist_doc()
+    specialists["pmf"] = [[NAN, 0.5, 0.5]] * 3
+    pair = specialist_doc(n=2)
+    return {
+        "pmf-single": (
+            "capacity",
+            {"instance": single_expert_doc(p=(NAN, 1.0)), "mode": "single"},
+            "mass must be finite",
+        ),
+        "pmf-multi-dual": (
+            "capacity",
+            {"instance": specialists, "mode": "multi-dual"},
+            "mass must be finite",
+        ),
+        "mean-time": (
+            "capacity",
+            {"instance": single_expert_doc(times=(NAN, 2)), "mode": "single"},
+            "got nan",
+        ),
+        "loss-epsilon": (
+            "capacity",
+            {"instance": single_expert_doc(), "mode": "loss", "epsilon": NAN},
+            "non-negative",
+        ),
+        "loss-mu": (
+            "simulate",
+            {
+                "instance": single_expert_doc(),
+                "scheduler": {"kind": "loss", "mu": [NAN, 1.0]},
+                "horizon": 10,
+            },
+            "finite",
+        ),
+        "routing-s": (
+            "simulate",
+            {
+                "instance": pair,
+                "scheduler": {"kind": "routing", "s": [[NAN, 1.0], [NAN, 0.0]]},
+                "horizon": 10,
+            },
+            "non-finite",
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(nan_cases()))
+def test_nan_input_exits_2(tmp_path, runner, case):
+    command, config, message = nan_cases()[case]
+    cfg = write_json(tmp_path / "cfg.json", config)
+    out = tmp_path / "out"
+    result = runner.invoke(main, [command, cfg, "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+    assert not out.exists() or not any(out.iterdir())
 
 
 class TestSimulateCommand:
@@ -278,7 +349,6 @@ class TestVerifyCommand:
             tmp_path / "cfg.json",
             {
                 "instance": specialist_doc(),
-                "resolution": 1e-3,
                 "geometric": {"trials": 100_000},
                 "routing_check": {"horizon": 20_000},
                 "seed": 5,
@@ -330,13 +400,47 @@ class TestVerifyCommand:
         # measured values are still reported on failure
         assert "measured" in by_name["routing_certificate_load"]
 
+    def test_six_experts_pass(self, tmp_path, runner):
+        # More experts than any grid oracle could scan; the duality
+        # certificate has no such limit.
+        times = [
+            [1, 2, None, 4],
+            [None, 1, 3, 2],
+            [2, None, 1, None],
+            [3, 3, 3, 3],
+            [None, 4, 2, 1],
+            [1.5, None, None, 2],
+        ]
+        doc = {
+            "topics": 4,
+            "lambda": 0.3,
+            "pmf": [[0.4, 0.3, 0.2, 0.1], [0.1, 0.2, 0.3, 0.4], [0.25] * 4] * 2,
+            "experts": [{"id": i, "T": row} for i, row in enumerate(times)],
+        }
+        cfg = write_json(
+            tmp_path / "cfg.json",
+            {
+                "instance": doc,
+                # The retired grid knob is ignored like any unknown key.
+                "resolution": 0.004,
+                "geometric": {"trials": 20_000},
+                "routing_check": {"horizon": 5_000},
+                "seed": 1,
+            },
+        )
+        result = runner.invoke(main, ["verify", cfg, "--out", str(tmp_path / "out")])
+        assert result.exit_code == 0, result.output
+        report = json.loads((tmp_path / "out" / "verify.json").read_text())
+        assert report["all_passed"] is True
+        gap = {c["name"]: c for c in report["checks"]}["duality_gap"]
+        assert gap["measured"] <= gap["tolerance"] < 1e-6
+
     @pytest.mark.parametrize("trials", [0, -5])
     def test_nonpositive_trials_exit_2(self, tmp_path, runner, trials):
         cfg = write_json(
             tmp_path / "cfg.json",
             {
                 "instance": generalist_doc(),
-                "resolution": 0.1,
                 "geometric": {"trials": trials},
             },
         )
@@ -363,6 +467,20 @@ class TestShippedConfigs:
         if "scheduler" in doc:
             scheduler = cli._build_scheduler(inst, doc["scheduler"])
             assert scheduler.kind == doc["scheduler"]["kind"]
+
+    def test_capacity_multi_primal_on_shipped_specialists(self, tmp_path, runner):
+        (path,) = [p for p in CONFIGS if p.name == "instance_specialists.json"]
+        cfg = write_json(
+            tmp_path / "cfg.json", {"instance_path": str(path), "mode": "multi-primal"}
+        )
+        result = runner.invoke(main, ["capacity", cfg, "--out", str(tmp_path / "out")])
+        assert result.exit_code == 0, result.output
+        payload = json.loads((tmp_path / "out" / "capacity.json").read_text())
+        assert payload["mode"] == "multi-primal"
+        assert payload["lambda_star"] == pytest.approx(3.0, rel=1e-12)
+        alpha = np.array(payload["certificate"]["alpha"])
+        assert alpha.shape == (3,) and alpha.min() >= 0.0
+        assert alpha.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_capacity_multi_dual_runs(self, tmp_path, runner):
         (path,) = [p for p in CONFIGS if p.name == "capacity_multi_dual.json"]

@@ -63,7 +63,6 @@ CASES = {
     "single": (
         single_instance,
         {
-            "resolution": 0.01,
             "geometric": GEOMETRIC,
             "drift": {"horizon": 5_000},
             "misestimation": {"gamma": 0.5, "horizon": 5_000},
@@ -71,11 +70,11 @@ CASES = {
     ),
     "specialists": (
         specialists_instance,
-        {"resolution": 0.01, "geometric": GEOMETRIC, "routing_check": {"horizon": 5_000}},
+        {"geometric": GEOMETRIC, "routing_check": {"horizon": 5_000}},
     ),
     "mixed": (
         mixed_instance,
-        {"resolution": 0.02, "geometric": GEOMETRIC, "routing_check": {"horizon": 5_000}},
+        {"geometric": GEOMETRIC, "routing_check": {"horizon": 5_000}},
     ),
 }
 

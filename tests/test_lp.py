@@ -3,10 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
-from expertq import lp as lp_module
+import oracles
 from expertq.capacity import routing_lp
-from expertq.lp import LinearProgram, brute_force_lp, solve_lp
+from expertq.lp import LinearProgram, solve_lp
 from expertq.model import ExpertProfile
+from oracles import brute_force_lp
 
 
 def lp_min_x_at_least_3():
@@ -72,6 +73,14 @@ class TestSolveLp:
         sol = solve_lp(lp)
         assert sol.status == "infeasible"
         assert sol.x is None and sol.objective_value is None
+        assert sol.ub_duals is None
+
+    def test_ub_duals_price_the_binding_row(self):
+        # Raising the rhs of -x <= -3 by t lowers the optimum 3 by t.
+        sol = solve_lp(lp_min_x_at_least_3())
+        assert sol.ub_duals.tolist() == pytest.approx([1.0], abs=1e-9)
+        # The row x + y <= 1 binds with price 1.
+        assert solve_lp(lp_box_simplex_vertex()).ub_duals == pytest.approx([1.0])
 
     def test_unbounded_reported(self):
         lp = LinearProgram(
@@ -269,7 +278,7 @@ class TestOracleGuards:
     @pytest.mark.parametrize("parts", [0, -1])
     def test_compositions_need_a_part(self, parts):
         with pytest.raises(ValueError, match="part"):
-            next(lp_module.composition_blocks(3, parts))
+            next(oracles.composition_blocks(3, parts))
 
     @pytest.mark.parametrize("parts", range(1, 6))
     def test_compositions_match_a_product_reference(self, parts):
@@ -279,7 +288,7 @@ class TestOracleGuards:
                 for row in itertools.product(range(total + 1), repeat=parts)
                 if sum(row) == total
             ]
-            blocks = list(lp_module.composition_blocks(total, parts))
+            blocks = list(oracles.composition_blocks(total, parts))
             assert len(blocks) == (1 if parts <= 2 else total + 1)
             for first, block in enumerate(blocks):
                 assert block.dtype == np.int64
@@ -292,8 +301,8 @@ class TestOracleGuards:
         def unbuildable(total, parts):
             raise AssertionError("the group's compositions were built")
 
-        monkeypatch.setattr(lp_module, "MAX_GRID_POINTS", 100)
-        monkeypatch.setattr(lp_module, "composition_blocks", unbuildable)
+        monkeypatch.setattr(oracles, "MAX_GRID_POINTS", 100)
+        monkeypatch.setattr(oracles, "composition_blocks", unbuildable)
         # C(14, 4) = 1001 compositions of 10 steps into 5 parts.
         lp = LinearProgram(
             objective=[1.0] * 5,
@@ -352,12 +361,12 @@ class TestBruteForceChunking:
         lp = make()
         default = self.solve(lp, resolution)
         assert default[0] == "optimal"
-        for chunk in (7, lp_module.MAX_GRID_POINTS):
-            monkeypatch.setattr(lp_module, "GRID_CHUNK", chunk)
+        for chunk in (7, oracles.MAX_GRID_POINTS):
+            monkeypatch.setattr(oracles, "GRID_CHUNK", chunk)
             assert self.solve(lp, resolution) == default
 
     def test_infeasible_with_small_chunks(self, monkeypatch):
-        monkeypatch.setattr(lp_module, "GRID_CHUNK", 3)
+        monkeypatch.setattr(oracles, "GRID_CHUNK", 3)
         lp = LinearProgram(
             objective=[1.0],
             eq_matrix=np.empty((0, 1)),

@@ -98,6 +98,29 @@ class TestValidation:
         inst = Instance(experts=(expert,), arrivals=ArrivalSpec(lam=0.5, pmf=[[1.0]]))
         assert any("universe" in v for v in validate_instance(inst))
 
+    @pytest.mark.parametrize(
+        "pmf, times, message",
+        [
+            ([[math.nan, 1.0]], [1, 2], "pmf[expert 0][topic 0]: mass must be finite"),
+            ([[math.inf, 0.0]], [1, 2], "pmf[expert 0][topic 0]: mass must be finite"),
+            ([[0.5, -math.inf]], [1, 2], "pmf[expert 0][topic 1]: mass must be finite"),
+            ([[0.5, 0.5]], [math.nan, 2], "mean_time[topic 0]: must be a time or null"),
+            ([[0.5, 0.5]], [1, -math.inf], "mean_time[topic 1]: T(x) >= 1"),
+        ],
+    )
+    def test_non_finite_numbers_are_flagged(self, pmf, times, message):
+        # Every comparison with NaN is false, so no range check alone sees it.
+        doc = {"topics": 2, "lambda": 0.5, "pmf": pmf, "experts": [{"id": 0, "T": times}]}
+        violations = validate_instance(instance_from_dict(doc))
+        assert message in violations[0]
+        # An infinite entry also makes its row's sum wrong; NaN never compares.
+        assert len(violations) == 1 + any(math.isinf(v) for v in doc["pmf"][0])
+
+    def test_infinite_mean_time_stays_legal(self):
+        doc = {"topics": 2, "lambda": 0.5, "pmf": [[0.5, 0.5]] * 2,
+               "experts": [{"id": 0, "T": [math.inf, 2]}, {"id": 1, "T": [None, 1]}]}
+        assert validate_instance(instance_from_dict(doc)) == []
+
     @given(instances())
     @settings(max_examples=30, deadline=None)
     def test_validate_is_pure_and_idempotent(self, inst):
