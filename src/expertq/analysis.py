@@ -19,10 +19,12 @@ import numpy as np
 
 from .capacity import (
     RoutingPolicy,
+    capacity_of,
     degraded_capacity,
     max_min_load,
     multi_capacity_dual,
     routing_policy_violations,
+    service_load,
     single_capacity,
 )
 from .model import ArrivalSpec, Instance, merged_pmf
@@ -106,9 +108,7 @@ def drift_check(stats: TraceStats, p, q, lam: float, expert: int = 0) -> DriftRe
     q = np.asarray(q, dtype=np.float64)
     if np.any((p > 0) & (q <= 0)):
         raise ValueError("drift undefined: mass-bearing topic with zero success prob")
-    mass = p > 0
-    total_ratio = float(np.sum(p[mass] / q[mass]))
-    delta = 1.0 - lam * total_ratio
+    delta = 1.0 - lam * service_load(p, q)
 
     level = stats.lyapunov_series[:, expert]
     busy = stats.busy_series[:, expert]
@@ -270,21 +270,10 @@ def policy_load(inst: Instance, sched: Scheduler) -> float:
     1 when the policy admits everything. Flow sent to an expert that cannot
     answer its topic makes the load infinite.
     """
-    qmat = inst.success_matrix()
     flow = inst.arrivals.pmf if sched.s is None else merged_pmf(inst) * sched.s
     if sched.mu is not None:
         flow = flow * sched.mu
-    worst = 0.0
-    for i in range(inst.n_experts):
-        load = 0.0
-        for x in range(inst.n_topics):
-            if flow[i, x] <= 0.0:
-                continue
-            if qmat[i, x] <= 0.0:
-                return math.inf
-            load += flow[i, x] / qmat[i, x]
-        worst = max(worst, load)
-    return worst
+    return float(service_load(flow, inst.success_matrix()).max())
 
 
 def analytic_boundary(inst: Instance, sched: Scheduler) -> float:
@@ -295,8 +284,7 @@ def analytic_boundary(inst: Instance, sched: Scheduler) -> float:
     topic masses for a loss policy), and for the optimal routing matrix it
     coincides with the coordinated capacity.
     """
-    load = policy_load(inst, sched)
-    return math.inf if load == 0.0 else 1.0 / load
+    return capacity_of(policy_load(inst, sched))
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,8 @@
 
 Covers the sustainable-load calculations this package is built around:
 
+* :func:`service_load` -- the load ``sum_x f(x)/q(x)`` per expert, and
+  :func:`capacity_of`, its inverse; every capacity below goes through them.
 * :func:`single_capacity` -- closed-form lossless capacity of one expert,
   the inverse of the service-weighted request mix ``sum_x p(x)/q(x)``.
 * :func:`loss_capacity` -- the largest load one expert can carry when up to
@@ -35,6 +37,8 @@ __all__ = [
     "LossPolicy",
     "RoutingPolicy",
     "CapacityResult",
+    "service_load",
+    "capacity_of",
     "single_capacity",
     "loss_capacity",
     "degraded_capacity",
@@ -147,23 +151,34 @@ def routing_policy_violations(
     return violations
 
 
+def service_load(flow, q):
+    """Service load ``sum_x flow(x)/q(x)`` over the topics that carry flow,
+    infinite where flow meets ``q(x) <= 0``. A float for one vector, one
+    load per row for an (experts, topics) matrix."""
+    flow = np.asarray(flow, dtype=np.float64)
+    q = np.asarray(q, dtype=np.float64)
+    if flow.shape != q.shape:
+        raise ValueError("topic mass and success vectors differ in length")
+    loads = []
+    for f, qr in zip(np.atleast_2d(flow), np.atleast_2d(q)):
+        m = f > 0
+        loads.append(math.inf if np.any(m & (qr <= 0)) else float(np.sum(f[m] / qr[m])))
+    return loads[0] if flow.ndim == 1 else np.array(loads)
+
+
+def capacity_of(load: float) -> float:
+    """The load per unit of arrival rate turned into a capacity: ``1/load``."""
+    return math.inf if load <= 0.0 else 1.0 / load
+
+
 def single_capacity(p, q) -> CapacityResult:
     """Lossless capacity of a single expert.
 
     Returns the inverse of ``sum_x p(x)/q(x)`` over mass-bearing topics.
     If the expert cannot answer some topic that carries arrival mass, no
-    positive load keeps the queues stable and the capacity is 0. Topics
-    with ``p(x) == 0`` contribute nothing regardless of skill.
+    positive load keeps the queues stable and the capacity is 0.
     """
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    if p.shape != q.shape:
-        raise ValueError("topic mass and success vectors differ in length")
-    mass = p > 0
-    if np.any(mass & (q <= 0)):
-        return CapacityResult(0.0)
-    denom = float(np.sum(p[mass] / q[mass]))
-    return CapacityResult(math.inf if denom == 0.0 else 1.0 / denom)
+    return CapacityResult(capacity_of(service_load(p, q)))
 
 
 def loss_capacity(p, q, epsilon: float) -> CapacityResult:
@@ -196,7 +211,7 @@ def loss_capacity(p, q, epsilon: float) -> CapacityResult:
     mu = np.where(q > 0, 1.0, 0.0)
     served = (p > 0) & (q > 0)
     shed = float(np.sum(p[(p > 0) & (q <= 0)]))
-    load = float(np.sum(p[served] / q[served]))
+    load = service_load(p * mu, q)
     idx = np.nonzero(served)[0]
     for x in idx[np.argsort(q[idx], kind="stable")]:
         mass, qx = float(p[x]), float(q[x])
@@ -209,10 +224,7 @@ def loss_capacity(p, q, epsilon: float) -> CapacityResult:
         if take < mass:  # balanced; rounding must not shed the next topic
             break
 
-    if shed > 0.0:
-        lam = epsilon / shed
-    else:
-        lam = math.inf if load == 0.0 else 1.0 / load
+    lam = epsilon / shed if shed > 0.0 else capacity_of(load)
     return CapacityResult(lam, LossPolicy(mu=mu, epsilon=epsilon))
 
 
@@ -314,7 +326,7 @@ def multi_capacity_dual(p_merged, experts: list[ExpertProfile]) -> CapacityResul
     total = alpha.sum()
     alpha = alpha / total if total > 0 else np.full(n, 1.0 / n)
 
-    lam = math.inf if mu_star <= 0.0 else 1.0 / mu_star
+    lam = capacity_of(mu_star)
     return CapacityResult(lam, RoutingPolicy(s=s, alpha=alpha, dual_mu=mu_star))
 
 

@@ -25,7 +25,8 @@ import numpy as np
 
 from . import analysis, capacity, model, sched, sim
 
-class ConfigError(Exception):
+
+class ConfigError(ValueError):
     pass
 
 
@@ -41,20 +42,20 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
+    for key in ("scheduler", "geometric", "drift", "misestimation", "routing_check"):
+        if key in doc and not isinstance(doc[key], dict):
+            raise ConfigError(f"config field {key!r} must be a JSON object")
     return doc
 
 
 def _instance_from_config(cfg: dict, config_path: str) -> model.Instance:
     if "instance" in cfg:
-        try:
-            inst = model.instance_from_dict(cfg["instance"])
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        inst = model.instance_from_dict(cfg["instance"])
     elif "instance_path" in cfg:
         path = Path(config_path).parent / cfg["instance_path"]
         try:
             inst = model.load_instance(path)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot load instance {path}: {exc}") from exc
     else:
         raise ConfigError("config needs an 'instance' or 'instance_path' field")
@@ -175,7 +176,7 @@ def _capacity(inst: model.Instance, cfg: dict, mode: str) -> tuple[dict | None, 
         return {"s": cert.s, "dual_mu": cert.dual_mu}, result.lambda_star
     # The max-min side of the duality, at the LP's own weights.
     load = capacity.max_min_load(p_system, experts, cert.alpha)
-    return {"alpha": cert.alpha}, math.inf if load == 0.0 else 1.0 / load
+    return {"alpha": cert.alpha}, capacity.capacity_of(load)
 
 
 def _require(cfg: dict, key: str):
@@ -184,18 +185,23 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
-def _run_guarded(fn) -> None:
-    try:
-        fn()
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(2)
-    except CertificateError as exc:
-        click.echo(f"missing certificate: {exc}", err=True)
-        sys.exit(3)
+class _Main(click.Group):
+    """Maps every command's errors to the exit codes. Malformed input raises
+    ``ValueError`` or ``TypeError``; anything else is a bug and keeps its
+    traceback."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (ValueError, TypeError) as exc:
+            click.echo(f"config error: {exc}", err=True)
+            sys.exit(2)
+        except CertificateError as exc:
+            click.echo(f"missing certificate: {exc}", err=True)
+            sys.exit(3)
 
 
-@click.group()
+@click.group(cls=_Main)
 def main() -> None:
     """Capacity analysis and simulation for expert request queues."""
 
@@ -206,24 +212,17 @@ def main() -> None:
 @click.option("--force", is_flag=True, default=False)
 def cmd_capacity(config_path: str, out_dir: str, force: bool) -> None:
     """Compute the configured capacity value and certificate."""
-
-    def go() -> None:
-        cfg = _load_config(config_path)
-        inst = _instance_from_config(cfg, config_path)
-        mode = _require(cfg, "mode")
-        try:
-            certificate, lambda_star = _capacity(inst, cfg, mode)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        payload: dict = {"mode": mode}
-        if certificate is not None:
-            payload["certificate"] = certificate
-        payload["lambda_star"] = lambda_star
-        target = _prepare_output(out_dir, "capacity.json", force)
-        _write_json(target, payload)
-        click.echo(f"wrote {target}")
-
-    _run_guarded(go)
+    cfg = _load_config(config_path)
+    inst = _instance_from_config(cfg, config_path)
+    mode = _require(cfg, "mode")
+    certificate, lambda_star = _capacity(inst, cfg, mode)
+    payload: dict = {"mode": mode}
+    if certificate is not None:
+        payload["certificate"] = certificate
+    payload["lambda_star"] = lambda_star
+    target = _prepare_output(out_dir, "capacity.json", force)
+    _write_json(target, payload)
+    click.echo(f"wrote {target}")
 
 
 @main.command("simulate")
@@ -233,41 +232,34 @@ def cmd_capacity(config_path: str, out_dir: str, force: bool) -> None:
 @click.option("--seed-override", type=int, default=None)
 def cmd_simulate(config_path, out_dir, force, seed_override) -> None:
     """Run one seeded simulation; write trace.csv and summary.json."""
-
-    def go() -> None:
-        cfg = _load_config(config_path)
-        inst = _instance_from_config(cfg, config_path)
-        scheduler = _build_scheduler(inst, _require(cfg, "scheduler"))
-        seed = int(cfg.get("seed", 0)) if seed_override is None else seed_override
-        try:
-            config = sim.SimConfig(
-                instance=inst,
-                scheduler=scheduler,
-                horizon=int(_require(cfg, "horizon")),
-                seed=seed,
-                sample_interval=int(cfg.get("sample_interval", 100)),
-            )
-            trace_target = _prepare_output(out_dir, "trace.csv", force)
-            summary_target = _prepare_output(out_dir, "summary.json", force)
-            stats = sim.run(config)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        verdict = analysis.classify_stability(stats, inst.arrivals.lam)
-        summary = stats.summary()
-        summary.update(
-            {
-                "seed": seed,
-                "scheduler": scheduler.kind,
-                "lambda": inst.arrivals.lam,
-                "verdict": verdict.verdict,
-                "growth_slope": verdict.growth_slope,
-            }
-        )
-        sim.write_trace_csv(stats, trace_target)
-        _write_json(summary_target, summary)
-        click.echo(f"wrote {trace_target} and {summary_target}")
-
-    _run_guarded(go)
+    cfg = _load_config(config_path)
+    inst = _instance_from_config(cfg, config_path)
+    scheduler = _build_scheduler(inst, _require(cfg, "scheduler"))
+    seed = int(cfg.get("seed", 0)) if seed_override is None else seed_override
+    config = sim.SimConfig(
+        instance=inst,
+        scheduler=scheduler,
+        horizon=int(_require(cfg, "horizon")),
+        seed=seed,
+        sample_interval=int(cfg.get("sample_interval", 100)),
+    )
+    trace_target = _prepare_output(out_dir, "trace.csv", force)
+    summary_target = _prepare_output(out_dir, "summary.json", force)
+    stats = sim.run(config)
+    verdict = analysis.classify_stability(stats, inst.arrivals.lam)
+    summary = stats.summary()
+    summary.update(
+        {
+            "seed": seed,
+            "scheduler": scheduler.kind,
+            "lambda": inst.arrivals.lam,
+            "verdict": verdict.verdict,
+            "growth_slope": verdict.growth_slope,
+        }
+    )
+    sim.write_trace_csv(stats, trace_target)
+    _write_json(summary_target, summary)
+    click.echo(f"wrote {trace_target} and {summary_target}")
 
 
 @main.command("sweep")
@@ -277,57 +269,50 @@ def cmd_simulate(config_path, out_dir, force, seed_override) -> None:
 @click.option("--seed-override", type=int, default=None)
 def cmd_sweep(config_path, out_dir, force, seed_override) -> None:
     """Sweep a load grid; write sweep.csv and bracket.json."""
+    cfg = _load_config(config_path)
+    inst = _instance_from_config(cfg, config_path)
+    scheduler = _build_scheduler(inst, _require(cfg, "scheduler"))
+    seeds = [int(s) for s in _require(cfg, "seeds")]
+    if seed_override is not None:
+        seeds = [seed_override + k for k in range(len(seeds))]
+    sweep_target = _prepare_output(out_dir, "sweep.csv", force)
+    bracket_target = _prepare_output(out_dir, "bracket.json", force)
+    result = analysis.capacity_boundary_sweep(
+        inst,
+        scheduler,
+        lambdas=[float(v) for v in _require(cfg, "lambdas")],
+        horizon=int(_require(cfg, "horizon")),
+        seeds=seeds,
+        slope_threshold=cfg.get("slope_threshold"),
+        sample_interval=int(cfg.get("sample_interval", 100)),
+        workers=int(cfg.get("workers", 1)),
+    )
+    boundary = analysis.analytic_boundary(inst, scheduler)
 
-    def go() -> None:
-        cfg = _load_config(config_path)
-        inst = _instance_from_config(cfg, config_path)
-        scheduler = _build_scheduler(inst, _require(cfg, "scheduler"))
-        seeds = [int(s) for s in _require(cfg, "seeds")]
-        if seed_override is not None:
-            seeds = [seed_override + k for k in range(len(seeds))]
-        try:
-            sweep_target = _prepare_output(out_dir, "sweep.csv", force)
-            bracket_target = _prepare_output(out_dir, "bracket.json", force)
-            result = analysis.capacity_boundary_sweep(
-                inst,
-                scheduler,
-                lambdas=[float(v) for v in _require(cfg, "lambdas")],
-                horizon=int(_require(cfg, "horizon")),
-                seeds=seeds,
-                slope_threshold=cfg.get("slope_threshold"),
-                sample_interval=int(cfg.get("sample_interval", 100)),
-                workers=int(cfg.get("workers", 1)),
+    with open(sweep_target, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["lambda", "seed", "verdict", "slope", "final_quarter_mean"])
+        for cell in result.cells:
+            writer.writerow(
+                [
+                    repr(cell.lam),
+                    cell.seed,
+                    cell.verdict,
+                    repr(cell.growth_slope),
+                    repr(cell.final_quarter_mean),
+                ]
             )
-            boundary = analysis.analytic_boundary(inst, scheduler)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-
-        with open(sweep_target, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["lambda", "seed", "verdict", "slope", "final_quarter_mean"])
-            for cell in result.cells:
-                writer.writerow(
-                    [
-                        repr(cell.lam),
-                        cell.seed,
-                        cell.verdict,
-                        repr(cell.growth_slope),
-                        repr(cell.final_quarter_mean),
-                    ]
-                )
-        _write_json(
-            bracket_target,
-            {
-                "lambda_lo": result.lambda_lo,
-                "lambda_hi": result.lambda_hi,
-                "analytic_lambda_star": boundary,
-                "lambdas": list(result.lambdas),
-                "seeds": list(result.seeds),
-            },
-        )
-        click.echo(f"wrote {sweep_target} and {bracket_target}")
-
-    _run_guarded(go)
+    _write_json(
+        bracket_target,
+        {
+            "lambda_lo": result.lambda_lo,
+            "lambda_hi": result.lambda_hi,
+            "analytic_lambda_star": boundary,
+            "lambdas": list(result.lambdas),
+            "seeds": list(result.seeds),
+        },
+    )
+    click.echo(f"wrote {sweep_target} and {bracket_target}")
 
 
 @main.command("verify")
@@ -337,26 +322,17 @@ def cmd_sweep(config_path, out_dir, force, seed_override) -> None:
 @click.option("--seed-override", type=int, default=None)
 def cmd_verify(config_path, out_dir, force, seed_override) -> None:
     """Cross-check analytic values against simulation; exit 1 on failure."""
-    outcome = {"failed": False}
-
-    def go() -> None:
-        cfg = _load_config(config_path)
-        inst = _instance_from_config(cfg, config_path)
-        seed = int(cfg.get("seed", 0)) if seed_override is None else seed_override
-        target = _prepare_output(out_dir, "verify.json", force)
-        try:
-            checks = analysis.verify(inst, cfg, seed)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        all_passed = all(c["passed"] for c in checks)
-        _write_json(target, {"all_passed": all_passed, "checks": checks})
-        for c in checks:
-            click.echo(f"{'PASS' if c['passed'] else 'FAIL'} {c['name']}")
-        click.echo(f"wrote {target}")
-        outcome["failed"] = not all_passed
-
-    _run_guarded(go)
-    if outcome["failed"]:
+    cfg = _load_config(config_path)
+    inst = _instance_from_config(cfg, config_path)
+    seed = int(cfg.get("seed", 0)) if seed_override is None else seed_override
+    target = _prepare_output(out_dir, "verify.json", force)
+    checks = analysis.verify(inst, cfg, seed)
+    all_passed = all(c["passed"] for c in checks)
+    _write_json(target, {"all_passed": all_passed, "checks": checks})
+    for c in checks:
+        click.echo(f"{'PASS' if c['passed'] else 'FAIL'} {c['name']}")
+    click.echo(f"wrote {target}")
+    if not all_passed:
         sys.exit(1)
 
 

@@ -32,7 +32,7 @@ RULES = ("first", "longest", "uniform", "weighted")
 
 
 def _rule(name: str, allowed: dict[str, str], what: str) -> str:
-    norm = name.replace("-", "_")
+    norm = name.replace("-", "_") if isinstance(name, str) else None
     if norm not in allowed:
         raise ValueError(f"unknown {what} {name!r}; expected one of {tuple(allowed)}")
     return allowed[norm]

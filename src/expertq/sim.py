@@ -294,7 +294,7 @@ def run(config: SimConfig) -> TraceStats:
     quarter_len = max(1, horizon // 4)
     quarter_start = horizon - quarter_len
     queue_sum = [0] * n
-    queue_sum_quarter = [0] * n
+    queue_at_quarter = [0] * n
     loss_at_quarter = [0] * n
     empty_slots = 0
     empty_per_expert = [0] * n
@@ -341,6 +341,7 @@ def run(config: SimConfig) -> TraceStats:
                 sample_loss.append(engine.losses_total)
                 sample_dep.append(engine.deps_total)
             if t_abs == quarter_start:
+                queue_at_quarter = list(queue_sum)
                 loss_at_quarter = [sum(row) for row in engine.cum_loss]
             system_empty = True
             for i in range(n):
@@ -361,9 +362,6 @@ def run(config: SimConfig) -> TraceStats:
             totals = engine.totals
             for i in range(n):
                 queue_sum[i] += totals[i]
-            if t_abs >= quarter_start:
-                for i in range(n):
-                    queue_sum_quarter[i] += totals[i]
         done += block
 
     sample_times.append(horizon)
@@ -384,7 +382,9 @@ def run(config: SimConfig) -> TraceStats:
         cum_loss_series=np.array(sample_loss, dtype=np.int64),
         cum_departure_series=np.array(sample_dep, dtype=np.int64),
         mean_queue=np.array(queue_sum, dtype=np.float64) / horizon,
-        mean_queue_final_quarter=np.array(queue_sum_quarter, dtype=np.float64)
+        mean_queue_final_quarter=np.array(
+            [a - b for a, b in zip(queue_sum, queue_at_quarter)], dtype=np.float64
+        )
         / quarter_len,
         loss_rate=loss_per_expert / horizon,
         loss_rate_final_quarter=loss_quarter / quarter_len,

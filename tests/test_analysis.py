@@ -319,6 +319,22 @@ class TestAnalyticBoundary:
         sched = mismatch_baseline(inst)
         assert analytic_boundary(inst, sched) == pytest.approx(0.1, abs=1e-12)
 
+    def test_work_conserving_equals_single_capacity_exactly(self):
+        # Both sum through capacity.service_load; a sequential and a
+        # pairwise sum of 8 or more terms can differ in the last bits.
+        rng = np.random.default_rng(7)
+        for _ in range(600):
+            n_topics = int(rng.integers(8, 40))
+            p = rng.random(n_topics)
+            p[rng.random(n_topics) < 0.2] = 0.0
+            p[0] += 0.1
+            p /= p.sum()
+            q = rng.uniform(0.05, 1.0, n_topics)
+            q[(p == 0) & (rng.random(n_topics) < 0.5)] = 0.0
+            inst = single_expert_instance(0.5, p, q)
+            boundary = analytic_boundary(inst, work_conserving_single(inst))
+            assert boundary == single_capacity(p, q).lambda_star
+
 
 class TestPolicyLoad:
     def crossed_skill_instance(self):

@@ -188,6 +188,63 @@ def test_nan_input_exits_2(tmp_path, runner, case):
     assert not out.exists() or not any(out.iterdir())
 
 
+def malformed_cases():
+    """(command, config) for each wrongly typed value that used to crash."""
+    simulate = {
+        "instance": single_expert_doc(),
+        "scheduler": {"kind": "work_conserving"},
+        "horizon": 100,
+        "seed": 1,
+    }
+    sweep = {**simulate, "lambdas": [0.3], "seeds": [0]}
+    verify = {"instance": generalist_doc(), "geometric": {"trials": 1000}}
+    return {
+        "simulate-horizon-null": ("simulate", {**simulate, "horizon": None}),
+        "simulate-scheduler-string": ("simulate", {**simulate, "scheduler": "wc"}),
+        "simulate-seed-string": ("simulate", {**simulate, "seed": "abc"}),
+        "sweep-seeds-number": ("sweep", {**sweep, "seeds": 5}),
+        "sweep-lambdas-null": ("sweep", {**sweep, "lambdas": None}),
+        "verify-q-values-number": ("verify", {**verify, "geometric": {"q_values": 5}}),
+        "verify-geometric-number": ("verify", {**verify, "geometric": 5}),
+        "simulate-tie-break-number": (
+            "simulate",
+            {**simulate, "scheduler": {"kind": "work_conserving", "tie_break": 5}},
+        ),
+        "simulate-selection-null": (
+            "simulate",
+            {**simulate, "scheduler": {"kind": "baseline", "selection": None}},
+        ),
+        "capacity-epsilon-null": (
+            "capacity",
+            {"instance": single_expert_doc(), "mode": "loss", "epsilon": None},
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(malformed_cases()))
+def test_malformed_value_exits_2_without_traceback(tmp_path, runner, case):
+    command, config = malformed_cases()[case]
+    cfg = write_json(tmp_path / "cfg.json", config)
+    out = tmp_path / "out"
+    result = runner.invoke(main, [command, cfg, "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "config error:" in result.output
+    assert isinstance(result.exception, SystemExit)
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_unexpected_error_keeps_its_traceback(tmp_path, runner, monkeypatch):
+    def broken(inst, cfg, seed):
+        raise RuntimeError("not a config problem")
+
+    monkeypatch.setattr(cli.analysis, "verify", broken)
+    cfg = write_json(tmp_path / "cfg.json", {"instance": generalist_doc()})
+    result = runner.invoke(main, ["verify", cfg, "--out", str(tmp_path / "out")])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, RuntimeError)
+    assert "config error" not in result.output
+
+
 class TestSimulateCommand:
     def simulate_cfg(self, horizon=2000, seed=9, scheduler=None, doc=None):
         return {
