@@ -2,11 +2,16 @@
 
 The fixture in ``golden/schedulers.json`` pins, for each case and seed, the
 run summary, the final queue state, the Lyapunov series sum and the
-analytic boundary. Refactors of the scheduler, the engine or the load
-formula must reproduce it exactly. To regenerate it after a deliberate
-change of behaviour, run ``PYTHONPATH=src python tests/test_golden.py``.
+analytic boundary. ``golden/steps.json`` pins, for the same cases and
+seeds, the events :func:`expertq.sim.step` reports over ``STEP_SLOTS``
+slots (a sha256 of their canonical JSON plus per-field counts) and the
+state it ends in. Refactors of the scheduler, the engine or the load
+formula must reproduce both exactly. To regenerate them after a
+deliberate change of behaviour, run
+``PYTHONPATH=src python tests/test_golden.py``.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -15,17 +20,20 @@ import pytest
 
 from expertq.analysis import analytic_boundary
 from expertq.capacity import LossPolicy, RoutingPolicy
-from expertq.model import ArrivalSpec, ExpertProfile, Instance
+from expertq.model import ArrivalSpec, ExpertProfile, Instance, validate_instance
 from expertq.sched import (
     mismatch_baseline,
     offline_loss_scheduler,
     offline_routing_scheduler,
     work_conserving_single,
 )
-from expertq.sim import SimConfig, run
+from expertq.rng import RngStreams
+from expertq.sim import SimConfig, initial_state, run, step
 
 GOLDEN = Path(__file__).parent / "golden" / "schedulers.json"
+GOLDEN_STEPS = Path(__file__).parent / "golden" / "steps.json"
 HORIZON = 4000
+STEP_SLOTS = 300
 SEEDS = (3, 11)
 
 
@@ -53,6 +61,32 @@ def multi_instance():
     )
 
 
+def wide_success():
+    """16 experts x 30 topics; about one pair in seven is skill-less, and
+    every topic has an expert that can answer it."""
+    return [
+        [0.0 if (3 * i + x) % 7 == 0 else (1 + (5 * i + 3 * x) % 10) / 10 for x in range(30)]
+        for i in range(16)
+    ]
+
+
+def wide_instance():
+    weights = np.array([[1 + (i + 2 * x) % 4 for x in range(30)] for i in range(16)], float)
+    return Instance(
+        experts=tuple(
+            ExpertProfile.from_success_probs(i, row) for i, row in enumerate(wide_success())
+        ),
+        arrivals=ArrivalSpec(lam=0.4, pmf=weights / weights.sum(axis=1, keepdims=True)),
+    )
+
+
+def wide_routing():
+    """Route each topic in proportion to skill, so every expert carries the
+    same load, sum_x lam_x / sum_j q[j, x] (about 0.8 here)."""
+    q = np.array(wide_success())
+    return q / q.sum(axis=0)
+
+
 ROUTING = np.array(
     [
         [0.7, 0.2, 0.0, 0.5],
@@ -73,15 +107,29 @@ def build(case: str):
     if kind == "loss":
         inst = single_instance()
         return inst, offline_loss_scheduler(inst, LOSS, tie_break=rule)
-    inst = multi_instance()
-    if kind == "routing":
-        return inst, offline_routing_scheduler(inst, RoutingPolicy(s=ROUTING), selection=rule)
+    wide = kind.startswith("wide_")
+    inst = wide_instance() if wide else multi_instance()
+    if kind.endswith("routing"):
+        policy = RoutingPolicy(s=wide_routing() if wide else ROUTING)
+        return inst, offline_routing_scheduler(inst, policy, selection=rule)
     return inst, mismatch_baseline(inst, selection=rule)
 
 
 CASES = [f"{k}:{r}" for k in ("work_conserving", "loss") for r in TIE_BREAKS] + [
-    f"{k}:{r}" for k in ("routing", "baseline") for r in SELECTIONS
+    f"{k}:{r}"
+    for k in ("routing", "baseline", "wide_routing", "wide_baseline")
+    for r in SELECTIONS
 ]
+
+
+def state_doc(state) -> dict:
+    return {
+        "t": state.t,
+        "q": state.q.tolist(),
+        "cum_arrivals": state.cum_arrivals.tolist(),
+        "cum_departures": state.cum_departures.tolist(),
+        "cum_losses": state.cum_losses.tolist(),
+    }
 
 
 def snapshot(case: str, seed: int) -> dict:
@@ -91,16 +139,9 @@ def snapshot(case: str, seed: int) -> dict:
             instance=inst, scheduler=sched, horizon=HORIZON, seed=seed, record_lyapunov=True
         )
     )
-    final = stats.final_state
     doc = {
         "summary": stats.summary(),
-        "final_state": {
-            "t": final.t,
-            "q": final.q.tolist(),
-            "cum_arrivals": final.cum_arrivals.tolist(),
-            "cum_departures": final.cum_departures.tolist(),
-            "cum_losses": final.cum_losses.tolist(),
-        },
+        "final_state": state_doc(stats.final_state),
         "lyapunov_sum": float(stats.lyapunov_series.sum()),
         "busy_slots": int(stats.busy_series.sum()),
         "analytic_boundary": analytic_boundary(inst, sched),
@@ -109,13 +150,57 @@ def snapshot(case: str, seed: int) -> dict:
     return json.loads(json.dumps(doc))
 
 
+FIELDS = ("arrivals", "admitted", "enqueued", "losses", "assignments", "completions")
+
+
+def step_snapshot(case: str, seed: int) -> dict:
+    """``STEP_SLOTS`` steps from the empty system: the events' digest and
+    per-field counts, and the final state."""
+    inst, sched = build(case)
+    streams = RngStreams.from_seed(seed)
+    state = initial_state(inst)
+    slots = []
+    for _ in range(STEP_SLOTS):
+        state, events = step(state, inst, sched, streams)
+        # Tuples of pairs become lists of lists; assignments keep their
+        # key order as (expert, topic or null) pairs.
+        slots.append(
+            [
+                [list(pair) for pair in events.arrivals],
+                [list(pair) for pair in events.admitted],
+                [list(pair) for pair in events.enqueued],
+                [list(pair) for pair in events.losses],
+                [[i, x] for i, x in events.assignments.items()],
+                [list(pair) for pair in events.completions],
+            ]
+        )
+    canonical = json.dumps(slots, separators=(",", ":")).encode("utf-8")
+    counts = {field: sum(len(slot[k]) for slot in slots) for k, field in enumerate(FIELDS)}
+    counts["busy_assignments"] = sum(x is not None for slot in slots for _, x in slot[4])
+    return {
+        "events_sha256": hashlib.sha256(canonical).hexdigest(),
+        "counts": counts,
+        "final_state": state_doc(state),
+    }
+
+
+def keys():
+    return sorted(f"{case}@{seed}" for case in CASES for seed in SEEDS)
+
+
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(GOLDEN.read_text(encoding="utf-8"))
 
 
-def test_fixture_covers_every_case(golden):
-    assert sorted(golden) == sorted(f"{case}@{seed}" for case in CASES for seed in SEEDS)
+@pytest.fixture(scope="module")
+def golden_steps():
+    return json.loads(GOLDEN_STEPS.read_text(encoding="utf-8"))
+
+
+def test_fixture_covers_every_case(golden, golden_steps):
+    assert sorted(golden) == keys()
+    assert sorted(golden_steps) == keys()
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -124,8 +209,23 @@ def test_trajectory_matches_golden(golden, case, seed):
     assert snapshot(case, seed) == golden[f"{case}@{seed}"]
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("case", CASES)
+def test_step_events_match_golden(golden_steps, case, seed):
+    assert step_snapshot(case, seed) == golden_steps[f"{case}@{seed}"]
+
+
+def test_wide_instance_is_valid_and_skill_less_somewhere():
+    inst, sched = build("wide_routing:request_weighted")
+    assert (inst.n_experts, inst.n_topics) == (16, 30)
+    q = inst.success_matrix()
+    assert (q == 0).any() and (q > 0).any(axis=0).all()
+    assert not validate_instance(inst)
+
+
 if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
-    docs = {f"{case}@{seed}": snapshot(case, seed) for case in CASES for seed in SEEDS}
-    GOLDEN.write_text(json.dumps(docs, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {GOLDEN}")
+    for path, make in ((GOLDEN, snapshot), (GOLDEN_STEPS, step_snapshot)):
+        docs = {f"{case}@{seed}": make(case, seed) for case in CASES for seed in SEEDS}
+        path.write_text(json.dumps(docs, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+        print(f"wrote {path}")
