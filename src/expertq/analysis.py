@@ -27,7 +27,7 @@ from .capacity import (
     service_load,
     single_capacity,
 )
-from .model import ArrivalSpec, Instance, merged_pmf
+from .model import ArrivalSpec, Instance, config_field, merged_pmf
 from .sched import Scheduler, offline_routing_scheduler, work_conserving_single
 from .sim import SimConfig, TraceStats, geometric_service_check, run
 
@@ -395,11 +395,10 @@ def verify(inst: Instance, cfg: dict, seed: int) -> list[dict]:
         }
     )
 
-    geom_cfg = cfg.get("geometric", {})
-    trials = int(geom_cfg.get("trials", 1_000_000))
+    trials = config_field(cfg, "geometric.trials", "integer", 1_000_000)
+    q_values = config_field(cfg, "geometric.q_values", "numbers", [1.0, 0.5, 0.1])
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 1])))
-    for q_val in geom_cfg.get("q_values", [1.0, 0.5, 0.1]):
-        q_val = float(q_val)
+    for q_val in q_values:
         mean = geometric_service_check(q_val, trials, rng)
         tol = 4.0 * math.sqrt(1.0 - q_val) / q_val / math.sqrt(trials)
         checks.append(
@@ -415,9 +414,13 @@ def verify(inst: Instance, cfg: dict, seed: int) -> list[dict]:
     if n == 1:
         p = inst.arrivals.pmf[0]
         q = inst.experts[0].success_prob
-        drift_cfg = cfg.get("drift", {})
-        lam = float(drift_cfg.get("lambda", 0.75 * single_capacity(p, q).lambda_star))
-        horizon = int(drift_cfg.get("horizon", 100_000))
+        lam_default = 0.75 * single_capacity(p, q).lambda_star
+        lam = config_field(cfg, "drift.lambda", "number", lam_default)
+        horizon = config_field(cfg, "drift.horizon", "integer", 100_000)
+        gamma = config_field(cfg, "misestimation.gamma", "number", GAMMA_DEFAULT)
+        mis_seeds = [seed, seed + 1, seed + 2]
+        mis_seeds = config_field(cfg, "misestimation.seeds", "integers", mis_seeds)
+        mis_horizon = config_field(cfg, "misestimation.horizon", "integer", 100_000)
         stats = run(
             SimConfig(
                 instance=with_load(inst, lam),
@@ -438,13 +441,7 @@ def verify(inst: Instance, cfg: dict, seed: int) -> list[dict]:
             }
         )
 
-        mis_cfg = cfg.get("misestimation", {})
-        result = misestimation_check(
-            inst,
-            gamma=float(mis_cfg.get("gamma", GAMMA_DEFAULT)),
-            seeds=mis_cfg.get("seeds", [seed, seed + 1, seed + 2]),
-            horizon=int(mis_cfg.get("horizon", 100_000)),
-        )
+        result = misestimation_check(inst, gamma, seeds=mis_seeds, horizon=mis_horizon)
         checks.append(
             {
                 "name": "misestimation_stability",
@@ -454,7 +451,8 @@ def verify(inst: Instance, cfg: dict, seed: int) -> list[dict]:
             }
         )
     else:
-        routing_cfg = cfg.get("routing_check", {})
+        routing_cfg = config_field(cfg, "routing_check", "object", {})
+        horizon = config_field(cfg, "routing_check.horizon", "integer", 50_000)
         if "s" in routing_cfg:
             policy = RoutingPolicy(s=np.asarray(routing_cfg["s"], dtype=np.float64))
         else:
@@ -479,7 +477,6 @@ def verify(inst: Instance, cfg: dict, seed: int) -> list[dict]:
                     "tolerance": bound,
                 }
             )
-            horizon = int(routing_cfg.get("horizon", 50_000))
             stats = run(
                 SimConfig(instance=inst, scheduler=sched, horizon=horizon, seed=seed)
             )

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lp import LinearProgram, solve_lp
-from .model import ExpertProfile
+from .model import ExpertProfile, _frozen_array
 
 __all__ = [
     "LossPolicy",
@@ -51,12 +51,6 @@ __all__ = [
 POLICY_TOL = 1e-7
 
 
-def _frozen(arr) -> np.ndarray:
-    out = np.array(arr, dtype=np.float64)
-    out.setflags(write=False)
-    return out
-
-
 @dataclass(frozen=True)
 class LossPolicy:
     """Admission certificate: keep a topic-x arrival with probability mu[x]."""
@@ -65,7 +59,7 @@ class LossPolicy:
     epsilon: float
 
     def __post_init__(self) -> None:
-        mu = _frozen(self.mu)
+        mu = _frozen_array(self.mu)
         if not np.isfinite(mu).all():
             raise ValueError(f"admission probabilities must be finite, got {mu.tolist()}")
         if mu.size and (mu.min() < -1e-12 or mu.max() > 1.0 + 1e-12):
@@ -95,9 +89,9 @@ class RoutingPolicy:
 
     def __post_init__(self) -> None:
         if self.s is not None:
-            object.__setattr__(self, "s", _frozen(self.s))
+            object.__setattr__(self, "s", _frozen_array(self.s))
         if self.alpha is not None:
-            object.__setattr__(self, "alpha", _frozen(self.alpha))
+            object.__setattr__(self, "alpha", _frozen_array(self.alpha))
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ import click
 import numpy as np
 
 from . import analysis, capacity, model, sched, sim
+from .model import config_field
 
 
 class ConfigError(ValueError):
@@ -42,17 +43,14 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
-    for key in ("scheduler", "geometric", "drift", "misestimation", "routing_check"):
-        if key in doc and not isinstance(doc[key], dict):
-            raise ConfigError(f"config field {key!r} must be a JSON object")
     return doc
 
 
 def _instance_from_config(cfg: dict, config_path: str) -> model.Instance:
     if "instance" in cfg:
-        inst = model.instance_from_dict(cfg["instance"])
+        inst = model.instance_from_dict(config_field(cfg, "instance", "object"))
     elif "instance_path" in cfg:
-        path = Path(config_path).parent / cfg["instance_path"]
+        path = Path(config_path).parent / config_field(cfg, "instance_path", "string")
         try:
             inst = model.load_instance(path)
         except (OSError, ValueError) as exc:
@@ -100,35 +98,32 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _build_scheduler(inst: model.Instance, cfg: dict) -> sched.Scheduler:
-    """Construct the configured scheduler, computing missing certificates."""
-    kind = cfg.get("kind")
-    if kind is None:
-        raise ConfigError("scheduler config needs a 'kind'")
+    """Construct the config's ``scheduler`` object, computing missing
+    certificates."""
+    root = {"scheduler": cfg}  # so that errors name 'scheduler.<field>'
+    kind = config_field(root, "scheduler.kind", "string")
+    tie_break = config_field(root, "scheduler.tie_break", "string", "arbitrary")
+    selection = config_field(root, "scheduler.selection", "string", "request_weighted")
+    epsilon = config_field(root, "scheduler.epsilon", "number", None)
     try:
         if kind == "work_conserving":
-            return sched.work_conserving_single(
-                inst, tie_break=cfg.get("tie_break", "arbitrary")
-            )
+            return sched.work_conserving_single(inst, tie_break=tie_break)
         if kind == "loss":
             if "mu" in cfg:
                 policy = capacity.LossPolicy(
                     mu=np.asarray(cfg["mu"], dtype=np.float64),
-                    epsilon=float(cfg.get("epsilon", 0.0)),
+                    epsilon=0.0 if epsilon is None else epsilon,
                 )
-            elif "epsilon" in cfg:
+            elif epsilon is not None:
                 result = capacity.loss_capacity(
-                    inst.arrivals.pmf[0],
-                    inst.experts[0].success_prob,
-                    float(cfg["epsilon"]),
+                    inst.arrivals.pmf[0], inst.experts[0].success_prob, epsilon
                 )
                 policy = result.certificate
             else:
                 raise CertificateError(
                     "loss scheduler needs 'mu' or an 'epsilon' to compute it from"
                 )
-            return sched.offline_loss_scheduler(
-                inst, policy, tie_break=cfg.get("tie_break", "arbitrary")
-            )
+            return sched.offline_loss_scheduler(inst, policy, tie_break=tie_break)
         if kind == "routing":
             if "s" in cfg:
                 policy = capacity.RoutingPolicy(s=np.asarray(cfg["s"], dtype=np.float64))
@@ -141,13 +136,9 @@ def _build_scheduler(inst: model.Instance, cfg: dict) -> sched.Scheduler:
                     raise CertificateError(
                         f"cannot compute a routing matrix: {exc}"
                     ) from exc
-            return sched.offline_routing_scheduler(
-                inst, policy, selection=cfg.get("selection", "request_weighted")
-            )
+            return sched.offline_routing_scheduler(inst, policy, selection=selection)
         if kind == "baseline":
-            return sched.mismatch_baseline(
-                inst, selection=cfg.get("selection", "request_weighted")
-            )
+            return sched.mismatch_baseline(inst, selection=selection)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad scheduler config: {exc}") from exc
     raise ConfigError(f"unknown scheduler kind {kind!r}")
@@ -161,7 +152,7 @@ def _capacity(inst: model.Instance, cfg: dict, mode: str) -> tuple[dict | None, 
         p, q = inst.arrivals.pmf[0], inst.experts[0].success_prob
         if mode == "single":
             return None, capacity.single_capacity(p, q).lambda_star
-        result = capacity.loss_capacity(p, q, float(_require(cfg, "epsilon")))
+        result = capacity.loss_capacity(p, q, config_field(cfg, "epsilon", "number"))
         cert = result.certificate
         return {"mu": cert.mu, "epsilon": cert.epsilon}, result.lambda_star
     if mode not in ("multi-primal", "multi-dual"):
@@ -177,12 +168,6 @@ def _capacity(inst: model.Instance, cfg: dict, mode: str) -> tuple[dict | None, 
     # The max-min side of the duality, at the LP's own weights.
     load = capacity.max_min_load(p_system, experts, cert.alpha)
     return {"alpha": cert.alpha}, capacity.capacity_of(load)
-
-
-def _require(cfg: dict, key: str):
-    if key not in cfg:
-        raise ConfigError(f"config is missing required field {key!r}")
-    return cfg[key]
 
 
 class _Main(click.Group):
@@ -214,7 +199,7 @@ def cmd_capacity(config_path: str, out_dir: str, force: bool) -> None:
     """Compute the configured capacity value and certificate."""
     cfg = _load_config(config_path)
     inst = _instance_from_config(cfg, config_path)
-    mode = _require(cfg, "mode")
+    mode = config_field(cfg, "mode", "string")
     certificate, lambda_star = _capacity(inst, cfg, mode)
     payload: dict = {"mode": mode}
     if certificate is not None:
@@ -234,14 +219,15 @@ def cmd_simulate(config_path, out_dir, force, seed_override) -> None:
     """Run one seeded simulation; write trace.csv and summary.json."""
     cfg = _load_config(config_path)
     inst = _instance_from_config(cfg, config_path)
-    scheduler = _build_scheduler(inst, _require(cfg, "scheduler"))
-    seed = int(cfg.get("seed", 0)) if seed_override is None else seed_override
+    scheduler = _build_scheduler(inst, config_field(cfg, "scheduler", "object"))
+    seed = config_field(cfg, "seed", "integer", 0)
+    seed = seed if seed_override is None else seed_override
     config = sim.SimConfig(
         instance=inst,
         scheduler=scheduler,
-        horizon=int(_require(cfg, "horizon")),
+        horizon=config_field(cfg, "horizon", "integer"),
         seed=seed,
-        sample_interval=int(cfg.get("sample_interval", 100)),
+        sample_interval=config_field(cfg, "sample_interval", "integer", 100),
     )
     trace_target = _prepare_output(out_dir, "trace.csv", force)
     summary_target = _prepare_output(out_dir, "summary.json", force)
@@ -271,8 +257,8 @@ def cmd_sweep(config_path, out_dir, force, seed_override) -> None:
     """Sweep a load grid; write sweep.csv and bracket.json."""
     cfg = _load_config(config_path)
     inst = _instance_from_config(cfg, config_path)
-    scheduler = _build_scheduler(inst, _require(cfg, "scheduler"))
-    seeds = [int(s) for s in _require(cfg, "seeds")]
+    scheduler = _build_scheduler(inst, config_field(cfg, "scheduler", "object"))
+    seeds = config_field(cfg, "seeds", "integers")
     if seed_override is not None:
         seeds = [seed_override + k for k in range(len(seeds))]
     sweep_target = _prepare_output(out_dir, "sweep.csv", force)
@@ -280,12 +266,12 @@ def cmd_sweep(config_path, out_dir, force, seed_override) -> None:
     result = analysis.capacity_boundary_sweep(
         inst,
         scheduler,
-        lambdas=[float(v) for v in _require(cfg, "lambdas")],
-        horizon=int(_require(cfg, "horizon")),
+        lambdas=config_field(cfg, "lambdas", "numbers"),
+        horizon=config_field(cfg, "horizon", "integer"),
         seeds=seeds,
-        slope_threshold=cfg.get("slope_threshold"),
-        sample_interval=int(cfg.get("sample_interval", 100)),
-        workers=int(cfg.get("workers", 1)),
+        slope_threshold=config_field(cfg, "slope_threshold", "number", None),
+        sample_interval=config_field(cfg, "sample_interval", "integer", 100),
+        workers=config_field(cfg, "workers", "integer", 1),
     )
     boundary = analysis.analytic_boundary(inst, scheduler)
 
@@ -324,7 +310,8 @@ def cmd_verify(config_path, out_dir, force, seed_override) -> None:
     """Cross-check analytic values against simulation; exit 1 on failure."""
     cfg = _load_config(config_path)
     inst = _instance_from_config(cfg, config_path)
-    seed = int(cfg.get("seed", 0)) if seed_override is None else seed_override
+    seed = config_field(cfg, "seed", "integer", 0)
+    seed = seed if seed_override is None else seed_override
     target = _prepare_output(out_dir, "verify.json", force)
     checks = analysis.verify(inst, cfg, seed)
     all_passed = all(c["passed"] for c in checks)

@@ -16,6 +16,7 @@ inspected and reported.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -37,8 +38,8 @@ PMF_TOL = 1e-9
 CONSISTENCY_TOL = 1e-12
 
 
-def _frozen_array(values, dtype=np.float64) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+def _frozen_array(values) -> np.ndarray:
+    arr = np.array(values, dtype=np.float64)
     arr.setflags(write=False)
     return arr
 
@@ -246,11 +247,11 @@ def instance_to_dict(inst: Instance) -> dict:
 def instance_from_dict(doc: dict) -> Instance:
     """Parse the canonical JSON document. Raises ValueError on bad shape."""
     try:
-        n_topics = int(doc["topics"])
-        lam = float(doc["lambda"])
+        n_topics = config_field(doc, "topics", "integer")
+        lam = config_field(doc, "lambda", "number")
         pmf = [[float(v) for v in row] for row in doc["pmf"]]
         experts = tuple(
-            ExpertProfile.from_mean_times(int(spec["id"]), spec["T"])
+            ExpertProfile.from_mean_times(config_field(spec, "id", "integer"), spec["T"])
             for spec in doc["experts"]
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -268,6 +269,54 @@ def instance_from_dict(doc: dict) -> Instance:
                 f"'topics' declares {n_topics}"
             )
     return Instance(experts=experts, arrivals=ArrivalSpec(lam=lam, pmf=pmf))
+
+
+_REQUIRED = object()
+_KINDS = {
+    "integer": "an integer",
+    "number": "a number",
+    "string": "a string",
+    "object": "a JSON object",
+    "integers": "a list of integers",
+    "numbers": "a list of numbers",
+}
+
+
+def _as_kind(value, kind: str):
+    """``value`` converted to ``kind``, or None if it is not one."""
+    if kind in ("integers", "numbers"):
+        ok = isinstance(value, (list, tuple))
+        items = [_as_kind(v, kind[:-1]) for v in value] if ok else [None]
+        return None if None in items else items
+    if kind in ("object", "string"):
+        return value if isinstance(value, dict if kind == "object" else str) else None
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return None
+    if kind == "integer":
+        integral = isinstance(value, numbers.Integral) or float(value).is_integer()
+        return int(value) if integral else None
+    return float(value)
+
+
+def config_field(doc: dict, path: str, kind: str, default=_REQUIRED):
+    """The field at dotted ``path`` of a JSON document as ``kind``, a key of
+    ``_KINDS``. Integers may be written as integral floats; ``bool`` and
+    ``null`` are never numbers. A missing parent reads as an empty object,
+    and a missing field as ``default``. Raises ValueError naming the field,
+    e.g. ``config field 'geometric.trials': expected an integer, got true``.
+    """
+    parent, _, key = path.rpartition(".")
+    if parent:
+        doc = config_field(doc, parent, "object", {})
+    if key not in doc:
+        if default is _REQUIRED:
+            raise ValueError(f"config is missing required field {path!r}")
+        return default
+    value = _as_kind(doc[key], kind)
+    if value is None:
+        got = json.dumps(doc[key], default=repr)
+        raise ValueError(f"config field {path!r}: expected {_KINDS[kind]}, got {got}")
+    return value
 
 
 def load_instance(path: str | Path) -> Instance:

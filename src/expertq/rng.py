@@ -17,6 +17,8 @@ import numpy as np
 __all__ = ["RngStreams", "UniformBuffer"]
 
 _PURPOSES = ("arrivals", "admission", "routing", "selection", "service")
+# Uniforms a UniformBuffer draws at once.
+UNIFORM_BLOCK = 8192
 
 
 class UniformBuffer:
@@ -27,17 +29,16 @@ class UniformBuffer:
     buffering does not change any trajectory.
     """
 
-    __slots__ = ("_gen", "_block", "_buf", "_pos")
+    __slots__ = ("_gen", "_buf", "_pos")
 
-    def __init__(self, gen: np.random.Generator, block: int = 8192) -> None:
+    def __init__(self, gen: np.random.Generator) -> None:
         self._gen = gen
-        self._block = block
         self._buf: list[float] = []
         self._pos = 0
 
     def next(self) -> float:
         if self._pos >= len(self._buf):
-            self._buf = self._gen.random(self._block).tolist()
+            self._buf = self._gen.random(UNIFORM_BLOCK).tolist()
             self._pos = 0
         v = self._buf[self._pos]
         self._pos += 1

@@ -145,11 +145,7 @@ class _Engine:
     """Mutable run state, expert-major plain-Python lists for speed."""
 
     def __init__(
-        self,
-        inst: Instance,
-        sched: Scheduler,
-        streams: RngStreams,
-        state: QueueState | None = None,
+        self, inst: Instance, sched: Scheduler, streams: RngStreams, state: QueueState
     ) -> None:
         self.sched = sched
         self.streams = streams
@@ -157,18 +153,11 @@ class _Engine:
         self.n_topics = inst.n_topics
         self.probs = np.ascontiguousarray(inst.arrivals.lam * inst.arrivals.pmf)
         self.qprob = [[float(v) for v in e.success_prob] for e in inst.experts]
-        if state is None:
-            self.t = 0
-            self.queues = [[0] * self.n_topics for _ in range(self.n)]
-            self.cum_arr = [[0] * self.n_topics for _ in range(self.n)]
-            self.cum_dep = [[0] * self.n_topics for _ in range(self.n)]
-            self.cum_loss = [[0] * self.n_topics for _ in range(self.n)]
-        else:
-            self.t = state.t
-            self.queues = state.q.T.astype(np.int64).tolist()
-            self.cum_arr = state.cum_arrivals.T.astype(np.int64).tolist()
-            self.cum_dep = state.cum_departures.T.astype(np.int64).tolist()
-            self.cum_loss = state.cum_losses.T.astype(np.int64).tolist()
+        self.t = state.t
+        self.queues = state.q.T.astype(np.int64).tolist()
+        self.cum_arr = state.cum_arrivals.T.astype(np.int64).tolist()
+        self.cum_dep = state.cum_departures.T.astype(np.int64).tolist()
+        self.cum_loss = state.cum_losses.T.astype(np.int64).tolist()
         self.totals = [sum(row) for row in self.queues]
         self.losses_total = sum(sum(row) for row in self.cum_loss)
         self.deps_total = sum(sum(row) for row in self.cum_dep)
@@ -187,60 +176,67 @@ class _Engine:
             cum_losses=pack(self.cum_loss),
         )
 
-    def advance(self, slot_arrivals, events_out=None) -> None:
+    def advance(self, slot_arrivals) -> None:
         """Play out one slot given its (door_expert, topic) arrival list."""
         sched = self.sched
         streams = self.streams
         queues = self.queues
         totals = self.totals
-        collect = events_out is not None
-        if collect:
-            ev_arr, ev_adm, ev_enq, ev_loss, ev_cmp = [], [], [], [], []
-            ev_asg: dict = {}
         for i, x in slot_arrivals:
-            if collect:
-                ev_arr.append((x, i))
             if sched.admit(x, i, streams):
                 j = sched.route(x, i, streams)
                 queues[j][x] += 1
                 totals[j] += 1
                 self.cum_arr[j][x] += 1
-                if collect:
-                    ev_adm.append((x, i))
-                    ev_enq.append((x, j))
             else:
                 self.cum_loss[i][x] += 1
                 self.losses_total += 1
-                if collect:
-                    ev_loss.append((x, i))
         service = self.streams.service
         for i in range(self.n):
             if totals[i] == 0:
-                if collect:
-                    ev_asg[i] = None
                 continue
             x = sched.select(i, queues[i], totals[i], streams)
-            if collect:
-                ev_asg[i] = x
             if service.next() < self.qprob[i][x]:
                 queues[i][x] -= 1
                 totals[i] -= 1
                 self.cum_dep[i][x] += 1
                 self.deps_total += 1
-                if collect:
-                    ev_cmp.append((x, i))
         self.t += 1
-        if collect:
-            events_out.append(
-                SlotEvents(
-                    arrivals=tuple(ev_arr),
-                    admitted=tuple(ev_adm),
-                    enqueued=tuple(ev_enq),
-                    losses=tuple(ev_loss),
-                    assignments=ev_asg,
-                    completions=tuple(ev_cmp),
-                )
-            )
+
+
+def _draw_arrivals(engine: _Engine, slots: int) -> list[list[int]]:
+    """Slot, expert and topic index lists of the next ``slots`` slots'
+    arrivals, slot by slot in expert-major order."""
+    u = engine.streams.arrivals.random((slots, engine.n, engine.n_topics))
+    return [idx.tolist() for idx in np.nonzero(u < engine.probs)]
+
+
+class _Recorder:
+    """Forwards one slot's decisions to a scheduler and records them."""
+
+    def __init__(self, sched: Scheduler, n_experts: int) -> None:
+        self.sched = sched
+        self.arrivals: list[tuple[int, int]] = []
+        self.admitted: list[tuple[int, int]] = []
+        self.enqueued: list[tuple[int, int]] = []
+        self.losses: list[tuple[int, int]] = []
+        self.assignments: dict = dict.fromkeys(range(n_experts))
+
+    def admit(self, topic: int, door_expert: int, streams: RngStreams) -> bool:
+        self.arrivals.append((topic, door_expert))
+        admitted = self.sched.admit(topic, door_expert, streams)
+        (self.admitted if admitted else self.losses).append((topic, door_expert))
+        return admitted
+
+    def route(self, topic: int, door_expert: int, streams: RngStreams) -> int:
+        dest = self.sched.route(topic, door_expert, streams)
+        self.enqueued.append((topic, dest))
+        return dest
+
+    def select(self, expert: int, queue_row: list[int], total: int, streams) -> int:
+        topic = self.sched.select(expert, queue_row, total, streams)
+        self.assignments[expert] = topic
+        return topic
 
 
 def initial_state(inst: Instance) -> QueueState:
@@ -257,16 +253,26 @@ def step(
 ) -> tuple[QueueState, SlotEvents]:
     """Advance one slot and report everything that happened.
 
-    Consumes the streams in exactly the same order as :func:`run`, so a
-    sequence of steps from the same seed replays the same trajectory.
+    Plays the slot through the same engine and arrival draw as :func:`run`,
+    so a sequence of steps from the same seed replays the same trajectory.
     """
     sched.compatible_with(inst)
-    engine = _Engine(inst, sched, streams, state=state)
-    u = streams.arrivals.random((1, inst.n_experts, inst.n_topics))
-    exp_idx, top_idx = np.nonzero(u[0] < engine.probs)
-    events: list[SlotEvents] = []
-    engine.advance(list(zip(exp_idx.tolist(), top_idx.tolist())), events_out=events)
-    return engine.snapshot(), events[0]
+    recorder = _Recorder(sched, inst.n_experts)
+    engine = _Engine(inst, recorder, streams, state)
+    _, exp_l, top_l = _draw_arrivals(engine, 1)
+    engine.advance(list(zip(exp_l, top_l)))
+    after = engine.snapshot()
+    # Each expert completes at most one request per slot, so the nonzero
+    # entries list the completions in expert order.
+    done_exp, done_top = np.nonzero((after.cum_departures - state.cum_departures).T)
+    return after, SlotEvents(
+        arrivals=tuple(recorder.arrivals),
+        admitted=tuple(recorder.admitted),
+        enqueued=tuple(recorder.enqueued),
+        losses=tuple(recorder.losses),
+        assignments=recorder.assignments,
+        completions=tuple(zip(done_top.tolist(), done_exp.tolist())),
+    )
 
 
 def run(config: SimConfig) -> TraceStats:
@@ -286,7 +292,7 @@ def run(config: SimConfig) -> TraceStats:
     config.scheduler.compatible_with(inst)
 
     streams = RngStreams.from_seed(config.seed)
-    engine = _Engine(inst, config.scheduler, streams)
+    engine = _Engine(inst, config.scheduler, streams, initial_state(inst))
     n = engine.n
     horizon = config.horizon
     interval = config.sample_interval
@@ -318,18 +324,12 @@ def run(config: SimConfig) -> TraceStats:
         lyap = np.empty((horizon + 1, n), dtype=np.float64)
         busy = np.empty((horizon, n), dtype=bool)
 
-    arrivals_gen = streams.arrivals
-    probs = engine.probs
     n_topics = engine.n_topics
     block_rows = max(1, ARRIVAL_BLOCK_BYTES // (8 * n * n_topics))
     done = 0
     while done < horizon:
         block = min(block_rows, horizon - done)
-        hits = arrivals_gen.random((block, n, n_topics)) < probs[None, :, :]
-        slot_idx, exp_idx, top_idx = np.nonzero(hits)
-        slot_l = slot_idx.tolist()
-        exp_l = exp_idx.tolist()
-        top_l = top_idx.tolist()
+        slot_l, exp_l, top_l = _draw_arrivals(engine, block)
         ptr = 0
         n_hits = len(slot_l)
         for s in range(block):

@@ -189,7 +189,8 @@ def test_nan_input_exits_2(tmp_path, runner, case):
 
 
 def malformed_cases():
-    """(command, config) for each wrongly typed value that used to crash."""
+    """(command, config, field) for each wrongly typed value that used to
+    crash, or to run silently as a different value."""
     simulate = {
         "instance": single_expert_doc(),
         "scheduler": {"kind": "work_conserving"},
@@ -198,39 +199,88 @@ def malformed_cases():
     }
     sweep = {**simulate, "lambdas": [0.3], "seeds": [0]}
     verify = {"instance": generalist_doc(), "geometric": {"trials": 1000}}
+    single_verify = {**verify, "instance": single_expert_doc()}
+    bad_id = single_expert_doc()
+    bad_id["experts"][0]["id"] = True
+    bad_lambda = {**single_expert_doc(), "lambda": False}
     return {
-        "simulate-horizon-null": ("simulate", {**simulate, "horizon": None}),
-        "simulate-scheduler-string": ("simulate", {**simulate, "scheduler": "wc"}),
-        "simulate-seed-string": ("simulate", {**simulate, "seed": "abc"}),
-        "sweep-seeds-number": ("sweep", {**sweep, "seeds": 5}),
-        "sweep-lambdas-null": ("sweep", {**sweep, "lambdas": None}),
-        "verify-q-values-number": ("verify", {**verify, "geometric": {"q_values": 5}}),
-        "verify-geometric-number": ("verify", {**verify, "geometric": 5}),
+        "simulate-horizon-null": ("simulate", {**simulate, "horizon": None}, "horizon"),
+        "simulate-horizon-true": ("simulate", {**simulate, "horizon": True}, "horizon"),
+        "simulate-horizon-fraction": ("simulate", {**simulate, "horizon": 2.5}, "horizon"),
+        "simulate-scheduler-string": ("simulate", {**simulate, "scheduler": "wc"}, "scheduler"),
+        "simulate-seed-string": ("simulate", {**simulate, "seed": "abc"}, "seed"),
+        "simulate-seed-fraction": ("simulate", {**simulate, "seed": 1.9}, "seed"),
+        "simulate-sample-interval-fraction": (
+            "simulate",
+            {**simulate, "sample_interval": 2.5},
+            "sample_interval",
+        ),
+        "simulate-expert-id-true": ("simulate", {**simulate, "instance": bad_id}, "id"),
+        "simulate-lambda-false": ("simulate", {**simulate, "instance": bad_lambda}, "lambda"),
+        "simulate-instance-number": ("simulate", {**simulate, "instance": 5}, "instance"),
+        "sweep-seeds-number": ("sweep", {**sweep, "seeds": 5}, "seeds"),
+        "sweep-lambdas-null": ("sweep", {**sweep, "lambdas": None}, "lambdas"),
+        "verify-q-values-number": (
+            "verify",
+            {**verify, "geometric": {"q_values": 5}},
+            "geometric.q_values",
+        ),
+        "verify-geometric-number": ("verify", {**verify, "geometric": 5}, "geometric"),
+        "verify-trials-true": (
+            "verify",
+            {**verify, "geometric": {"trials": True}},
+            "geometric.trials",
+        ),
+        "verify-misestimation-seed-fraction": (
+            "verify",
+            {**single_verify, "misestimation": {"seeds": [1.7]}},
+            "misestimation.seeds",
+        ),
         "simulate-tie-break-number": (
             "simulate",
             {**simulate, "scheduler": {"kind": "work_conserving", "tie_break": 5}},
+            "scheduler.tie_break",
         ),
         "simulate-selection-null": (
             "simulate",
             {**simulate, "scheduler": {"kind": "baseline", "selection": None}},
+            "scheduler.selection",
         ),
         "capacity-epsilon-null": (
             "capacity",
             {"instance": single_expert_doc(), "mode": "loss", "epsilon": None},
+            "epsilon",
         ),
     }
 
 
 @pytest.mark.parametrize("case", sorted(malformed_cases()))
 def test_malformed_value_exits_2_without_traceback(tmp_path, runner, case):
-    command, config = malformed_cases()[case]
+    command, config, field = malformed_cases()[case]
     cfg = write_json(tmp_path / "cfg.json", config)
     out = tmp_path / "out"
     result = runner.invoke(main, [command, cfg, "--out", str(out)])
     assert result.exit_code == 2, result.output
     assert "config error:" in result.output
+    assert f"field {field!r}" in result.output
     assert isinstance(result.exception, SystemExit)
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_integral_float_horizon_writes_the_same_bytes(tmp_path, runner):
+    base = {
+        "instance": single_expert_doc(),
+        "scheduler": {"kind": "work_conserving"},
+        "seed": 4,
+    }
+    outputs = []
+    for horizon in (2000, 2000.0):
+        out = tmp_path / repr(horizon)
+        cfg = write_json(tmp_path / f"{horizon!r}.json", {**base, "horizon": horizon})
+        result = runner.invoke(main, ["simulate", cfg, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        outputs.append([(out / name).read_bytes() for name in ("trace.csv", "summary.json")])
+    assert outputs[0] == outputs[1]
 
 
 def test_unexpected_error_keeps_its_traceback(tmp_path, runner, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -18,6 +19,7 @@ from expertq.sim import (
     step,
     write_trace_csv,
 )
+from test_golden import CASES, build
 
 
 def single_expert_instance(lam, p, q):
@@ -74,10 +76,9 @@ class TestStep:
         fraction = stats.final_state.cum_departures.sum() / served_slots
         assert abs(fraction - 0.5) <= 0.002
 
-    def test_matches_run_trajectory_exactly(self):
-        inst = specialist_instance(lam=0.5)
-        policy = multi_capacity_dual(merged_pmf(inst), list(inst.experts)).certificate
-        sched = offline_routing_scheduler(inst, policy)
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_run_trajectory_exactly(self, case):
+        inst, sched = build(case)
         horizon = 300
         stats = run(SimConfig(instance=inst, scheduler=sched, horizon=horizon, seed=9))
         streams = RngStreams.from_seed(9)
@@ -85,10 +86,22 @@ class TestStep:
         for _ in range(horizon):
             state, _ = step(state, inst, sched, streams)
         final = stats.final_state
+        assert state.t == final.t == horizon
         assert np.array_equal(state.q, final.q)
         assert np.array_equal(state.cum_arrivals, final.cum_arrivals)
         assert np.array_equal(state.cum_departures, final.cum_departures)
         assert np.array_equal(state.cum_losses, final.cum_losses)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_leaves_the_scheduler_unchanged(self, case):
+        inst, sched = build(case)
+        before = pickle.dumps(vars(sched))
+        streams = RngStreams.from_seed(5)
+        state = initial_state(inst)
+        for _ in range(50):
+            state, _ = step(state, inst, sched, streams)
+        assert pickle.dumps(vars(sched)) == before
+        assert not {"admit", "route", "select"} & vars(sched).keys()
 
 
 class TestFlowConservation:
