@@ -2,11 +2,10 @@
 
 The fixture in ``golden/verify.json`` pins, for each case and seed, every
 check ``expertq verify`` reports: names, verdicts, measured values,
-tolerances and simulated loads. Refactors of the capacity routes, the
-misestimation check or the routing checks must reproduce it exactly.
-``measured_worst_excess`` is left out of the fixture because it is a
-signed margin checked on its own in ``test_analysis.py``. To regenerate
-the fixture after a deliberate change of behaviour, run
+tolerances, simulated loads and the routing-frequency margin
+``measured_worst_excess``. Refactors of the capacity routes, the
+misestimation check or the routing checks must reproduce it exactly. To
+regenerate the fixture after a deliberate change of behaviour, run
 ``PYTHONPATH=src python tests/test_golden_verify.py``.
 """
 
@@ -20,7 +19,6 @@ from expertq.model import ArrivalSpec, ExpertProfile, Instance
 
 GOLDEN = Path(__file__).parent / "golden" / "verify.json"
 SEEDS = (3, 11)
-UNPINNED = ("measured_worst_excess",)
 
 
 def single_instance():
@@ -81,12 +79,8 @@ CASES = {
 
 def snapshot(case: str, seed: int) -> list[dict]:
     build, cfg = CASES[case]
-    checks = [
-        {k: v for k, v in check.items() if k not in UNPINNED}
-        for check in verify(build(), cfg, seed)
-    ]
     # The stored form: floats survive the JSON round trip exactly.
-    return json.loads(json.dumps(checks))
+    return json.loads(json.dumps(verify(build(), cfg, seed)))
 
 
 @pytest.fixture(scope="module")
