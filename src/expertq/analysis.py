@@ -20,14 +20,13 @@ import numpy as np
 from .capacity import (
     RoutingPolicy,
     capacity_of,
-    degraded_capacity,
     max_min_load,
     multi_capacity_dual,
     routing_policy_violations,
     service_load,
     single_capacity,
 )
-from .model import ArrivalSpec, Instance, config_field, merged_pmf
+from .model import ArrivalSpec, ExpertProfile, Instance, config_field, merged_pmf
 from .sched import Scheduler, offline_routing_scheduler, work_conserving_single
 from .sim import SimConfig, TraceStats, geometric_service_check, run
 
@@ -348,15 +347,15 @@ def misestimation_check(
                 "estimate generator violated its bound: some estimated time "
                 "is below gamma times the true time"
             )
-        with np.errstate(divide="ignore"):
-            q_hat = np.where(np.isfinite(estimated), 1.0 / estimated, 0.0)
-        lam = LOAD_FRACTION * degraded_capacity(p, q_hat, gamma)
+        q_hat = ExpertProfile.from_mean_times(0, estimated).success_prob
+        estimated_capacity = single_capacity(p, q_hat).lambda_star
+        lam = LOAD_FRACTION * (gamma * estimated_capacity)
         # A sample every 100 slots, and classify_stability's default threshold.
         cell = _sweep_cell((inst, sched, lam, int(seed), horizon, 100, None))
         runs.append(
             MisestimationRun(
                 seed=cell.seed,
-                estimated_capacity=single_capacity(p, q_hat).lambda_star,
+                estimated_capacity=estimated_capacity,
                 lam=lam,
                 verdict=cell.verdict,
                 growth_slope=cell.growth_slope,
@@ -451,12 +450,9 @@ def verify(inst: Instance, cfg: dict, seed: int) -> list[dict]:
             }
         )
     else:
-        routing_cfg = config_field(cfg, "routing_check", "object", {})
         horizon = config_field(cfg, "routing_check.horizon", "integer", 50_000)
-        if "s" in routing_cfg:
-            policy = RoutingPolicy(s=np.asarray(routing_cfg["s"], dtype=np.float64))
-        else:
-            policy = optimal.certificate
+        s = config_field(cfg, "routing_check.s", "rows", None)
+        policy = optimal.certificate if s is None else RoutingPolicy(s=s)
         problems = routing_policy_violations(policy, inst.success_matrix())
         checks.append(
             {
@@ -492,13 +488,12 @@ def verify(inst: Instance, cfg: dict, seed: int) -> list[dict]:
             # shares only, since a share of 0 or 1 has deviation 0 and its
             # variance floor would hold the maximum near -4e-8.
             randomized = excess[variance > 1e-12]
+            worst = float(randomized.max()) if randomized.size else None
             checks.append(
                 {
                     "name": "routing_frequencies",
                     "passed": bool(np.all(excess <= 0)),
-                    "measured_worst_excess": (
-                        float(randomized.max()) if randomized.size else None
-                    ),
+                    "measured_worst_excess": worst,
                 }
             )
     return checks

@@ -27,10 +27,6 @@ from . import analysis, capacity, model, sched, sim
 from .model import config_field
 
 
-class ConfigError(ValueError):
-    pass
-
-
 class CertificateError(Exception):
     pass
 
@@ -40,9 +36,9 @@ def _load_config(path: str) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise ValueError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(doc, dict):
-        raise ConfigError("config root must be a JSON object")
+        raise ValueError("config root must be a JSON object")
     return doc
 
 
@@ -54,12 +50,12 @@ def _instance_from_config(cfg: dict, config_path: str) -> model.Instance:
         try:
             inst = model.load_instance(path)
         except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot load instance {path}: {exc}") from exc
+            raise ValueError(f"cannot load instance {path}: {exc}") from exc
     else:
-        raise ConfigError("config needs an 'instance' or 'instance_path' field")
+        raise ValueError("config needs an 'instance' or 'instance_path' field")
     problems = model.validate_instance(inst)
     if problems:
-        raise ConfigError("invalid instance: " + "; ".join(problems))
+        raise ValueError("invalid instance: " + "; ".join(problems))
     return inst
 
 
@@ -68,7 +64,7 @@ def _prepare_output(out_dir: str, name: str, force: bool) -> Path:
     directory.mkdir(parents=True, exist_ok=True)
     target = directory / name
     if target.exists() and not force:
-        raise ConfigError(f"{target} exists; pass --force to overwrite")
+        raise ValueError(f"{target} exists; pass --force to overwrite")
     return target
 
 
@@ -105,28 +101,25 @@ def _build_scheduler(inst: model.Instance, cfg: dict) -> sched.Scheduler:
     tie_break = config_field(root, "scheduler.tie_break", "string", "arbitrary")
     selection = config_field(root, "scheduler.selection", "string", "request_weighted")
     epsilon = config_field(root, "scheduler.epsilon", "number", None)
+    mu = config_field(root, "scheduler.mu", "numbers", None)
+    s = config_field(root, "scheduler.s", "rows", None)
     try:
         if kind == "work_conserving":
             return sched.work_conserving_single(inst, tie_break=tie_break)
         if kind == "loss":
-            if "mu" in cfg:
-                policy = capacity.LossPolicy(
-                    mu=np.asarray(cfg["mu"], dtype=np.float64),
-                    epsilon=0.0 if epsilon is None else epsilon,
-                )
+            if mu is not None:
+                policy = capacity.LossPolicy(mu, 0.0 if epsilon is None else epsilon)
             elif epsilon is not None:
-                result = capacity.loss_capacity(
-                    inst.arrivals.pmf[0], inst.experts[0].success_prob, epsilon
-                )
-                policy = result.certificate
+                p, q = inst.arrivals.pmf[0], inst.experts[0].success_prob
+                policy = capacity.loss_capacity(p, q, epsilon).certificate
             else:
                 raise CertificateError(
                     "loss scheduler needs 'mu' or an 'epsilon' to compute it from"
                 )
             return sched.offline_loss_scheduler(inst, policy, tie_break=tie_break)
         if kind == "routing":
-            if "s" in cfg:
-                policy = capacity.RoutingPolicy(s=np.asarray(cfg["s"], dtype=np.float64))
+            if s is not None:
+                policy = capacity.RoutingPolicy(s=s)
             else:
                 try:
                     policy = capacity.multi_capacity_dual(
@@ -140,15 +133,15 @@ def _build_scheduler(inst: model.Instance, cfg: dict) -> sched.Scheduler:
         if kind == "baseline":
             return sched.mismatch_baseline(inst, selection=selection)
     except (ValueError, TypeError) as exc:
-        raise ConfigError(f"bad scheduler config: {exc}") from exc
-    raise ConfigError(f"unknown scheduler kind {kind!r}")
+        raise ValueError(f"bad scheduler config: {exc}") from exc
+    raise ValueError(f"unknown scheduler kind {kind!r}")
 
 
 def _capacity(inst: model.Instance, cfg: dict, mode: str) -> tuple[dict | None, float]:
     """The certificate and capacity that ``expertq capacity`` reports."""
     if mode in ("single", "loss"):
         if inst.n_experts != 1:
-            raise ConfigError(f"mode {mode!r} needs a single-expert instance")
+            raise ValueError(f"mode {mode!r} needs a single-expert instance")
         p, q = inst.arrivals.pmf[0], inst.experts[0].success_prob
         if mode == "single":
             return None, capacity.single_capacity(p, q).lambda_star
@@ -156,7 +149,7 @@ def _capacity(inst: model.Instance, cfg: dict, mode: str) -> tuple[dict | None, 
         cert = result.certificate
         return {"mu": cert.mu, "epsilon": cert.epsilon}, result.lambda_star
     if mode not in ("multi-primal", "multi-dual"):
-        raise ConfigError(f"unknown capacity mode {mode!r}")
+        raise ValueError(f"unknown capacity mode {mode!r}")
     # System-level capacity: the merged topic mass is normalized back to a
     # distribution over topics.
     p_system = model.merged_pmf(inst) / inst.n_experts

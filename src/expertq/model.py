@@ -65,9 +65,7 @@ class ExpertProfile:
     @classmethod
     def from_mean_times(cls, expert_id: int, mean_times) -> "ExpertProfile":
         """Build a profile from mean research times; ``None`` means infinity."""
-        t = np.array(
-            [np.inf if v is None else float(v) for v in mean_times], dtype=np.float64
-        )
+        t = np.array([np.inf if v is None else v for v in mean_times], dtype=np.float64)
         with np.errstate(divide="ignore"):
             q = np.where(np.isfinite(t) & (t > 0), 1.0 / t, 0.0)
         return cls(expert_id=expert_id, mean_time=t, success_prob=q)
@@ -245,17 +243,17 @@ def instance_to_dict(inst: Instance) -> dict:
 
 
 def instance_from_dict(doc: dict) -> Instance:
-    """Parse the canonical JSON document. Raises ValueError on bad shape."""
-    try:
-        n_topics = config_field(doc, "topics", "integer")
-        lam = config_field(doc, "lambda", "number")
-        pmf = [[float(v) for v in row] for row in doc["pmf"]]
-        experts = tuple(
-            ExpertProfile.from_mean_times(config_field(spec, "id", "integer"), spec["T"])
-            for spec in doc["experts"]
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed instance document: {exc}") from exc
+    """Parse the canonical JSON document. Raises ValueError naming the
+    first malformed field."""
+    n_topics = config_field(doc, "topics", "integer")
+    lam = config_field(doc, "lambda", "number")
+    pmf = config_field(doc, "pmf", "rows")
+    experts = []
+    for k, spec in enumerate(config_field(doc, "experts", "objects")):
+        root = {f"experts[{k}]": spec}  # so that errors name 'experts[k].<field>'
+        expert_id = config_field(root, f"experts[{k}].id", "integer")
+        times = config_field(root, f"experts[{k}].T", "times")
+        experts.append(ExpertProfile.from_mean_times(expert_id, times))
 
     for row in pmf:
         if len(row) != n_topics:
@@ -272,6 +270,7 @@ def instance_from_dict(doc: dict) -> Instance:
 
 
 _REQUIRED = object()
+_FAIL = object()
 _KINDS = {
     "integer": "an integer",
     "number": "a number",
@@ -279,22 +278,30 @@ _KINDS = {
     "object": "a JSON object",
     "integers": "a list of integers",
     "numbers": "a list of numbers",
+    "times": "a list of numbers or nulls",
+    "objects": "a list of JSON objects",
+    "rows": "a list of lists of numbers",
 }
 
 
 def _as_kind(value, kind: str):
-    """``value`` converted to ``kind``, or None if it is not one."""
-    if kind in ("integers", "numbers"):
+    """``value`` converted to ``kind``, or ``_FAIL`` if it is not one. The
+    items of a list kind are of the kind without its final s, those of
+    ``rows`` are ``numbers``, and a ``time`` is a number or None."""
+    if kind in ("integers", "numbers", "times", "objects", "rows"):
         ok = isinstance(value, (list, tuple))
-        items = [_as_kind(v, kind[:-1]) for v in value] if ok else [None]
-        return None if None in items else items
-    if kind in ("object", "string"):
-        return value if isinstance(value, dict if kind == "object" else str) else None
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        item = "numbers" if kind == "rows" else kind[:-1]
+        items = [_as_kind(v, item) for v in value] if ok else [_FAIL]
+        return _FAIL if _FAIL in items else items
+    if kind == "time" and value is None:
         return None
+    if kind in ("object", "string"):
+        return value if isinstance(value, dict if kind == "object" else str) else _FAIL
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return _FAIL
     if kind == "integer":
         integral = isinstance(value, numbers.Integral) or float(value).is_integer()
-        return int(value) if integral else None
+        return int(value) if integral else _FAIL
     return float(value)
 
 
@@ -313,7 +320,7 @@ def config_field(doc: dict, path: str, kind: str, default=_REQUIRED):
             raise ValueError(f"config is missing required field {path!r}")
         return default
     value = _as_kind(doc[key], kind)
-    if value is None:
+    if value is _FAIL:
         got = json.dumps(doc[key], default=repr)
         raise ValueError(f"config field {path!r}: expected {_KINDS[kind]}, got {got}")
     return value
@@ -321,7 +328,8 @@ def config_field(doc: dict, path: str, kind: str, default=_REQUIRED):
 
 def load_instance(path: str | Path) -> Instance:
     with open(path, "r", encoding="utf-8") as fh:
-        return instance_from_dict(json.load(fh))
+        doc = json.load(fh)
+    return instance_from_dict(config_field({"instance": doc}, "instance", "object"))
 
 
 def save_instance(inst: Instance, path: str | Path) -> None:

@@ -87,14 +87,14 @@ class Scheduler:
     ) -> int:
         rule = self.rule
         if rule == "weighted":
+            # For a double u < 1 and an integer 1 <= total < 2**53,
+            # fl(u * total) < total, so the scan always returns by the last
+            # non-empty queue, where acc reaches total.
             target = streams.selection.next() * total
             acc = 0.0
             for x, count in enumerate(queue_row):
                 acc += count
                 if target < acc:
-                    return x
-            for x in range(len(queue_row) - 1, -1, -1):
-                if queue_row[x]:
                     return x
         elif rule == "longest":
             best, best_count = 0, -1

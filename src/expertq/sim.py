@@ -340,17 +340,18 @@ def run(config: SimConfig) -> TraceStats:
                 sample_queue.append(sum(totals))
                 sample_loss.append(engine.losses_total)
                 sample_dep.append(engine.deps_total)
+            # Slot-start totals here and the final ones after the loop: run
+            # starts empty, so queue_sum is the sum of the slot-end totals.
+            for i, total in enumerate(totals):
+                if total:
+                    queue_sum[i] += total
+                else:
+                    empty_per_expert[i] += 1
+            if not any(totals):
+                empty_slots += 1
             if t_abs == quarter_start:
                 queue_at_quarter = list(queue_sum)
                 loss_at_quarter = [sum(row) for row in engine.cum_loss]
-            system_empty = True
-            for i in range(n):
-                if totals[i] == 0:
-                    empty_per_expert[i] += 1
-                else:
-                    system_empty = False
-            if system_empty:
-                empty_slots += 1
             if record:
                 lyap[t_abs] = lyapunov_row()
                 busy[t_abs] = [v > 0 for v in totals]
@@ -359,11 +360,10 @@ def run(config: SimConfig) -> TraceStats:
                 slot_arrivals.append((exp_l[ptr], top_l[ptr]))
                 ptr += 1
             engine.advance(slot_arrivals)
-            totals = engine.totals
-            for i in range(n):
-                queue_sum[i] += totals[i]
         done += block
 
+    for i, total in enumerate(engine.totals):
+        queue_sum[i] += total
     sample_times.append(horizon)
     sample_queue.append(sum(engine.totals))
     sample_loss.append(engine.losses_total)

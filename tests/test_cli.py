@@ -203,7 +203,57 @@ def malformed_cases():
     bad_id = single_expert_doc()
     bad_id["experts"][0]["id"] = True
     bad_lambda = {**single_expert_doc(), "lambda": False}
+    bad_times = single_expert_doc(times=(1, True))
+    string_numbers = single_expert_doc(p=(0.5, "0.5"), times=(1, "2"))
+    bad_s = [["1", 0, 0], [0, True, 0], [0, 0, 1]]
+    routing = {**simulate, "instance": specialist_doc()}
+    routing_verify = {**verify, "instance": specialist_doc()}
     return {
+        "capacity-times-true": (
+            "capacity",
+            {"instance": bad_times, "mode": "single"},
+            "experts[0].T",
+        ),
+        "capacity-pmf-string": (
+            "capacity",
+            {"instance": string_numbers, "mode": "single"},
+            "pmf",
+        ),
+        "capacity-experts-number": (
+            "capacity",
+            {"instance": {**single_expert_doc(), "experts": 3}, "mode": "single"},
+            "experts",
+        ),
+        "simulate-loss-mu-true": (
+            "simulate",
+            {**simulate, "scheduler": {"kind": "loss", "mu": [True, "0.5"]}},
+            "scheduler.mu",
+        ),
+        "simulate-loss-mu-null": (
+            "simulate",
+            {**simulate, "scheduler": {"kind": "loss", "mu": None, "epsilon": 0.1}},
+            "scheduler.mu",
+        ),
+        "simulate-routing-s-mixed": (
+            "simulate",
+            {**routing, "scheduler": {"kind": "routing", "s": bad_s}},
+            "scheduler.s",
+        ),
+        "simulate-routing-s-null": (
+            "simulate",
+            {**routing, "scheduler": {"kind": "routing", "s": None}},
+            "scheduler.s",
+        ),
+        "verify-routing-s-mixed": (
+            "verify",
+            {**routing_verify, "routing_check": {"s": bad_s}},
+            "routing_check.s",
+        ),
+        "verify-routing-s-null": (
+            "verify",
+            {**routing_verify, "routing_check": {"s": None}},
+            "routing_check.s",
+        ),
         "simulate-horizon-null": ("simulate", {**simulate, "horizon": None}, "horizon"),
         "simulate-horizon-true": ("simulate", {**simulate, "horizon": True}, "horizon"),
         "simulate-horizon-fraction": ("simulate", {**simulate, "horizon": 2.5}, "horizon"),
@@ -215,7 +265,11 @@ def malformed_cases():
             {**simulate, "sample_interval": 2.5},
             "sample_interval",
         ),
-        "simulate-expert-id-true": ("simulate", {**simulate, "instance": bad_id}, "id"),
+        "simulate-expert-id-true": (
+            "simulate",
+            {**simulate, "instance": bad_id},
+            "experts[0].id",
+        ),
         "simulate-lambda-false": ("simulate", {**simulate, "instance": bad_lambda}, "lambda"),
         "simulate-instance-number": ("simulate", {**simulate, "instance": 5}, "instance"),
         "sweep-seeds-number": ("sweep", {**sweep, "seeds": 5}, "seeds"),
@@ -558,6 +612,46 @@ class TestVerifyCommand:
 
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+SHORT = {"horizon": 200, "trials": 1000}
+
+
+def shortened(doc):
+    """``doc`` with every horizon and trial count cut to ``SHORT``."""
+    if isinstance(doc, dict):
+        return {k: SHORT[k] if k in SHORT else shortened(v) for k, v in doc.items()}
+    return [shortened(v) for v in doc] if isinstance(doc, list) else doc
+
+
+def number_leaves(doc, path=()):
+    """The path of every number or null leaf of a JSON document."""
+    if isinstance(doc, (dict, list)):
+        items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+        return [leaf for k, v in items for leaf in number_leaves(v, (*path, k))]
+    is_number = isinstance(doc, (int, float)) and not isinstance(doc, bool)
+    return [path] if doc is None or is_number else []
+
+
+def mistyped_shipped_configs():
+    """(command, config) with one number or null leaf of a shipped command
+    config, its instance inlined, replaced by ``true`` or ``"1"``."""
+    cases = {}
+    for path in CONFIGS:
+        command = path.stem.split("_")[0]
+        if command == "instance":
+            continue
+        cfg = json.loads(path.read_text(encoding="utf-8"))
+        instance = (path.parent / cfg.pop("instance_path")).read_text(encoding="utf-8")
+        cfg = shortened({**cfg, "instance": json.loads(instance)})
+        for leaf in number_leaves(cfg):
+            for value in (True, "1"):
+                bad = json.loads(json.dumps(cfg))
+                parent = bad
+                for key in leaf[:-1]:
+                    parent = parent[key]
+                parent[leaf[-1]] = value
+                name = ".".join(str(k) for k in leaf)
+                cases[f"{path.stem}:{name}={json.dumps(value)}"] = (command, bad)
+    return cases
 
 
 class TestShippedConfigs:
@@ -574,6 +668,16 @@ class TestShippedConfigs:
         if "scheduler" in doc:
             scheduler = cli._build_scheduler(inst, doc["scheduler"])
             assert scheduler.kind == doc["scheduler"]["kind"]
+
+    @pytest.mark.parametrize("case", sorted(mistyped_shipped_configs()))
+    def test_mistyped_number_exits_2_without_output(self, tmp_path, runner, case):
+        command, config = mistyped_shipped_configs()[case]
+        cfg = write_json(tmp_path / "cfg.json", config)
+        out = tmp_path / "out"
+        result = runner.invoke(main, [command, cfg, "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "config error:" in result.output
+        assert not out.exists() or not any(out.iterdir())
 
     def test_capacity_multi_primal_on_shipped_specialists(self, tmp_path, runner):
         (path,) = [p for p in CONFIGS if p.name == "instance_specialists.json"]

@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -258,6 +259,16 @@ class TestOfflineRoutingScheduler:
         draws = Counter(sched.select(0, [3, 1, 0], 4, streams) for _ in range(4000))
         share = draws[0] / 4000
         assert abs(share - 0.75) <= 4 * math.sqrt(0.75 * 0.25 / 4000)
+
+    def test_request_weighted_selection_ends_at_last_nonempty_queue(self):
+        # The largest uniform below 1 still picks a queue: fl(u * total) <
+        # total for every integer total below 2**53.
+        sched = mismatch_baseline(specialist_instance(), selection="request_weighted")
+        u = float(np.nextafter(1.0, 0.0))
+        streams = SimpleNamespace(selection=SimpleNamespace(next=lambda: u))
+        for total in range(1, 4097):
+            assert sched.select(0, [total - 1, 0, 1, 0], total, streams) == 2
+            assert sched.select(0, [0, total, 0, 0], total, streams) == 1
 
     def test_topic_uniform_selection_statistics(self):
         inst = specialist_instance(lam=0.5)
