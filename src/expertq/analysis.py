@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -238,6 +237,9 @@ def capacity_boundary_sweep(
     ]
     workers = min(workers, os.cpu_count() or 1, len(jobs))
     if workers > 1:
+        # Imported here: only a pooled sweep needs multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             cells = tuple(pool.map(_sweep_cell, jobs))
     else:

@@ -237,15 +237,15 @@ def degraded_capacity(p, q_hat, gamma: float) -> float:
 
 def routing_lp(
     p_merged, experts: list[ExpertProfile]
-) -> tuple[LinearProgram, list[tuple[int, int]]]:
+) -> tuple[LinearProgram, tuple[np.ndarray, np.ndarray]]:
     """Assemble the load-balancing LP behind :func:`multi_capacity_dual`.
 
     Variables are ``[mu, s_1, ..., s_K]`` where the s variables cover only
-    (expert, topic) pairs with positive success probability; pinning the
-    others to zero keeps every coefficient finite. Minimizes the worst
-    per-unit expert load ``mu`` subject to each topic's routing weights
-    summing to one. Returns the program and the (expert, topic) pair per
-    s variable.
+    (expert, topic) pairs with positive success probability, topic-major;
+    pinning the others to zero keeps every coefficient finite. Minimizes
+    the worst per-unit expert load ``mu`` subject to each topic's routing
+    weights summing to one; both blocks hold one non-zero per pair. Returns
+    the program and the (expert, topic) index arrays of the s variables.
     """
     p = np.asarray(p_merged, dtype=np.float64)
     qmat = np.vstack([e.success_prob for e in experts])
@@ -261,31 +261,25 @@ def routing_lp(
             "no expert can answer them"
         )
 
-    pairs = [(i, x) for x in range(n_topics) for i in range(n) if answerable[i, x]]
-    included_topics = sorted({x for _, x in pairs})
-    n_vars = 1 + len(pairs)
+    from scipy.sparse import csr_array  # lazily, as lp.solve_lp imports scipy
 
-    ub = np.zeros((n, n_vars))
-    ub[:, 0] = -1.0
-    for k, (i, x) in enumerate(pairs):
-        ub[i, k + 1] = p[x] / qmat[i, x]
-    eq = np.zeros((len(included_topics), n_vars))
-    topic_row = {x: r for r, x in enumerate(included_topics)}
-    for k, (_, x) in enumerate(pairs):
-        eq[topic_row[x], k + 1] = 1.0
-
-    objective = np.zeros(n_vars)
-    objective[0] = 1.0
-    bounds = [(0.0, None)] + [(0.0, 1.0)] * len(pairs)
-    lp = LinearProgram(
-        objective=objective,
+    topic, expert = np.nonzero(answerable.T)
+    n_pairs = topic.shape[0]
+    col = np.arange(1, n_pairs + 1)
+    coef = np.concatenate([np.full(n, -1.0), p[topic] / qmat[expert, topic]])
+    ij = (np.concatenate([np.arange(n), expert]), np.concatenate([np.zeros(n, int), col]))
+    ub = csr_array((coef, ij), shape=(n, 1 + n_pairs))  # sum_x load_ix s_ix - mu <= 0
+    ub.eliminate_zeros()  # a mass-free topic adds no load: store no zero
+    included, row = np.unique(topic, return_inverse=True)
+    eq = csr_array((np.ones(n_pairs), (row, col)), shape=(included.shape[0], 1 + n_pairs))
+    return LinearProgram(
+        objective=np.concatenate([[1.0], np.zeros(n_pairs)]),
         eq_matrix=eq,
-        eq_rhs=np.ones(len(included_topics)),
+        eq_rhs=np.ones(included.shape[0]),
         ub_matrix=ub,
         ub_rhs=np.zeros(n),
-        bounds=tuple(bounds),
-    )
-    return lp, pairs
+        bounds=((0.0, None),) + ((0.0, 1.0),) * n_pairs,
+    ), (expert, topic)
 
 
 def multi_capacity_dual(p_merged, experts: list[ExpertProfile]) -> CapacityResult:
@@ -303,15 +297,16 @@ def multi_capacity_dual(p_merged, experts: list[ExpertProfile]) -> CapacityResul
     p = np.asarray(p_merged, dtype=np.float64)
     n, n_topics = len(experts), p.shape[0]
 
-    lp, pairs = routing_lp(p, experts)
+    lp, (expert, topic) = routing_lp(p, experts)
     sol = solve_lp(lp)
     if sol.status != "optimal":
         raise RuntimeError(f"routing LP unexpectedly {sol.status}")
 
-    mu_star = float(sol.x[0])
+    mu_star, weights = float(sol.x[0]), sol.x[1:]
     s = np.zeros((n, n_topics))
-    for k, (i, x) in enumerate(pairs):
-        s[i, x] = max(float(sol.x[k + 1]), 0.0)
+    # Clip negatives only: np.maximum would turn the solver's -0.0 into 0.0.
+    s[expert, topic] = np.where(weights < 0.0, 0.0, weights)
+    # Per column: a whole-matrix sum rounds differently from 8 experts up.
     for x in range(n_topics):
         total = s[:, x].sum()
         s[:, x] = s[:, x] / total if total > 0 else 1.0 / n

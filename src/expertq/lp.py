@@ -1,4 +1,4 @@
-"""Small dense linear programs.
+"""Linear programs with sparse constraint matrices.
 
 :func:`solve_lp` wraps scipy's HiGHS backend behind a fixed container type,
 so results are deterministic for identical inputs. Besides the optimal
@@ -21,28 +21,32 @@ class LinearProgram:
     """Minimize ``objective @ x`` subject to equality and <= constraints.
 
     ``bounds[j]`` is a ``(lo, hi)`` pair per variable; ``hi`` may be None
-    for an unbounded variable. Empty constraint blocks are represented by
-    (0, n) matrices.
+    for an unbounded variable. Both constraint matrices are stored as
+    ``scipy.sparse.csr_array`` (dense input is converted once), so memory
+    grows with the non-zeros; empty blocks are (0, n) matrices.
     """
 
     objective: np.ndarray
-    eq_matrix: np.ndarray
+    eq_matrix: "scipy.sparse.csr_array"
     eq_rhs: np.ndarray
-    ub_matrix: np.ndarray
+    ub_matrix: "scipy.sparse.csr_array"
     ub_rhs: np.ndarray
     bounds: tuple[tuple[float, float | None], ...]
 
     def __post_init__(self) -> None:
+        from scipy.sparse import csr_array, issparse  # lazily, as in solve_lp
+
         c = np.asarray(self.objective, dtype=np.float64)
         n = c.shape[0]
-        a_eq = np.asarray(self.eq_matrix, dtype=np.float64).reshape(-1, n)
+        a_eq, a_ub = (
+            csr_array(a if issparse(a) else np.reshape(a, (-1, n)), dtype=np.float64)
+            for a in (self.eq_matrix, self.ub_matrix)
+        )
         b_eq = np.asarray(self.eq_rhs, dtype=np.float64).reshape(-1)
-        a_ub = np.asarray(self.ub_matrix, dtype=np.float64).reshape(-1, n)
         b_ub = np.asarray(self.ub_rhs, dtype=np.float64).reshape(-1)
-        if a_eq.shape[0] != b_eq.shape[0]:
-            raise ValueError("equality matrix and rhs disagree on row count")
-        if a_ub.shape[0] != b_ub.shape[0]:
-            raise ValueError("inequality matrix and rhs disagree on row count")
+        for name, a, b in (("equality", a_eq, b_eq), ("inequality", a_ub, b_ub)):
+            if a.shape != (b.shape[0], n):  # a row per rhs, a column per variable
+                raise ValueError(f"{name} matrix is {a.shape}, not {(b.shape[0], n)}")
         bounds = tuple(
             (float(lo), None if hi is None else float(hi)) for lo, hi in self.bounds
         )
@@ -57,7 +61,7 @@ class LinearProgram:
         object.__setattr__(self, "ub_matrix", a_ub)
         object.__setattr__(self, "ub_rhs", b_ub)
         object.__setattr__(self, "bounds", bounds)
-        for arr in (c, a_eq, b_eq, a_ub, b_ub):
+        for arr in (c, b_eq, b_ub, a_eq.data, a_ub.data):
             arr.setflags(write=False)
 
     @property
@@ -81,7 +85,7 @@ class LpSolution:
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
-    """Solve a small dense LP. Deterministic for identical inputs.
+    """Solve an LP with HiGHS. Deterministic for identical inputs.
 
     Infeasible and unbounded problems are reported through the status
     field, never as garbage values.

@@ -280,19 +280,20 @@ _KINDS = {
     "numbers": "a list of numbers",
     "times": "a list of numbers or nulls",
     "objects": "a list of JSON objects",
-    "rows": "a list of lists of numbers",
+    "rows": "a list of equal-length lists of numbers",
 }
 
 
 def _as_kind(value, kind: str):
     """``value`` converted to ``kind``, or ``_FAIL`` if it is not one. The
     items of a list kind are of the kind without its final s, those of
-    ``rows`` are ``numbers``, and a ``time`` is a number or None."""
+    ``rows`` are equal-length ``numbers``, and a ``time`` is a number or None."""
     if kind in ("integers", "numbers", "times", "objects", "rows"):
         ok = isinstance(value, (list, tuple))
         item = "numbers" if kind == "rows" else kind[:-1]
         items = [_as_kind(v, item) for v in value] if ok else [_FAIL]
-        return _FAIL if _FAIL in items else items
+        ragged = kind == "rows" and _FAIL not in items and len(set(map(len, items))) > 1
+        return _FAIL if _FAIL in items or ragged else items
     if kind == "time" and value is None:
         return None
     if kind in ("object", "string"):

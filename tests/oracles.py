@@ -39,7 +39,7 @@ def _simplex_partition(lp: LinearProgram) -> tuple[list[list[int]], list[int]]:
     """
     groups: list[list[int]] = []
     claimed: set[int] = set()
-    for row, rhs in zip(lp.eq_matrix, lp.eq_rhs):
+    for row, rhs in zip(lp.eq_matrix.toarray(), lp.eq_rhs):
         members = np.nonzero(np.abs(row) > 1e-12)[0]
         if abs(rhs - 1.0) > 1e-12 or not np.allclose(row[members], 1.0, atol=1e-12):
             raise ValueError("oracle handles only unit-sum (simplex) equality rows")

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import math
 import os
@@ -286,7 +287,7 @@ class TestBoundarySweep:
             def map(self, fn, jobs):
                 return map(fn, jobs)
 
-        monkeypatch.setattr(analysis, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         inst = single_expert_instance(0.5, [1.0], [1.0])
         sched = work_conserving_single(inst)

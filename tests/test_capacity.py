@@ -437,6 +437,29 @@ class TestPrimalGridScan:
         assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
+class TestRoutingLpMemory:
+    def test_wide_lp_peak_memory_is_bounded(self):
+        # 64 experts x 400 topics, each pair answerable with probability
+        # 0.5 except that expert 0 answers every topic (~13,000 pairs).
+        # Dense (rows, 1 + #pairs) constraint matrices peaked at 142 MiB;
+        # held sparse, memory grows with the pairs (~5 MiB).
+        rng = np.random.default_rng(10)
+        times = rng.uniform(1.0, 3.0, (64, 400))
+        times[1:][rng.random((63, 400)) < 0.5] = np.inf
+        experts = [ExpertProfile.from_mean_times(i, row) for i, row in enumerate(times)]
+        p = rng.random(400)
+        p /= p.sum()
+        multi_capacity_dual(p, experts)  # warm, so scipy's imports are not measured
+        tracemalloc.start()
+        try:
+            result = multi_capacity_dual(p, experts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.lambda_star > 0
+        assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
 class TestMultiCapacity:
     def test_identical_generalists(self):
         p = [1 / 3] * 3

@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -206,6 +209,8 @@ def malformed_cases():
     bad_times = single_expert_doc(times=(1, True))
     string_numbers = single_expert_doc(p=(0.5, "0.5"), times=(1, "2"))
     bad_s = [["1", 0, 0], [0, True, 0], [0, 0, 1]]
+    ragged_s = [[1, 0, 0], [0, 1], [0, 0, 1]]
+    ragged_pmf = {**single_expert_doc(), "pmf": [[0.5, 0.5], [1.0]]}
     routing = {**simulate, "instance": specialist_doc()}
     routing_verify = {**verify, "instance": specialist_doc()}
     return {
@@ -253,6 +258,21 @@ def malformed_cases():
             "verify",
             {**routing_verify, "routing_check": {"s": None}},
             "routing_check.s",
+        ),
+        "simulate-routing-s-ragged": (
+            "simulate",
+            {**routing, "scheduler": {"kind": "routing", "s": ragged_s}},
+            "scheduler.s",
+        ),
+        "verify-routing-s-ragged": (
+            "verify",
+            {**routing_verify, "routing_check": {"s": ragged_s}},
+            "routing_check.s",
+        ),
+        "capacity-pmf-ragged": (
+            "capacity",
+            {"instance": ragged_pmf, "mode": "single"},
+            "pmf",
         ),
         "simulate-horizon-null": ("simulate", {**simulate, "horizon": None}, "horizon"),
         "simulate-horizon-true": ("simulate", {**simulate, "horizon": True}, "horizon"),
@@ -347,6 +367,23 @@ def test_unexpected_error_keeps_its_traceback(tmp_path, runner, monkeypatch):
     assert result.exit_code == 1
     assert isinstance(result.exception, RuntimeError)
     assert "config error" not in result.output
+
+
+def test_import_leaves_out_the_process_pool_and_scipy_sparse():
+    """Loading the CLI imports neither the process pool (only a sweep with
+    ``workers > 1`` uses it) nor scipy.sparse (only an LP does)."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    code = (
+        "import sys, expertq.cli; "
+        "print([m for m in ('concurrent.futures.process', 'multiprocessing', "
+        "'scipy.sparse') if m in sys.modules])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 class TestSimulateCommand:

@@ -188,6 +188,13 @@ class TestSerialization:
         assert math.isinf(instance_from_dict(doc).experts[0].mean_time[1])
         assert json.dumps(doc)  # serializable as-is
 
+    def test_rectangular_pmf_of_the_wrong_width_names_topics(self):
+        # A ragged pmf is rejected earlier, as field 'pmf' (see test_cli.py).
+        doc = instance_to_dict(make_instance([[0.5, 0.5]] * 2, [[1.0, 1.0]] * 2))
+        doc["topics"] = 3
+        with pytest.raises(ValueError, match="has 2 entries, 'topics' declares 3"):
+            instance_from_dict(doc)
+
     def test_malformed_documents_raise(self):
         good = instance_to_dict(make_instance([[1.0]], [[1.0]]))
         for breakage in (
