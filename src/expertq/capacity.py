@@ -272,13 +272,15 @@ def routing_lp(
     ub.eliminate_zeros()  # a mass-free topic adds no load: store no zero
     included, row = np.unique(topic, return_inverse=True)
     eq = csr_array((np.ones(n_pairs), (row, col)), shape=(included.shape[0], 1 + n_pairs))
+    bounds = np.tile([0.0, 1.0], (1 + n_pairs, 1))
+    bounds[0, 1] = np.inf  # mu has no upper bound
     return LinearProgram(
         objective=np.concatenate([[1.0], np.zeros(n_pairs)]),
         eq_matrix=eq,
         eq_rhs=np.ones(included.shape[0]),
         ub_matrix=ub,
         ub_rhs=np.zeros(n),
-        bounds=((0.0, None),) + ((0.0, 1.0),) * n_pairs,
+        bounds=bounds,
     ), (expert, topic)
 
 

@@ -20,8 +20,8 @@ __all__ = ["LinearProgram", "LpSolution", "solve_lp"]
 class LinearProgram:
     """Minimize ``objective @ x`` subject to equality and <= constraints.
 
-    ``bounds[j]`` is a ``(lo, hi)`` pair per variable; ``hi`` may be None
-    for an unbounded variable. Both constraint matrices are stored as
+    ``bounds`` holds a ``(lo, hi)`` row per variable, with ``hi = np.inf``
+    for a variable unbounded above. Both constraint matrices are stored as
     ``scipy.sparse.csr_array`` (dense input is converted once), so memory
     grows with the non-zeros; empty blocks are (0, n) matrices.
     """
@@ -31,7 +31,7 @@ class LinearProgram:
     eq_rhs: np.ndarray
     ub_matrix: "scipy.sparse.csr_array"
     ub_rhs: np.ndarray
-    bounds: tuple[tuple[float, float | None], ...]
+    bounds: np.ndarray
 
     def __post_init__(self) -> None:
         from scipy.sparse import csr_array, issparse  # lazily, as in solve_lp
@@ -47,21 +47,21 @@ class LinearProgram:
         for name, a, b in (("equality", a_eq, b_eq), ("inequality", a_ub, b_ub)):
             if a.shape != (b.shape[0], n):  # a row per rhs, a column per variable
                 raise ValueError(f"{name} matrix is {a.shape}, not {(b.shape[0], n)}")
-        bounds = tuple(
-            (float(lo), None if hi is None else float(hi)) for lo, hi in self.bounds
-        )
-        if len(bounds) != n:
-            raise ValueError(f"{len(bounds)} bounds for {n} variables")
-        for j, (lo, hi) in enumerate(bounds):
-            if hi is not None and lo > hi:
-                raise ValueError(f"variable {j}: lower bound {lo} exceeds upper {hi}")
+        bounds = np.array(self.bounds, dtype=np.float64)  # a copy, frozen below
+        if bounds.shape != (n, 2):
+            raise ValueError(f"bounds are {bounds.shape}, not {(n, 2)}")
+        # Written so that NaN fails too: linprog would read it as "unbounded".
+        bad = np.nonzero(~(bounds[:, 0] <= bounds[:, 1]))[0]
+        if bad.size:
+            lo, hi = bounds[bad[0]]
+            raise ValueError(f"variable {bad[0]}: bounds ({lo}, {hi}) need lo <= hi")
         object.__setattr__(self, "objective", c)
         object.__setattr__(self, "eq_matrix", a_eq)
         object.__setattr__(self, "eq_rhs", b_eq)
         object.__setattr__(self, "ub_matrix", a_ub)
         object.__setattr__(self, "ub_rhs", b_ub)
         object.__setattr__(self, "bounds", bounds)
-        for arr in (c, b_eq, b_ub, a_eq.data, a_ub.data):
+        for arr in (c, b_eq, b_ub, bounds, a_eq.data, a_ub.data):
             arr.setflags(write=False)
 
     @property
@@ -100,7 +100,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         b_ub=lp.ub_rhs if lp.ub_rhs.shape[0] else None,
         A_eq=lp.eq_matrix if lp.eq_matrix.shape[0] else None,
         b_eq=lp.eq_rhs if lp.eq_rhs.shape[0] else None,
-        bounds=list(lp.bounds),
+        bounds=lp.bounds,
         method="highs",
     )
     if res.status == 0:

@@ -122,14 +122,14 @@ def brute_force_lp(lp: LinearProgram, resolution: float) -> LpSolution:
     # Cap for unbounded variables, derived from the numbers in the problem.
     finite = [abs(v) for v in np.concatenate([lp.ub_rhs, lp.eq_rhs])]
     finite += [abs(lo) for lo, _ in lp.bounds]
-    finite += [abs(hi) for _, hi in lp.bounds if hi is not None]
+    finite += [abs(hi) for _, hi in lp.bounds if hi != np.inf]
     cap = 2.0 * max([1.0] + finite)
 
     axes_vars: list[list[int]] = []
     axes_vals: list[np.ndarray] = []
     for j in free:
         lo, hi = lp.bounds[j]
-        hi = cap if hi is None else hi
+        hi = cap if hi == np.inf else hi
         count = int(np.floor((hi - lo) / resolution)) + 1
         _check_grid_size(count)
         vals = lo + resolution * np.arange(count, dtype=np.float64)
@@ -145,7 +145,7 @@ def brute_force_lp(lp: LinearProgram, resolution: float) -> LpSolution:
         ok = np.ones(combos.shape[0], dtype=bool)
         for k, j in enumerate(g):
             lo, hi = lp.bounds[j]
-            hi = 1.0 if hi is None else min(hi, 1.0)
+            hi = min(hi, 1.0)
             ok &= (combos[:, k] >= lo - 1e-12) & (combos[:, k] <= hi + 1e-12)
         combos = combos[ok]
         if combos.shape[0] == 0:

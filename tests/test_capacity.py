@@ -78,7 +78,7 @@ def loss_capacity_lp(p, q, epsilon):
     service[1:][q > 0] = p[q > 0] / q[q > 0]
     loss = np.concatenate([[p.sum()], -p])
     cap = np.hstack([-np.ones((n, 1)), np.eye(n)])
-    bounds = [(0.0, None)] + [(0.0, None if qx > 0 else 0.0) for qx in q]
+    bounds = [(0.0, np.inf)] + [(0.0, np.inf if qx > 0 else 0.0) for qx in q]
     sol = solve_lp(
         LinearProgram(
             objective=-np.eye(1 + n)[0],

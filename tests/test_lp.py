@@ -18,7 +18,7 @@ def lp_min_x_at_least_3():
         eq_rhs=[],
         ub_matrix=[[-1.0]],
         ub_rhs=[-3.0],
-        bounds=((0.0, None),),
+        bounds=((0.0, np.inf),),
     )
 
 
@@ -68,7 +68,7 @@ class TestSolveLp:
             eq_rhs=[],
             ub_matrix=[[1.0]],
             ub_rhs=[-1.0],
-            bounds=((0.0, None),),
+            bounds=((0.0, np.inf),),
         )
         sol = solve_lp(lp)
         assert sol.status == "infeasible"
@@ -89,7 +89,7 @@ class TestSolveLp:
             eq_rhs=[],
             ub_matrix=np.empty((0, 1)),
             ub_rhs=[],
-            bounds=((0.0, None),),
+            bounds=((0.0, np.inf),),
         )
         assert solve_lp(lp).status == "unbounded"
 
@@ -165,7 +165,7 @@ class TestLinearProgramValidation:
                 eq_rhs=[1.0],
                 ub_matrix=np.empty((0, 2)),
                 ub_rhs=[],
-                bounds=((0, None), (0, None)),
+                bounds=((0, np.inf), (0, np.inf)),
             )
 
     def test_inverted_bounds_rejected(self):
@@ -178,6 +178,36 @@ class TestLinearProgramValidation:
                 ub_rhs=[],
                 bounds=((2.0, 1.0),),
             )
+
+    @pytest.mark.parametrize("bound", [(np.nan, np.inf), (0.0, np.nan), (np.nan, np.nan)])
+    def test_nan_bound_rejected(self, bound):
+        # linprog reads a NaN bound as a missing one, so x >= 3 with a NaN
+        # lower bound used to solve as optimal at x = 3.
+        with pytest.raises(ValueError, match="variable 0"):
+            LinearProgram(
+                objective=[1.0],
+                eq_matrix=np.empty((0, 1)),
+                eq_rhs=[],
+                ub_matrix=[[-1.0]],
+                ub_rhs=[-3.0],
+                bounds=(bound,),
+            )
+
+    def test_bounds_need_one_row_per_variable(self):
+        with pytest.raises(ValueError, match="bounds are"):
+            LinearProgram(
+                objective=[1.0, 1.0],
+                eq_matrix=np.empty((0, 2)),
+                eq_rhs=[],
+                ub_matrix=np.empty((0, 2)),
+                ub_rhs=[],
+                bounds=((0.0, 1.0),),
+            )
+
+    def test_bounds_are_a_frozen_array(self):
+        lp = lp_min_x_at_least_3()
+        assert lp.bounds.shape == (1, 2) and lp.bounds.dtype == np.float64
+        assert not lp.bounds.flags.writeable
 
 
 class TestBruteForceOracle:
