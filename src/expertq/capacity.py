@@ -18,6 +18,8 @@ Covers the sustainable-load calculations this package is built around:
   vector. By weak duality it never exceeds the LP optimum, and at the
   LP's own weights it equals it, so ``1/g(alpha*)`` certifies the LP's
   capacity exactly without a second solver.
+* :func:`capacity_report` -- the capacity and certificate a config's
+  ``mode`` names, as ``expertq capacity`` writes them.
 
 All functions are pure and scale-covariant in the topic mass vector:
 feeding ``c * p`` divides every reported capacity by ``c``.
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lp import LinearProgram, solve_lp
-from .model import ExpertProfile, _frozen_array
+from .model import ExpertProfile, Instance, _frozen_array, config_field, merged_pmf
 
 __all__ = [
     "LossPolicy",
@@ -46,6 +48,7 @@ __all__ = [
     "multi_capacity_dual",
     "max_min_load",
     "routing_policy_violations",
+    "capacity_report",
 ]
 
 POLICY_TOL = 1e-7
@@ -345,6 +348,35 @@ def max_min_load(p_merged, experts: list[ExpertProfile], alpha) -> float:
     # Set after the multiply, so a zero weight never meets an inf ratio.
     terms[~answerable] = np.inf
     return float(terms.min(axis=0).sum())
+
+
+def capacity_report(inst: Instance, cfg: dict) -> dict:
+    """What ``expertq capacity`` writes for a config: its ``mode``, the
+    mode's certificate if it has one, and ``lambda_star``. ``single`` and
+    ``loss`` (with the config's ``epsilon``) need one expert; the ``multi``
+    modes report the system-level capacity, of the merged pmf normalised
+    back to a distribution over topics, ``multi-primal`` as the max-min
+    side at the LP's own weights."""
+    mode = config_field(cfg, "mode", "string")
+    if mode in ("single", "loss"):
+        if inst.n_experts != 1:
+            raise ValueError(f"mode {mode!r} needs a single-expert instance")
+        p, q = inst.arrivals.pmf[0], inst.experts[0].success_prob
+        if mode == "single":
+            return {"mode": mode, "lambda_star": single_capacity(p, q).lambda_star}
+        result = loss_capacity(p, q, config_field(cfg, "epsilon", "number"))
+        certificate = {"mu": result.certificate.mu, "epsilon": result.certificate.epsilon}
+        return {"mode": mode, "certificate": certificate, "lambda_star": result.lambda_star}
+    if mode not in ("multi-primal", "multi-dual"):
+        raise ValueError(f"unknown capacity mode {mode!r}")
+    p_system = merged_pmf(inst) / inst.n_experts
+    result = multi_capacity_dual(p_system, list(inst.experts))
+    cert, lam = result.certificate, result.lambda_star
+    certificate = {"s": cert.s, "dual_mu": cert.dual_mu}
+    if mode == "multi-primal":
+        certificate = {"alpha": cert.alpha}
+        lam = capacity_of(max_min_load(p_system, list(inst.experts), cert.alpha))
+    return {"mode": mode, "certificate": certificate, "lambda_star": lam}
 
 
 # Not API: the benchmark launcher still looks these names up to mark where

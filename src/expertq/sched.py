@@ -5,19 +5,23 @@ admission probabilities ``mu[x]``, a routing matrix ``s[i, x]`` and a
 selection rule. All randomness comes from the per-run streams handed in at
 each decision, so scheduler objects can be shared freely across concurrent
 runs. Policies are memoryless: decisions may read current queue lengths and
-the fixed tables, never per-request history.
+the fixed tables, never per-request history. :func:`build_scheduler`
+reads one from a config's ``scheduler`` object.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .capacity import LossPolicy, RoutingPolicy, routing_policy_violations
-from .model import Instance
+from .capacity import LossPolicy, RoutingPolicy, loss_capacity, multi_capacity_dual
+from .capacity import routing_policy_violations
+from .model import Instance, config_field, merged_pmf
 from .rng import RngStreams
 
 __all__ = [
+    "CertificateError",
     "Scheduler",
+    "build_scheduler",
     "work_conserving_single",
     "offline_loss_scheduler",
     "offline_routing_scheduler",
@@ -29,6 +33,17 @@ __all__ = [
 TIE_BREAKS = {"arbitrary": "first", "uniform_random": "uniform", "longest_queue": "longest"}
 SELECTION_MODES = {"request_weighted": "weighted", "topic_uniform": "uniform"}
 RULES = ("first", "longest", "uniform", "weighted")
+# The keys a config's scheduler object may hold besides "kind", per kind.
+SCHEDULER_KEYS = {
+    "work_conserving": ("tie_break",),
+    "loss": ("tie_break", "mu", "epsilon"),
+    "routing": ("s", "selection"),
+    "baseline": ("selection",),
+}
+
+
+class CertificateError(Exception):
+    """A scheduler needs a certificate that is neither given nor computable."""
 
 
 def _rule(name: str, allowed: dict[str, str], what: str) -> str:
@@ -184,3 +199,50 @@ def mismatch_baseline(inst: Instance, selection: str = "request_weighted") -> Sc
     s[slowest, np.arange(inst.n_topics)] = 1.0
     rule = _rule(selection, SELECTION_MODES, "selection mode")
     return Scheduler("baseline", inst, None, s, rule)
+
+
+def build_scheduler(inst: Instance, spec: dict) -> Scheduler:
+    """The scheduler a config's ``scheduler`` object names by ``kind``,
+    with only the keys ``SCHEDULER_KEYS`` lists for that kind. A loss
+    policy missing ``mu`` is computed from ``epsilon``, a routing policy
+    missing ``s`` by the load-balancing LP. Raises ValueError naming a
+    malformed or unused field, and CertificateError when the policy
+    can be neither read nor computed."""
+    root = {"scheduler": spec}  # so that errors name 'scheduler.<field>'
+    kind = config_field(root, "scheduler.kind", "string")
+    if kind not in SCHEDULER_KEYS:
+        raise ValueError(f"unknown scheduler kind {kind!r}")
+    for key in spec:
+        if key not in ("kind", *SCHEDULER_KEYS[kind]):
+            takes = SCHEDULER_KEYS[kind]
+            raise ValueError(f"config field 'scheduler.{key}': kind {kind!r} takes only {takes}")
+    tie_break = config_field(root, "scheduler.tie_break", "string", "arbitrary")
+    selection = config_field(root, "scheduler.selection", "string", "request_weighted")
+    epsilon = config_field(root, "scheduler.epsilon", "number", None)
+    mu = config_field(root, "scheduler.mu", "numbers", None)
+    s = config_field(root, "scheduler.s", "rows", None)
+    try:
+        if kind == "work_conserving":
+            return work_conserving_single(inst, tie_break=tie_break)
+        if kind == "loss":
+            if mu is not None:
+                policy = LossPolicy(mu, 0.0 if epsilon is None else epsilon)
+            elif epsilon is None:
+                message = "loss scheduler needs 'mu' or an 'epsilon' to compute it from"
+                raise CertificateError(message)
+            else:
+                p, q = inst.arrivals.pmf[0], inst.experts[0].success_prob
+                policy = loss_capacity(p, q, epsilon).certificate
+            return offline_loss_scheduler(inst, policy, tie_break=tie_break)
+        if kind == "baseline":
+            return mismatch_baseline(inst, selection=selection)
+        if s is not None:
+            policy = RoutingPolicy(s=s)
+        else:
+            try:
+                policy = multi_capacity_dual(merged_pmf(inst), list(inst.experts)).certificate
+            except ValueError as exc:
+                raise CertificateError(f"cannot compute a routing matrix: {exc}") from exc
+        return offline_routing_scheduler(inst, policy, selection=selection)
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"bad scheduler config: {exc}") from exc

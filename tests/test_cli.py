@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from expertq import cli
+from expertq import cli, sched
 from expertq.cli import main
 from expertq.model import load_instance, validate_instance
 
@@ -319,6 +319,75 @@ def malformed_cases():
             "simulate",
             {**simulate, "scheduler": {"kind": "baseline", "selection": None}},
             "scheduler.selection",
+        ),
+        "simulate-routing-ignored-keys": (
+            "simulate",
+            {
+                **routing,
+                "scheduler": {
+                    "kind": "routing",
+                    "tie_break": "longest-queue",
+                    "epsilon": 0.3,
+                    "mu": [0.5, 0.5, 0.5],
+                },
+            },
+            "scheduler.tie_break",
+        ),
+        "simulate-routing-ignored-mu": (
+            "simulate",
+            {**routing, "scheduler": {"kind": "routing", "mu": [1.0, 1.0, 1.0]}},
+            "scheduler.mu",
+        ),
+        "simulate-routing-ignored-epsilon": (
+            "simulate",
+            {**routing, "scheduler": {"kind": "routing", "epsilon": 0.1}},
+            "scheduler.epsilon",
+        ),
+        "simulate-work-conserving-ignored-selection": (
+            "simulate",
+            {
+                **simulate,
+                "scheduler": {"kind": "work_conserving", "selection": "topic_uniform"},
+            },
+            "scheduler.selection",
+        ),
+        "simulate-work-conserving-ignored-mu": (
+            "simulate",
+            {**simulate, "scheduler": {"kind": "work_conserving", "mu": [1.0, 0.5]}},
+            "scheduler.mu",
+        ),
+        "simulate-loss-ignored-s": (
+            "simulate",
+            {**simulate, "scheduler": {"kind": "loss", "epsilon": 0.1, "s": [[1.0, 1.0]]}},
+            "scheduler.s",
+        ),
+        "simulate-loss-ignored-selection": (
+            "simulate",
+            {
+                **simulate,
+                "scheduler": {"kind": "loss", "mu": [1, 1], "selection": "topic_uniform"},
+            },
+            "scheduler.selection",
+        ),
+        "simulate-baseline-ignored-tie-break": (
+            "simulate",
+            {**routing, "scheduler": {"kind": "baseline", "tie_break": "arbitrary"}},
+            "scheduler.tie_break",
+        ),
+        "simulate-baseline-ignored-s": (
+            "simulate",
+            {**routing, "scheduler": {"kind": "baseline", "s": np.eye(3).tolist()}},
+            "scheduler.s",
+        ),
+        "simulate-unknown-scheduler-key": (
+            "simulate",
+            {**simulate, "scheduler": {"kind": "work_conserving", "seed": 3}},
+            "scheduler.seed",
+        ),
+        "sweep-work-conserving-ignored-epsilon": (
+            "sweep",
+            {**sweep, "scheduler": {"kind": "work_conserving", "epsilon": 0.1}},
+            "scheduler.epsilon",
         ),
         "capacity-epsilon-null": (
             "capacity",
@@ -701,9 +770,10 @@ class TestShippedConfigs:
         if "topics" in doc:  # an instance document that configs point at
             assert validate_instance(load_instance(path)) == []
             return
-        inst = cli._instance_from_config(doc, str(path))
+        cfg, inst = cli._read_config(str(path))
+        assert cfg == doc
         if "scheduler" in doc:
-            scheduler = cli._build_scheduler(inst, doc["scheduler"])
+            scheduler = sched.build_scheduler(inst, doc["scheduler"])
             assert scheduler.kind == doc["scheduler"]["kind"]
 
     @pytest.mark.parametrize("case", sorted(mistyped_shipped_configs()))
