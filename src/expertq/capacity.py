@@ -21,8 +21,8 @@ Covers the sustainable-load calculations this package is built around:
 * :func:`capacity_report` -- the capacity and certificate a config's
   ``mode`` names, as ``expertq capacity`` writes them.
 
-All functions are pure and scale-covariant in the topic mass vector:
-feeding ``c * p`` divides every reported capacity by ``c``.
+All functions are pure, and those of a topic mass vector are scale-covariant
+in it: feeding ``c * p`` divides every reported capacity by ``c``.
 """
 
 from __future__ import annotations
