@@ -356,8 +356,13 @@ def capacity_report(inst: Instance, cfg: dict) -> dict:
     ``loss`` (with the config's ``epsilon``) need one expert; the ``multi``
     modes report the system-level capacity, of the merged pmf normalised
     back to a distribution over topics, ``multi-primal`` as the max-min
-    side at the LP's own weights."""
+    side at the LP's own weights. Raises ValueError on an unknown mode or
+    an ``epsilon`` in any mode but ``loss``."""
     mode = config_field(cfg, "mode", "string")
+    if mode not in ("single", "loss", "multi-primal", "multi-dual"):
+        raise ValueError(f"unknown capacity mode {mode!r}")
+    if "epsilon" in cfg and mode != "loss":
+        raise ValueError(f"config field 'epsilon': only mode 'loss' takes it, not {mode!r}")
     if mode in ("single", "loss"):
         if inst.n_experts != 1:
             raise ValueError(f"mode {mode!r} needs a single-expert instance")
@@ -367,8 +372,6 @@ def capacity_report(inst: Instance, cfg: dict) -> dict:
         result = loss_capacity(p, q, config_field(cfg, "epsilon", "number"))
         certificate = {"mu": result.certificate.mu, "epsilon": result.certificate.epsilon}
         return {"mode": mode, "certificate": certificate, "lambda_star": result.lambda_star}
-    if mode not in ("multi-primal", "multi-dual"):
-        raise ValueError(f"unknown capacity mode {mode!r}")
     p_system = merged_pmf(inst) / inst.n_experts
     result = multi_capacity_dual(p_system, list(inst.experts))
     cert, lam = result.certificate, result.lambda_star

@@ -14,11 +14,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["RngStreams", "UniformBuffer"]
+__all__ = ["DRAW_BLOCK_BYTES", "RngStreams", "UniformBuffer", "block_rows"]
 
 _PURPOSES = ("arrivals", "admission", "routing", "selection", "service")
-# Uniforms a UniformBuffer draws at once.
-UNIFORM_BLOCK = 8192
+# Bytes of float64 uniforms drawn from a generator at once, by every
+# pre-drawn block: a UniformBuffer refill, an arrival block in sim.run and
+# a round block of the geometric service check. PCG64 doubles do not depend
+# on how the draws are split, so the budget changes memory, never a value.
+DRAW_BLOCK_BYTES = 1 << 15
+
+
+def block_rows(row_bytes: int = 8) -> int:
+    """Rows of ``row_bytes`` uniform bytes that fit in ``DRAW_BLOCK_BYTES``,
+    at least one; read at call time, so patching the budget reaches every
+    block."""
+    return max(1, DRAW_BLOCK_BYTES // row_bytes)
 
 
 class UniformBuffer:
@@ -38,7 +48,7 @@ class UniformBuffer:
 
     def next(self) -> float:
         if self._pos >= len(self._buf):
-            self._buf = self._gen.random(UNIFORM_BLOCK).tolist()
+            self._buf = self._gen.random(block_rows()).tolist()
             self._pos = 0
         v = self._buf[self._pos]
         self._pos += 1

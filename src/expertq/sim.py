@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .model import Instance, validate_instance
-from .rng import RngStreams
+from .rng import RngStreams, block_rows
 from .sched import Scheduler
 
 __all__ = [
@@ -38,13 +38,6 @@ __all__ = [
     "geometric_service_check",
     "write_trace_csv",
 ]
-
-# Bytes of float64 uniforms drawn for arrivals at once: 16384 slots at
-# 1 expert x 2 topics, 20 slots at 32 x 50. Splitting the draws into
-# blocks does not change them.
-ARRIVAL_BLOCK_BYTES = 1 << 18
-# Uniforms the geometric service check draws at once (512 KiB of float64).
-GEOMETRIC_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -325,10 +318,12 @@ def run(config: SimConfig) -> TraceStats:
         busy = np.empty((horizon, n), dtype=bool)
 
     n_topics = engine.n_topics
-    block_rows = max(1, ARRIVAL_BLOCK_BYTES // (8 * n * n_topics))
+    # rng.DRAW_BLOCK_BYTES of uniforms per block: 2048 slots at 1 expert x
+    # 2 topics, 85 at 4 x 12, 2 at 32 x 50.
+    rows = block_rows(8 * n * n_topics)
     done = 0
     while done < horizon:
-        block = min(block_rows, horizon - done)
+        block = min(rows, horizon - done)
         slot_l, exp_l, top_l = _draw_arrivals(engine, block)
         ptr = 0
         n_hits = len(slot_l)
@@ -407,7 +402,7 @@ def geometric_service_check(
     its uniform draw lands below ``q_val``; returns the average number of
     slots consumed. Should match 1/q within a few standard errors of the
     geometric distribution. Each round draws its uniforms in blocks of
-    ``GEOMETRIC_BLOCK``, which does not change them, so memory does not
+    ``rng.DRAW_BLOCK_BYTES``, which does not change them, so memory does not
     grow with ``trials``.
     """
     if not (0.0 < q_val <= 1.0):
@@ -417,14 +412,15 @@ def geometric_service_check(
         raise ValueError("trials must be at least 1")
     alive = trials
     slots_used = 0
+    block = block_rows()
     max_rounds = int(200.0 / q_val) + 200
     for _ in range(max_rounds):
         if alive == 0:
             break
         slots_used += alive
         failures = 0
-        for start in range(0, alive, GEOMETRIC_BLOCK):
-            draws = rng.random(min(GEOMETRIC_BLOCK, alive - start))
+        for start in range(0, alive, block):
+            draws = rng.random(min(block, alive - start))
             failures += int(np.count_nonzero(draws >= q_val))
         alive = failures
     if alive:

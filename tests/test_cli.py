@@ -333,6 +333,16 @@ def malformed_cases():
             },
             "scheduler.tie_break",
         ),
+        "capacity-multi-dual-epsilon": (
+            "capacity",
+            {"instance": specialist_doc(), "mode": "multi-dual", "epsilon": 0.5},
+            "epsilon",
+        ),
+        "capacity-single-epsilon": (
+            "capacity",
+            {"instance": single_expert_doc(), "mode": "single", "epsilon": 0.5},
+            "epsilon",
+        ),
         "simulate-routing-ignored-mu": (
             "simulate",
             {**routing, "scheduler": {"kind": "routing", "mu": [1.0, 1.0, 1.0]}},

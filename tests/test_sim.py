@@ -5,10 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from expertq import sim
+from expertq import rng
 from expertq.capacity import RoutingPolicy, multi_capacity_dual
 from expertq.model import ArrivalSpec, ExpertProfile, Instance, merged_pmf
-from expertq.rng import RngStreams
+from expertq.rng import RngStreams, UniformBuffer
 from expertq.sched import offline_routing_scheduler, work_conserving_single
 from expertq.sim import (
     QueueState,
@@ -289,9 +289,21 @@ def uniform_routing(inst):
     return offline_routing_scheduler(inst, RoutingPolicy(s=s))
 
 
+class CountingGenerator:
+    """Forwards ``random`` to a generator and records each draw's size."""
+
+    def __init__(self, gen) -> None:
+        self.gen = gen
+        self.sizes: list = []
+
+    def random(self, size=None):
+        self.sizes.append(size)
+        return self.gen.random(size)
+
+
 class TestArrivalBlocks:
-    """The arrival draw is split into blocks by bytes; the split must not
-    change a single draw."""
+    """Every pre-drawn block is sized by ``rng.DRAW_BLOCK_BYTES``; the split
+    must not change a single draw."""
 
     @staticmethod
     def outcome(stats):
@@ -315,14 +327,37 @@ class TestArrivalBlocks:
             ],
         )
 
+    @staticmethod
+    def counting_streams(monkeypatch):
+        """Make every RngStreams count its draws; returns the streams made."""
+        made = []
+        from_seed = RngStreams.from_seed
+
+        def counted(seed):
+            streams = from_seed(seed)
+            streams.arrivals = CountingGenerator(streams.arrivals)
+            for name in ("admission", "routing", "selection", "service"):
+                buffer = getattr(streams, name)
+                buffer._gen = CountingGenerator(buffer._gen)
+            made.append(streams)
+            return streams
+
+        monkeypatch.setattr(RngStreams, "from_seed", staticmethod(counted))
+        return made
+
     @pytest.mark.parametrize("kind", ["single", "routing"])
     def test_block_size_does_not_change_the_trajectory(self, monkeypatch, kind):
+        # The routing case selects request-weighted, so its routing,
+        # selection and service streams all draw; the single case draws for
+        # uniform-random selection and service.
         if kind == "single":
             inst = single_expert_instance(0.7, [0.5, 0.3, 0.2], [1.0, 0.5, 0.25])
             sched = work_conserving_single(inst, tie_break="uniform-random")
+            streams_used = ("selection", "service")
         else:
             inst = generalist_instance(0.3, 3, 4)
             sched = uniform_routing(inst)
+            streams_used = ("routing", "selection", "service")
         config = SimConfig(
             instance=inst,
             scheduler=sched,
@@ -333,13 +368,27 @@ class TestArrivalBlocks:
         )
         reference = self.outcome(run(config))
         row_bytes = 8 * inst.n_experts * inst.n_topics
-        for budget in (1, 3 * row_bytes):
-            monkeypatch.setattr(sim, "ARRIVAL_BLOCK_BYTES", budget)
+        made = self.counting_streams(monkeypatch)
+        # Budgets of one uniform per refill and one slot per arrival block,
+        # of three uniforms per refill, and of three slots per arrival block.
+        for budget in (1, 24, 3 * row_bytes):
+            monkeypatch.setattr(rng, "DRAW_BLOCK_BYTES", budget)
             assert self.outcome(run(config)) == reference
+            streams = made[-1]
+            refill = max(1, budget // 8)
+            for name in streams_used:
+                sizes = getattr(streams, name)._gen.sizes
+                assert len(sizes) > 10 and set(sizes) == {refill}, name
+            assert streams.admission._gen.sizes == []
+            slots = max(1, budget // row_bytes)
+            blocks = [size[0] for size in streams.arrivals.sizes]
+            assert sum(blocks) == config.horizon
+            assert set(blocks[:-1]) == {slots}
 
     def test_wide_run_peak_memory_is_bounded(self):
         # 32 experts x 50 topics: an arrival block of 2000 slots held 28.8 MB
-        # of uniforms and hit mask; blocks of 256 KiB keep the whole run small.
+        # of uniforms and hit mask; blocks of rng.DRAW_BLOCK_BYTES keep the
+        # whole run small.
         inst = generalist_instance(0.3, 32, 50)
         config = SimConfig(
             instance=inst, scheduler=uniform_routing(inst), horizon=2000, seed=1
@@ -352,6 +401,41 @@ class TestArrivalBlocks:
             tracemalloc.stop()
         assert stats.throughput > 0
         assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+    def test_single_expert_sweep_cell_peak_memory_is_bounded(self):
+        # A sweep-single cell above capacity: 60 000 slots at 1 x 2. Blocks of
+        # 256 KiB of arrival uniforms and 8192-uniform refills peaked at
+        # 1.68 MiB; the 32 KiB draw budget peaks at 0.41 MiB.
+        inst = single_expert_instance(0.54, [0.6, 0.4], [0.5, 1 / 3.25])
+        config = SimConfig(
+            instance=inst,
+            scheduler=work_conserving_single(inst, tie_break="longest-queue"),
+            horizon=60_000,
+            seed=3,
+        )
+        # A short run first, so one-time allocations are not counted.
+        run(SimConfig(instance=inst, scheduler=config.scheduler, horizon=10, seed=3))
+        tracemalloc.start()
+        try:
+            stats = run(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stats.final_state.q.sum() > 0
+        assert peak < 0.75 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
+class TestUniformBuffer:
+    @pytest.mark.parametrize("budget", [None, 24])
+    def test_next_replays_the_native_sequence(self, monkeypatch, budget):
+        # Across several refills, one value at a time, the buffer returns
+        # exactly what one draw of the whole length returns.
+        if budget is not None:
+            monkeypatch.setattr(rng, "DRAW_BLOCK_BYTES", budget)
+        count = 3 * rng.block_rows() + 5
+        buffer = UniformBuffer(np.random.default_rng(8))
+        reference = np.random.default_rng(8).random(count).tolist()
+        assert [buffer.next() for _ in range(count)] == reference
 
 
 class TestGeometricService:
@@ -391,7 +475,7 @@ class TestGeometricService:
     @pytest.mark.parametrize("q_val", [0.5, 0.1])
     def test_blocks_match_one_shot_draws(self, q_val):
         # The first rounds span four blocks, the last ones part of one.
-        trials = 3 * sim.GEOMETRIC_BLOCK + 17
+        trials = 3 * (rng.DRAW_BLOCK_BYTES // 8) + 17
         blocked = np.random.default_rng(21)
         reference = np.random.default_rng(21)
         mean = geometric_service_check(q_val, trials, blocked)
