@@ -19,6 +19,7 @@ import numpy as np
 from .capacity import (
     RoutingPolicy,
     capacity_of,
+    degraded_capacity,
     max_min_load,
     multi_capacity_dual,
     routing_policy_violations,
@@ -67,7 +68,6 @@ class DriftReport:
     delta: float
     busy_slots: int
     std_error: float
-    lyapunov_series: np.ndarray
 
     def within(self, n_std_errors: float = 4.0) -> bool:
         return abs(self.empirical_drift - self.predicted_drift) <= (
@@ -121,7 +121,6 @@ def drift_check(stats: TraceStats, p, q, lam: float, expert: int = 0) -> DriftRe
         delta=delta,
         busy_slots=int(steps.size),
         std_error=std_error,
-        lyapunov_series=level,
     )
 
 
@@ -130,11 +129,13 @@ def classify_stability(
 ) -> StabilityVerdict:
     """Classify a finished run as stable, unstable, or inconclusive.
 
-    The default threshold is 0.01 * lam requests per slot. The slope is a
-    least-squares fit of the sampled total queue against time over the
-    final half of the horizon.
+    The default threshold is 0.01 * lam requests per slot; a given one must
+    be finite and positive. The slope is a least-squares fit of the sampled
+    total queue against time over the final half of the horizon.
     """
     threshold = 0.01 * lam if slope_threshold is None else float(slope_threshold)
+    if slope_threshold is not None and not (0.0 < threshold < math.inf):
+        raise ValueError(f"field 'slope_threshold' must be finite and > 0, got {threshold}")
     times = stats.sample_times
     totals = stats.total_queue_series
     mask = times >= stats.horizon / 2
@@ -230,6 +231,8 @@ def capacity_boundary_sweep(
     if list(lambdas) != sorted(lambdas):
         raise ValueError("load grid must be sorted ascending")
     seeds = tuple(int(s) for s in seeds)
+    if not (lambdas and seeds):
+        raise ValueError("a sweep needs at least one load and one seed")
     jobs = [
         (inst, sched, lam, seed, horizon, sample_interval, slope_threshold)
         for lam in lambdas
@@ -245,20 +248,15 @@ def capacity_boundary_sweep(
     else:
         cells = tuple(_sweep_cell(job) for job in jobs)
 
-    lambda_lo = None
-    lambda_hi = None
-    for lam in lambdas:
-        verdicts = [c.verdict for c in cells if c.lam == lam]
-        if verdicts and all(v == "stable" for v in verdicts):
-            lambda_lo = lam if lambda_lo is None else max(lambda_lo, lam)
-        if verdicts and all(v == "unstable" for v in verdicts):
-            lambda_hi = lam if lambda_hi is None else min(lambda_hi, lam)
+    verdicts = {lam: {c.verdict for c in cells if c.lam == lam} for lam in lambdas}
+    stable = [lam for lam, seen in verdicts.items() if seen == {"stable"}]
+    unstable = [lam for lam, seen in verdicts.items() if seen == {"unstable"}]
     return SweepResult(
         cells=cells,
         lambdas=lambdas,
         seeds=seeds,
-        lambda_lo=lambda_lo,
-        lambda_hi=lambda_hi,
+        lambda_lo=max(stable, default=None),
+        lambda_hi=min(unstable, default=None),
     )
 
 
@@ -300,7 +298,6 @@ class MisestimationRun:
 @dataclass(frozen=True)
 class MisestimationResult:
     runs: tuple[MisestimationRun, ...]
-    gamma: float
 
     @property
     def all_stable(self) -> bool:
@@ -331,6 +328,9 @@ def misestimation_check(
         raise ValueError("misestimation check is defined for a single expert")
     if not (0.0 < gamma <= 1.0):
         raise ValueError("gamma must lie in (0, 1]")
+    seeds = [int(seed) for seed in seeds]
+    if not seeds:
+        raise ValueError("misestimation check needs at least one seed")
     generator = _default_inflate if inflate is None else inflate
     true_times = inst.experts[0].mean_time
     p = inst.arrivals.pmf[0]
@@ -339,7 +339,7 @@ def misestimation_check(
     runs = []
     for seed in seeds:
         rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence([int(seed), 0x7E57]))
+            np.random.PCG64(np.random.SeedSequence([seed, 0x7E57]))
         )
         estimated = np.asarray(generator(true_times, gamma, rng), dtype=np.float64)
         if estimated.shape != true_times.shape:
@@ -351,9 +351,9 @@ def misestimation_check(
             )
         q_hat = ExpertProfile.from_mean_times(0, estimated).success_prob
         estimated_capacity = single_capacity(p, q_hat).lambda_star
-        lam = LOAD_FRACTION * (gamma * estimated_capacity)
+        lam = LOAD_FRACTION * degraded_capacity(p, q_hat, gamma)
         # A sample every 100 slots, and classify_stability's default threshold.
-        cell = _sweep_cell((inst, sched, lam, int(seed), horizon, 100, None))
+        cell = _sweep_cell((inst, sched, lam, seed, horizon, 100, None))
         runs.append(
             MisestimationRun(
                 seed=cell.seed,
@@ -363,7 +363,7 @@ def misestimation_check(
                 growth_slope=cell.growth_slope,
             )
         )
-    return MisestimationResult(runs=tuple(runs), gamma=float(gamma))
+    return MisestimationResult(runs=tuple(runs))
 
 
 def verify(inst: Instance, cfg: dict, seed: int) -> list[dict]:

@@ -276,20 +276,20 @@ _KINDS = {
     "number": "a number",
     "string": "a string",
     "object": "a JSON object",
-    "integers": "a list of integers",
-    "numbers": "a list of numbers",
-    "times": "a list of numbers or nulls",
-    "objects": "a list of JSON objects",
-    "rows": "a list of equal-length lists of numbers",
+    "integers": "a non-empty list of integers",
+    "numbers": "a non-empty list of numbers",
+    "times": "a non-empty list of numbers or nulls",
+    "objects": "a non-empty list of JSON objects",
+    "rows": "a non-empty list of equal-length non-empty lists of numbers",
 }
 
 
 def _as_kind(value, kind: str):
-    """``value`` converted to ``kind``, or ``_FAIL`` if it is not one. The
-    items of a list kind are of the kind without its final s, those of
+    """``value`` converted to ``kind``, or ``_FAIL`` if it is not one. A list
+    kind is non-empty, with items of the kind without its final s; those of
     ``rows`` are equal-length ``numbers``, and a ``time`` is a number or None."""
     if kind in ("integers", "numbers", "times", "objects", "rows"):
-        ok = isinstance(value, (list, tuple))
+        ok = isinstance(value, (list, tuple)) and len(value) > 0
         item = "numbers" if kind == "rows" else kind[:-1]
         items = [_as_kind(v, item) for v in value] if ok else [_FAIL]
         ragged = kind == "rows" and _FAIL not in items and len(set(map(len, items))) > 1

@@ -11,6 +11,7 @@ trajectory.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -34,25 +35,19 @@ def block_rows(row_bytes: int = 8) -> int:
 class UniformBuffer:
     """Block-buffered scalar uniforms from one generator.
 
-    Pops Python floats from a pre-drawn block; refills transparently. The
-    consumption order is exactly the generator's native sequence, so
+    ``next()`` pops Python floats from a chain of refills of
+    ``block_rows()`` uniforms, each drawn when the previous one is spent.
+    The consumption order is exactly the generator's native sequence, so
     buffering does not change any trajectory.
     """
 
-    __slots__ = ("_gen", "_buf", "_pos")
+    __slots__ = ("next",)
 
     def __init__(self, gen: np.random.Generator) -> None:
-        self._gen = gen
-        self._buf: list[float] = []
-        self._pos = 0
-
-    def next(self) -> float:
-        if self._pos >= len(self._buf):
-            self._buf = self._gen.random(block_rows()).tolist()
-            self._pos = 0
-        v = self._buf[self._pos]
-        self._pos += 1
-        return v
+        # Endless (a list is never None), and holding the generator, not the
+        # buffer: a reference back would make a cycle that outlives the run.
+        refills = iter(lambda: gen.random(block_rows()).tolist(), None)
+        self.next = chain.from_iterable(refills).__next__
 
 
 @dataclass

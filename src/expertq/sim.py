@@ -63,9 +63,9 @@ class QueueState:
     """Snapshot of all virtual queues plus flow counters.
 
     ``q[x, i]`` is the number of topic-x requests pending at expert i.
-    ``cum_arrivals`` counts enqueues by destination queue, so per (x, i):
-    cum_arrivals - cum_departures == q - q_at_reset. ``cum_losses`` counts
-    door rejections at the expert where the request arrived.
+    ``cum_arrivals`` counts enqueues by destination queue; the engine derives
+    it from cum_arrivals - cum_departures == q - q_at_reset per (x, i).
+    ``cum_losses`` counts door rejections at the expert where they arrived.
     """
 
     q: np.ndarray
@@ -105,7 +105,6 @@ class TraceStats:
     """
 
     horizon: int
-    sample_interval: int
     sample_times: np.ndarray
     total_queue_series: np.ndarray
     cum_loss_series: np.ndarray
@@ -148,7 +147,8 @@ class _Engine:
         self.qprob = [[float(v) for v in e.success_prob] for e in inst.experts]
         self.t = state.t
         self.queues = state.q.T.astype(np.int64).tolist()
-        self.cum_arr = state.cum_arrivals.T.astype(np.int64).tolist()
+        # Flow conservation: cum_arrivals - q - cum_departures never changes.
+        self.arr_offset = state.cum_arrivals - state.q - state.cum_departures
         self.cum_dep = state.cum_departures.T.astype(np.int64).tolist()
         self.cum_loss = state.cum_losses.T.astype(np.int64).tolist()
         self.totals = [sum(row) for row in self.queues]
@@ -161,11 +161,14 @@ class _Engine:
             arr.setflags(write=False)
             return arr
 
+        q, cum_dep = pack(self.queues), pack(self.cum_dep)
+        cum_arr = self.arr_offset + q + cum_dep
+        cum_arr.setflags(write=False)
         return QueueState(
-            q=pack(self.queues),
+            q=q,
             t=self.t,
-            cum_arrivals=pack(self.cum_arr),
-            cum_departures=pack(self.cum_dep),
+            cum_arrivals=cum_arr,
+            cum_departures=cum_dep,
             cum_losses=pack(self.cum_loss),
         )
 
@@ -180,7 +183,6 @@ class _Engine:
                 j = sched.route(x, i, streams)
                 queues[j][x] += 1
                 totals[j] += 1
-                self.cum_arr[j][x] += 1
             else:
                 self.cum_loss[i][x] += 1
                 self.losses_total += 1
@@ -371,7 +373,6 @@ def run(config: SimConfig) -> TraceStats:
 
     return TraceStats(
         horizon=horizon,
-        sample_interval=interval,
         sample_times=np.array(sample_times, dtype=np.int64),
         total_queue_series=np.array(sample_queue, dtype=np.int64),
         cum_loss_series=np.array(sample_loss, dtype=np.int64),

@@ -171,6 +171,21 @@ class TestClassifyStability:
         strict = classify_stability(stats, 0.5, slope_threshold=1e-12)
         assert strict.slope_threshold == 1e-12
 
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf, 0.0, -0.01])
+    def test_threshold_must_be_finite_and_positive(self, threshold):
+        # A NaN threshold used to call every run inconclusive.
+        inst = single_expert_instance(0.5, [1.0], [1.0])
+        stats = run(
+            SimConfig(
+                instance=inst,
+                scheduler=work_conserving_single(inst),
+                horizon=1000,
+                seed=4,
+            )
+        )
+        with pytest.raises(ValueError, match="'slope_threshold' must be finite and > 0"):
+            classify_stability(stats, 0.5, slope_threshold=threshold)
+
 
 class TestBoundarySweep:
     def test_brackets_single_expert_capacity(self):
@@ -255,6 +270,14 @@ class TestBoundarySweep:
             inst, sched, grid, horizon=10_000, seeds=[0, 1], workers=2
         )
         assert serial.cells == parallel.cells
+
+    @pytest.mark.parametrize("grid, seeds", [([], [0]), ([0.4], [])])
+    def test_empty_grid_or_seed_list_rejected(self, grid, seeds):
+        # Either used to give a sweep with no cells that exited cleanly.
+        inst = single_expert_instance(0.5, [1.0], [1.0])
+        sched = work_conserving_single(inst)
+        with pytest.raises(ValueError, match="at least one load and one seed"):
+            capacity_boundary_sweep(inst, sched, grid, horizon=10, seeds=seeds)
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_non_positive_workers_rejected(self, workers):
@@ -457,6 +480,11 @@ class TestMisestimation:
         guaranteed = degraded_capacity([0.5, 0.5], [1.0, 0.5], 0.55)
         assert r.lam == analysis.LOAD_FRACTION * guaranteed
         assert r.estimated_capacity == single_capacity([0.5, 0.5], [1.0, 0.5]).lambda_star
+
+    def test_empty_seed_list_rejected(self):
+        # No runs used to mean all_stable.
+        with pytest.raises(ValueError, match="at least one seed"):
+            misestimation_check(self.base_instance(), gamma=0.5, seeds=[], horizon=10)
 
     def test_bound_violations_rejected_before_simulation(self):
         with pytest.raises(ValueError, match="bound"):

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -404,6 +405,29 @@ def malformed_cases():
             {"instance": single_expert_doc(), "mode": "loss", "epsilon": None},
             "epsilon",
         ),
+        # An empty list used to run on no evidence: a sweep with no cells,
+        # or a verify that passed without a check.
+        "sweep-lambdas-empty": ("sweep", {**sweep, "lambdas": []}, "lambdas"),
+        "sweep-seeds-empty": ("sweep", {**sweep, "seeds": []}, "seeds"),
+        "verify-misestimation-seeds-empty": (
+            "verify",
+            {**single_verify, "misestimation": {"seeds": []}},
+            "misestimation.seeds",
+        ),
+        "verify-q-values-empty": (
+            "verify",
+            {**verify, "geometric": {"q_values": []}},
+            "geometric.q_values",
+        ),
+        # A NaN threshold used to call every cell inconclusive.
+        **{
+            f"sweep-slope-threshold-{value}": (
+                "sweep",
+                {**sweep, "slope_threshold": value},
+                "slope_threshold",
+            )
+            for value in (math.nan, math.inf, -math.inf, 0.0, -0.01)
+        },
     }
 
 

@@ -1,3 +1,4 @@
+import gc
 import math
 import pickle
 import tracemalloc
@@ -129,6 +130,34 @@ class TestFlowConservation:
                 assert events.assignments[i] == x
         final = state
         assert np.array_equal(final.cum_arrivals - final.cum_departures, final.q)
+
+    def test_arrivals_count_enqueues_from_a_mid_run_reset(self):
+        # cum_arrivals - cum_departures = 6 here, not q = 2: the engine must
+        # add each slot's enqueues to the counter it was given.
+        inst = generalist_instance(0.3, 3, 4)
+        sched = uniform_routing(inst)
+        streams = RngStreams.from_seed(21)
+        shape = (inst.n_topics, inst.n_experts)
+        state = QueueState(
+            q=np.full(shape, 2),
+            t=40,
+            cum_arrivals=np.full(shape, 7),
+            cum_departures=np.full(shape, 1),
+            cum_losses=np.zeros(shape, dtype=np.int64),
+        )
+        start = state
+        enqueued = np.zeros(shape, dtype=np.int64)
+        for _ in range(300):
+            before = state
+            state, events = step(state, inst, sched, streams)
+            slot = np.zeros(shape, dtype=np.int64)
+            for x, j in events.enqueued:
+                slot[x, j] += 1
+            assert np.array_equal(state.cum_arrivals - before.cum_arrivals, slot)
+            enqueued += slot
+        assert enqueued.sum() > 100
+        assert np.array_equal(state.cum_arrivals - start.cum_arrivals, enqueued)
+        assert np.all(state.cum_arrivals - state.cum_departures - state.q == 4)
 
     def test_arrival_rate_matches_bernoulli_probabilities(self):
         inst = single_expert_instance(0.6, [0.7, 0.3], [1.0, 1.0])
@@ -301,6 +330,16 @@ class CountingGenerator:
         return self.gen.random(size)
 
 
+class CountingBuffer(UniformBuffer):
+    """A ``UniformBuffer`` over a ``CountingGenerator``, kept as ``counter``."""
+
+    __slots__ = ("counter",)
+
+    def __init__(self, gen) -> None:
+        self.counter = CountingGenerator(gen)
+        super().__init__(self.counter)
+
+
 class TestArrivalBlocks:
     """Every pre-drawn block is sized by ``rng.DRAW_BLOCK_BYTES``; the split
     must not change a single draw."""
@@ -336,12 +375,11 @@ class TestArrivalBlocks:
         def counted(seed):
             streams = from_seed(seed)
             streams.arrivals = CountingGenerator(streams.arrivals)
-            for name in ("admission", "routing", "selection", "service"):
-                buffer = getattr(streams, name)
-                buffer._gen = CountingGenerator(buffer._gen)
             made.append(streams)
             return streams
 
+        # A buffer's refills hold its generator, so it is wrapped first.
+        monkeypatch.setattr(rng, "UniformBuffer", CountingBuffer)
         monkeypatch.setattr(RngStreams, "from_seed", staticmethod(counted))
         return made
 
@@ -377,9 +415,9 @@ class TestArrivalBlocks:
             streams = made[-1]
             refill = max(1, budget // 8)
             for name in streams_used:
-                sizes = getattr(streams, name)._gen.sizes
+                sizes = getattr(streams, name).counter.sizes
                 assert len(sizes) > 10 and set(sizes) == {refill}, name
-            assert streams.admission._gen.sizes == []
+            assert streams.admission.counter.sizes == []
             slots = max(1, budget // row_bytes)
             blocks = [size[0] for size in streams.arrivals.sizes]
             assert sum(blocks) == config.horizon
@@ -436,6 +474,15 @@ class TestUniformBuffer:
         buffer = UniformBuffer(np.random.default_rng(8))
         reference = np.random.default_rng(8).random(count).tolist()
         assert [buffer.next() for _ in range(count)] == reference
+
+    def test_is_freed_without_the_cycle_collector(self):
+        # Refills that held the buffer would form a reference cycle, and each
+        # run's last block of 4096 floats would outlive it until a gc pass.
+        gc.collect()
+        buffer = UniformBuffer(np.random.default_rng(8))
+        buffer.next()
+        del buffer
+        assert gc.collect() == 0
 
 
 class TestGeometricService:
