@@ -10,6 +10,7 @@ the cross-checks that ``expertq verify`` reports.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -91,22 +92,22 @@ class StabilityVerdict:
     slope_threshold: float
 
 
-def drift_check(stats: TraceStats, p, q, lam: float, expert: int = 0) -> DriftReport:
+def drift_check(stats: TraceStats, expert: int = 0) -> DriftReport:
     """Compare the simulated busy-slot drift against its analytic value.
 
     Requires a run recorded with ``record_lyapunov``; raises if the trace
-    lacks per-slot samples or if some mass-bearing topic has zero
-    success probability (the weighted sum is undefined there). On
-    multi-expert runs, checks the given expert against the topic mass and
-    success vector her queues actually see.
+    lacks per-slot samples or if the run's policy sends the expert a topic
+    it cannot answer (the weighted sum is undefined there). The load, the
+    expert's flow and its success probabilities come from the run's config.
     """
     if stats.lyapunov_series is None or stats.busy_series is None:
         raise ValueError("drift check needs a run with record_lyapunov enabled")
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    if np.any((p > 0) & (q <= 0)):
+    inst = stats.config.instance
+    flow = _flow(inst, stats.config.scheduler)[expert]
+    load = service_load(flow, inst.success_matrix()[expert])
+    if load == math.inf:
         raise ValueError("drift undefined: mass-bearing topic with zero success prob")
-    delta = 1.0 - lam * service_load(p, q)
+    delta = 1.0 - inst.arrivals.lam * load
 
     level = stats.lyapunov_series[:, expert]
     busy = stats.busy_series[:, expert]
@@ -124,21 +125,27 @@ def drift_check(stats: TraceStats, p, q, lam: float, expert: int = 0) -> DriftRe
     )
 
 
+def _given_threshold(slope_threshold: float | None) -> float | None:
+    """A given slope threshold as a float; it must be finite and > 0."""
+    threshold = None if slope_threshold is None else float(slope_threshold)
+    if threshold is not None and not (0.0 < threshold < math.inf):
+        raise ValueError(f"field 'slope_threshold' must be finite and > 0, got {threshold}")
+    return threshold
+
+
 def classify_stability(
-    stats: TraceStats, lam: float, slope_threshold: float | None = None
+    stats: TraceStats, *, slope_threshold: float | None = None
 ) -> StabilityVerdict:
     """Classify a finished run as stable, unstable, or inconclusive.
 
-    The default threshold is 0.01 * lam requests per slot; a given one must
-    be finite and positive. The slope is a least-squares fit of the sampled
-    total queue against time over the final half of the horizon.
+    The default threshold is 0.01 * lam requests per slot at the run's load;
+    a given one must be finite and positive. The slope is a least-squares
+    fit of the sampled total queue against time over the final half.
     """
-    threshold = 0.01 * lam if slope_threshold is None else float(slope_threshold)
-    if slope_threshold is not None and not (0.0 < threshold < math.inf):
-        raise ValueError(f"field 'slope_threshold' must be finite and > 0, got {threshold}")
+    threshold = _given_threshold(slope_threshold) or 0.01 * stats.config.instance.arrivals.lam
     times = stats.sample_times
     totals = stats.total_queue_series
-    mask = times >= stats.horizon / 2
+    mask = times >= stats.config.horizon / 2
     final_quarter_mean = float(stats.mean_queue_final_quarter.sum())
     if int(mask.sum()) < 2:
         return StabilityVerdict("inconclusive", math.nan, final_quarter_mean, threshold)
@@ -187,21 +194,12 @@ class SweepResult:
     lambda_hi: float | None
 
 
-def _sweep_cell(args) -> SweepCell:
-    inst, sched, lam, seed, horizon, sample_interval, slope_threshold = args
-    stats = run(
-        SimConfig(
-            instance=with_load(inst, lam),
-            scheduler=sched,
-            horizon=horizon,
-            seed=seed,
-            sample_interval=sample_interval,
-        )
-    )
-    verdict = classify_stability(stats, lam, slope_threshold)
+def _sweep_cell(config: SimConfig, slope_threshold: float | None) -> SweepCell:
+    stats = run(config)
+    verdict = classify_stability(stats, slope_threshold=slope_threshold)
     return SweepCell(
-        lam=lam,
-        seed=seed,
+        lam=config.instance.arrivals.lam,
+        seed=config.seed,
         verdict=verdict.verdict,
         growth_slope=verdict.growth_slope,
         final_quarter_mean=verdict.final_quarter_mean,
@@ -221,9 +219,9 @@ def capacity_boundary_sweep(
 ) -> SweepResult:
     """Simulate a sorted load grid across seeds and bracket the boundary.
 
-    Cells are independent runs (seeded per cell), so ``workers > 1``
-    executes them in a process pool without changing any result. The pool
-    never has more processes than CPUs or cells.
+    Every cell's run is built, and so checked, before the first one runs.
+    Cells are seeded independently, so ``workers > 1`` runs them in a
+    process pool, never larger than the CPUs or cells, with equal results.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
@@ -233,20 +231,27 @@ def capacity_boundary_sweep(
     seeds = tuple(int(s) for s in seeds)
     if not (lambdas and seeds):
         raise ValueError("a sweep needs at least one load and one seed")
-    jobs = [
-        (inst, sched, lam, seed, horizon, sample_interval, slope_threshold)
+    cell = functools.partial(_sweep_cell, slope_threshold=_given_threshold(slope_threshold))
+    configs = [
+        SimConfig(
+            instance=with_load(inst, lam),
+            scheduler=sched,
+            horizon=horizon,
+            seed=seed,
+            sample_interval=sample_interval,
+        )
         for lam in lambdas
         for seed in seeds
     ]
-    workers = min(workers, os.cpu_count() or 1, len(jobs))
+    workers = min(workers, os.cpu_count() or 1, len(configs))
     if workers > 1:
         # Imported here: only a pooled sweep needs multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            cells = tuple(pool.map(_sweep_cell, jobs))
+            cells = tuple(pool.map(cell, configs))
     else:
-        cells = tuple(_sweep_cell(job) for job in jobs)
+        cells = tuple(map(cell, configs))
 
     verdicts = {lam: {c.verdict for c in cells if c.lam == lam} for lam in lambdas}
     stable = [lam for lam, seen in verdicts.items() if seen == {"stable"}]
@@ -260,19 +265,22 @@ def capacity_boundary_sweep(
     )
 
 
+def _flow(inst: Instance, sched: Scheduler) -> np.ndarray:
+    """The (experts, topics) flow a policy sends each expert per unit of
+    arrival rate: the arrival pmf if it keeps requests at their door, else
+    ``merged_pmf(inst) * s``, times the admission probabilities ``mu``."""
+    flow = inst.arrivals.pmf if sched.s is None else merged_pmf(inst) * sched.s
+    return flow if sched.mu is None else flow * sched.mu
+
+
 def policy_load(inst: Instance, sched: Scheduler) -> float:
     """Worst per-expert service load per unit of arrival rate under a policy.
 
-    Expert i's load is ``sum_x f[i, x] * mu[x] / q[i, x]``, where the flow
-    ``f`` is the arrival pmf when the policy keeps requests at their door
-    expert and ``merged_pmf(inst) * s`` when it routes them, and ``mu`` is
-    1 when the policy admits everything. Flow sent to an expert that cannot
-    answer its topic makes the load infinite.
+    Expert i's load is ``sum_x flow[i, x] / q[i, x]`` over the flow the
+    policy sends her. Flow sent to an expert that cannot answer its topic
+    makes the load infinite.
     """
-    flow = inst.arrivals.pmf if sched.s is None else merged_pmf(inst) * sched.s
-    if sched.mu is not None:
-        flow = flow * sched.mu
-    return float(service_load(flow, inst.success_matrix()).max())
+    return float(service_load(_flow(inst, sched), inst.success_matrix()).max())
 
 
 def analytic_boundary(inst: Instance, sched: Scheduler) -> float:
@@ -352,8 +360,10 @@ def misestimation_check(
         q_hat = ExpertProfile.from_mean_times(0, estimated).success_prob
         estimated_capacity = single_capacity(p, q_hat).lambda_star
         lam = LOAD_FRACTION * degraded_capacity(p, q_hat, gamma)
-        # A sample every 100 slots, and classify_stability's default threshold.
-        cell = _sweep_cell((inst, sched, lam, seed, horizon, 100, None))
+        config = SimConfig(
+            instance=with_load(inst, lam), scheduler=sched, horizon=horizon, seed=seed
+        )
+        cell = _sweep_cell(config, None)
         runs.append(
             MisestimationRun(
                 seed=cell.seed,
@@ -372,16 +382,45 @@ def verify(inst: Instance, cfg: dict, seed: int) -> list[dict]:
     then drift and misestimation stability for one expert, or the validity,
     load and simulated frequencies of a routing matrix for several.
 
-    The routing LP is solved once, on the per-door pmf the routing
-    simulation uses. The duality gap compares the LP's capacity with the
-    one its own expert weights certify, ``1/max_min_load(alpha*)``, in
-    system units, where the capacity is ``n`` times the per-door one."""
-    checks: list[dict] = []
+    Every config field is read, and the drift run built, before the routing
+    LP is solved once, on the per-door pmf the routing simulation uses; the
+    routing run is built right after it. The duality gap compares the LP's
+    capacity with the one its own expert weights certify,
+    ``1/max_min_load(alpha*)``, in system units, where the capacity is
+    ``n`` times the per-door one."""
     experts = list(inst.experts)
     n = inst.n_experts
+    trials = config_field(cfg, "geometric.trials", "integer", 1_000_000)
+    q_values = config_field(cfg, "geometric.q_values", "numbers", [1.0, 0.5, 0.1])
+    if n == 1:
+        p, q = inst.arrivals.pmf[0], experts[0].success_prob
+        lam_default = 0.75 * single_capacity(p, q).lambda_star
+        lam = config_field(cfg, "drift.lambda", "number", lam_default)
+        drift_run = SimConfig(
+            instance=with_load(inst, lam),
+            scheduler=work_conserving_single(inst),
+            horizon=config_field(cfg, "drift.horizon", "integer", 100_000),
+            seed=seed,
+            record_lyapunov=True,
+        )
+        gamma = config_field(cfg, "misestimation.gamma", "number", GAMMA_DEFAULT)
+        mis_seeds = [seed, seed + 1, seed + 2]
+        mis_seeds = config_field(cfg, "misestimation.seeds", "integers", mis_seeds)
+        mis_horizon = config_field(cfg, "misestimation.horizon", "integer", 100_000)
+    else:
+        horizon = config_field(cfg, "routing_check.horizon", "integer", 50_000)
+        s = config_field(cfg, "routing_check.s", "rows", None)
 
     merged = merged_pmf(inst)
     optimal = multi_capacity_dual(merged, experts)
+    if n > 1:
+        policy = optimal.certificate if s is None else RoutingPolicy(s=s)
+        problems = routing_policy_violations(policy, inst.success_matrix())
+        if not problems:
+            sched = offline_routing_scheduler(inst, policy)
+            routing_run = SimConfig(instance=inst, scheduler=sched, horizon=horizon, seed=seed)
+
+    checks: list[dict] = []
     system = n * optimal.lambda_star
     load = max_min_load(merged, experts, optimal.certificate.alpha)
     certified = math.inf if load == 0.0 else n / load
@@ -396,8 +435,6 @@ def verify(inst: Instance, cfg: dict, seed: int) -> list[dict]:
         }
     )
 
-    trials = config_field(cfg, "geometric.trials", "integer", 1_000_000)
-    q_values = config_field(cfg, "geometric.q_values", "numbers", [1.0, 0.5, 0.1])
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 1])))
     for q_val in q_values:
         mean = geometric_service_check(q_val, trials, rng)
@@ -413,25 +450,7 @@ def verify(inst: Instance, cfg: dict, seed: int) -> list[dict]:
         )
 
     if n == 1:
-        p = inst.arrivals.pmf[0]
-        q = inst.experts[0].success_prob
-        lam_default = 0.75 * single_capacity(p, q).lambda_star
-        lam = config_field(cfg, "drift.lambda", "number", lam_default)
-        horizon = config_field(cfg, "drift.horizon", "integer", 100_000)
-        gamma = config_field(cfg, "misestimation.gamma", "number", GAMMA_DEFAULT)
-        mis_seeds = [seed, seed + 1, seed + 2]
-        mis_seeds = config_field(cfg, "misestimation.seeds", "integers", mis_seeds)
-        mis_horizon = config_field(cfg, "misestimation.horizon", "integer", 100_000)
-        stats = run(
-            SimConfig(
-                instance=with_load(inst, lam),
-                scheduler=work_conserving_single(inst),
-                horizon=horizon,
-                seed=seed,
-                record_lyapunov=True,
-            )
-        )
-        report = drift_check(stats, p, q, lam)
+        report = drift_check(run(drift_run))
         checks.append(
             {
                 "name": "drift",
@@ -452,10 +471,6 @@ def verify(inst: Instance, cfg: dict, seed: int) -> list[dict]:
             }
         )
     else:
-        horizon = config_field(cfg, "routing_check.horizon", "integer", 50_000)
-        s = config_field(cfg, "routing_check.s", "rows", None)
-        policy = optimal.certificate if s is None else RoutingPolicy(s=s)
-        problems = routing_policy_violations(policy, inst.success_matrix())
         checks.append(
             {
                 "name": "routing_policy_valid",
@@ -464,7 +479,6 @@ def verify(inst: Instance, cfg: dict, seed: int) -> list[dict]:
             }
         )
         if not problems:
-            sched = offline_routing_scheduler(inst, policy)
             load = policy_load(inst, sched)
             bound = optimal.certificate.dual_mu * (1.0 + 1e-6) + 1e-9
             checks.append(
@@ -475,9 +489,7 @@ def verify(inst: Instance, cfg: dict, seed: int) -> list[dict]:
                     "tolerance": bound,
                 }
             )
-            stats = run(
-                SimConfig(instance=inst, scheduler=sched, horizon=horizon, seed=seed)
-            )
+            stats = run(routing_run)
             counts = stats.final_state.cum_arrivals  # (topics, experts)
             total = counts.sum(axis=1, keepdims=True)
             seen = total[:, 0] >= 100

@@ -151,7 +151,7 @@ def cmd_simulate(cfg, inst, seed_override, prepare) -> None:
     )
     trace_target, summary_target = prepare()
     stats = sim.run(config)
-    verdict = analysis.classify_stability(stats, inst.arrivals.lam)
+    verdict = analysis.classify_stability(stats)
     summary = stats.summary()
     summary.update(
         {

@@ -47,7 +47,9 @@ class SimConfig:
     ``sample_interval`` spaces the recorded time series; exact time
     averages are accumulated every slot regardless. ``record_lyapunov``
     additionally stores per-slot service-weighted queue sums and busy
-    flags per expert, which drift checks require.
+    flags per expert, which drift checks require. Raises ValueError when
+    built on an invalid instance, a scheduler built for another shape, or a
+    horizon or sample interval below 1.
     """
 
     instance: Instance
@@ -56,6 +58,16 @@ class SimConfig:
     seed: int
     sample_interval: int = 100
     record_lyapunov: bool = False
+
+    def __post_init__(self) -> None:
+        problems = validate_instance(self.instance)
+        if problems:
+            raise ValueError("invalid instance: " + "; ".join(problems))
+        if self.horizon < 1:
+            raise ValueError("horizon must be at least 1")
+        if self.sample_interval < 1:
+            raise ValueError("sample_interval must be at least 1")
+        self.scheduler.compatible_with(self.instance)
 
 
 @dataclass(frozen=True)
@@ -95,7 +107,7 @@ class SlotEvents:
 
 @dataclass(frozen=True)
 class TraceStats:
-    """Metrics collected over one run.
+    """Metrics collected over one run of ``config``.
 
     ``mean_queue`` and ``loss_rate`` are exact full-horizon time averages
     per expert; the ``*_final_quarter`` variants average the last quarter
@@ -104,7 +116,7 @@ class TraceStats:
     plus the final state.
     """
 
-    horizon: int
+    config: SimConfig
     sample_times: np.ndarray
     total_queue_series: np.ndarray
     cum_loss_series: np.ndarray
@@ -122,7 +134,7 @@ class TraceStats:
 
     def summary(self) -> dict:
         return {
-            "horizon": self.horizon,
+            "horizon": self.config.horizon,
             "mean_queue": self.mean_queue.tolist(),
             "mean_queue_final_quarter": self.mean_queue_final_quarter.tolist(),
             "loss_rate": self.loss_rate.tolist(),
@@ -271,21 +283,8 @@ def step(
 
 
 def run(config: SimConfig) -> TraceStats:
-    """Simulate the configured horizon and collect metrics.
-
-    Raises ValueError before slot 0 on an invalid instance, an
-    incompatible scheduler, or nonsensical horizon/sampling settings.
-    """
+    """Simulate the configured horizon and collect metrics."""
     inst = config.instance
-    problems = validate_instance(inst)
-    if problems:
-        raise ValueError("invalid instance: " + "; ".join(problems))
-    if config.horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    if config.sample_interval < 1:
-        raise ValueError("sample_interval must be at least 1")
-    config.scheduler.compatible_with(inst)
-
     streams = RngStreams.from_seed(config.seed)
     engine = _Engine(inst, config.scheduler, streams, initial_state(inst))
     n = engine.n
@@ -372,7 +371,7 @@ def run(config: SimConfig) -> TraceStats:
     loss_quarter = loss_per_expert - np.array(loss_at_quarter, dtype=np.float64)
 
     return TraceStats(
-        horizon=horizon,
+        config=config,
         sample_times=np.array(sample_times, dtype=np.int64),
         total_queue_series=np.array(sample_queue, dtype=np.int64),
         cum_loss_series=np.array(sample_loss, dtype=np.int64),

@@ -117,7 +117,7 @@ def test_criterion_2_overload_is_unstable_with_linear_growth():
     slopes = []
     for seed in (0, 1, 2):
         stats = run(SimConfig(instance=inst, scheduler=sched, horizon=100_000, seed=seed))
-        verdict = classify_stability(stats, lam)
+        verdict = classify_stability(stats)
         assert verdict.verdict == "unstable", (seed, verdict)
         assert 0.5 * excess <= verdict.growth_slope <= 1.5 * excess, (seed, verdict)
         slopes.append(verdict.growth_slope)
@@ -139,7 +139,7 @@ def test_criterion_3_loss_constrained_capacity():
     inst = unanswerable_topic_instance(lam)
     sched = offline_loss_scheduler(inst, result.certificate)
     stats = run(SimConfig(instance=inst, scheduler=sched, horizon=200_000, seed=1))
-    verdict = classify_stability(stats, lam)
+    verdict = classify_stability(stats)
     assert verdict.verdict == "stable", verdict
     assert stats.loss_rate[0] <= 0.5 * 0.95 + 0.01
     STABLE_RUNS.append(("loss-constrained run", stats.empty_fraction))
@@ -253,7 +253,7 @@ def test_criterion_6_routing_frequencies_and_work_conservation():
             share = s[i, x]
             tolerance = 4.0 * math.sqrt(share * (1 - share) / total)
             assert abs(counts[x, i] / total - share) <= tolerance, (x, i)
-    verdict = classify_stability(stats, lam)
+    verdict = classify_stability(stats)
     assert verdict.verdict == "stable"
     STABLE_RUNS.append(("routing frequency run", stats.empty_fraction))
 
@@ -291,7 +291,7 @@ def test_criterion_7_drift_and_geometric_service():
                 record_lyapunov=True,
             )
         )
-        report = drift_check(stats, [1.0], [0.5], lam)
+        report = drift_check(stats)
         assert report.delta == pytest.approx(delta, abs=1e-12)
         assert report.busy_slots >= 10_000
         assert report.within(4.0), report

@@ -59,14 +59,14 @@ class TestDriftCheck:
     @pytest.mark.parametrize("lam,delta", [(0.25, 0.5), (0.5, 0.0), (0.6, -0.2)])
     def test_busy_slot_drift_matches_margin(self, lam, delta):
         stats = drift_run(lam)
-        report = drift_check(stats, [1.0], [0.5], lam)
+        report = drift_check(stats)
         assert report.delta == pytest.approx(delta, abs=1e-12)
         assert report.predicted_drift == -report.delta
         assert report.busy_slots >= 10_000
         assert report.within(4.0)
 
     def test_overload_drift_is_positive(self):
-        report = drift_check(drift_run(0.6), [1.0], [0.5], 0.6)
+        report = drift_check(drift_run(0.6))
         assert report.empirical_drift > 0.15
 
     def test_requires_per_slot_trace(self):
@@ -80,12 +80,21 @@ class TestDriftCheck:
             )
         )
         with pytest.raises(ValueError, match="record_lyapunov"):
-            drift_check(stats, [1.0], [0.5], 0.4)
+            drift_check(stats)
 
     def test_rejects_unanswerable_mass(self):
-        stats = drift_run(0.4)
+        inst = single_expert_instance(0.4, [0.5, 0.5], [0.5, 0.0])
+        stats = run(
+            SimConfig(
+                instance=inst,
+                scheduler=work_conserving_single(inst),
+                horizon=1000,
+                seed=1,
+                record_lyapunov=True,
+            )
+        )
         with pytest.raises(ValueError, match="zero success"):
-            drift_check(stats, [0.5, 0.5], [0.5, 0.0], 0.4)
+            drift_check(stats)
 
     def test_per_expert_drift_on_routed_system(self):
         # three specialists at half speed, identity routing: expert i sees
@@ -112,8 +121,7 @@ class TestDriftCheck:
             )
         )
         for i in range(3):
-            own_mass = [1.0 if x == i else 0.0 for x in range(3)]
-            report = drift_check(stats, own_mass, experts[i].success_prob, lam, expert=i)
+            report = drift_check(stats, expert=i)
             assert report.delta == pytest.approx(1.0 - 2 * lam, abs=1e-12)
             assert report.within(4.0), (i, report)
 
@@ -129,7 +137,7 @@ class TestClassifyStability:
                 seed=0,
             )
         )
-        verdict = classify_stability(stats, 0.0)
+        verdict = classify_stability(stats)
         assert verdict.verdict == "stable"
         assert verdict.growth_slope == 0.0
 
@@ -144,17 +152,17 @@ class TestClassifyStability:
                 sample_interval=100,
             )
         )
-        assert classify_stability(stats, 0.5).verdict == "inconclusive"
+        assert classify_stability(stats).verdict == "inconclusive"
 
     def test_stable_and_unstable_examples(self):
         lam_star = 2 / 3
         inst = single_expert_instance(0.9 * lam_star, [0.5, 0.5], [1.0, 0.5])
         sched = work_conserving_single(inst, tie_break="longest_queue")
         stable = run(SimConfig(instance=inst, scheduler=sched, horizon=60_000, seed=3))
-        assert classify_stability(stable, 0.9 * lam_star).verdict == "stable"
+        assert classify_stability(stable).verdict == "stable"
         hot = with_load(inst, 1.2 * lam_star)
         unstable = run(SimConfig(instance=hot, scheduler=sched, horizon=60_000, seed=3))
-        verdict = classify_stability(unstable, 1.2 * lam_star)
+        verdict = classify_stability(unstable)
         assert verdict.verdict == "unstable"
         assert verdict.growth_slope > 0
 
@@ -168,8 +176,17 @@ class TestClassifyStability:
                 seed=4,
             )
         )
-        strict = classify_stability(stats, 0.5, slope_threshold=1e-12)
+        strict = classify_stability(stats, slope_threshold=1e-12)
         assert strict.slope_threshold == 1e-12
+
+    def test_threshold_is_keyword_only(self):
+        # A positional load would otherwise be read as the threshold.
+        inst = single_expert_instance(0.5, [1.0], [1.0])
+        stats = run(
+            SimConfig(instance=inst, scheduler=work_conserving_single(inst), horizon=10, seed=4)
+        )
+        with pytest.raises(TypeError):
+            classify_stability(stats, 0.5)
 
     @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf, 0.0, -0.01])
     def test_threshold_must_be_finite_and_positive(self, threshold):
@@ -184,7 +201,7 @@ class TestClassifyStability:
             )
         )
         with pytest.raises(ValueError, match="'slope_threshold' must be finite and > 0"):
-            classify_stability(stats, 0.5, slope_threshold=threshold)
+            classify_stability(stats, slope_threshold=threshold)
 
 
 class TestBoundarySweep:
@@ -251,7 +268,7 @@ class TestBoundarySweep:
                     seed=2,
                 )
             )
-            assert classify_stability(stats, lam).verdict == expected, system_load
+            assert classify_stability(stats).verdict == expected, system_load
 
     def test_unsorted_grid_rejected(self):
         inst = single_expert_instance(0.5, [1.0], [1.0])

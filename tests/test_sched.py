@@ -88,7 +88,7 @@ class TestWorkConservingSingle:
         inst = single_expert_instance(lam, [0.5, 0.5], [1.0, 0.5])
         sched = work_conserving_single(inst, tie_break=tie_break)
         stats = run(SimConfig(instance=inst, scheduler=sched, horizon=60_000, seed=2))
-        assert classify_stability(stats, lam).verdict == "stable"
+        assert classify_stability(stats).verdict == "stable"
 
     def test_never_idle_with_work(self):
         inst = single_expert_instance(0.8, [0.5, 0.5], [1.0, 0.5])
@@ -147,7 +147,7 @@ class TestOfflineLossScheduler:
         expected = lam * 0.5
         tolerance = 4.0 * math.sqrt(expected * (1 - expected) / horizon)
         assert abs(stats.loss_rate[0] - expected) <= tolerance
-        assert classify_stability(stats, lam).verdict == "stable"
+        assert classify_stability(stats).verdict == "stable"
 
     def test_admission_independent_of_queue_state(self):
         # bucket arrivals by whether the system was empty at the slot
@@ -306,7 +306,7 @@ class TestMismatchBaseline:
                 seed=37,
             )
         )
-        assert classify_stability(baseline_stats, lam).verdict == "unstable"
+        assert classify_stability(baseline_stats).verdict == "unstable"
         policy = multi_capacity_dual(merged_pmf(inst), list(inst.experts)).certificate
         routed_stats = run(
             SimConfig(
@@ -316,4 +316,4 @@ class TestMismatchBaseline:
                 seed=37,
             )
         )
-        assert classify_stability(routed_stats, lam).verdict == "stable"
+        assert classify_stability(routed_stats).verdict == "stable"

@@ -221,6 +221,7 @@ class TestRun:
         config = SimConfig(instance=inst, scheduler=sched, horizon=5000, seed=123)
         a = run(config)
         b = run(config)
+        assert a.config is config
         assert np.array_equal(a.total_queue_series, b.total_queue_series)
         assert np.array_equal(a.final_state.q, b.final_state.q)
         assert a.throughput == b.throughput
@@ -229,29 +230,25 @@ class TestRun:
         inst = single_expert_instance(0.5, [1.0], [1.0])
         sched = work_conserving_single(inst)
         with pytest.raises(ValueError):
-            run(SimConfig(instance=inst, scheduler=sched, horizon=0, seed=0))
+            SimConfig(instance=inst, scheduler=sched, horizon=0, seed=0)
         with pytest.raises(ValueError):
-            run(
-                SimConfig(
-                    instance=inst,
-                    scheduler=sched,
-                    horizon=10,
-                    seed=0,
-                    sample_interval=0,
-                )
+            SimConfig(
+                instance=inst,
+                scheduler=sched,
+                horizon=10,
+                seed=0,
+                sample_interval=0,
             )
         other = single_expert_instance(0.5, [0.5, 0.5], [1.0, 1.0])
         with pytest.raises(ValueError):
-            run(SimConfig(instance=other, scheduler=sched, horizon=10, seed=0))
+            SimConfig(instance=other, scheduler=sched, horizon=10, seed=0)
         bad = single_expert_instance(1.2, [1.0], [1.0])
         with pytest.raises(ValueError, match="lambda"):
-            run(
-                SimConfig(
-                    instance=bad,
-                    scheduler=work_conserving_single(bad),
-                    horizon=10,
-                    seed=0,
-                )
+            SimConfig(
+                instance=bad,
+                scheduler=work_conserving_single(bad),
+                horizon=10,
+                seed=0,
             )
 
     def test_time_average_is_exact(self):
