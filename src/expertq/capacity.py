@@ -360,12 +360,12 @@ def capacity_report(inst: Instance, cfg: dict) -> dict:
     an ``epsilon`` in any mode but ``loss``."""
     mode = config_field(cfg, "mode", "string")
     if mode not in ("single", "loss", "multi-primal", "multi-dual"):
-        raise ValueError(f"unknown capacity mode {mode!r}")
+        raise ValueError(f"config field 'mode': unknown mode {mode!r}")
     if "epsilon" in cfg and mode != "loss":
         raise ValueError(f"config field 'epsilon': only mode 'loss' takes it, not {mode!r}")
     if mode in ("single", "loss"):
         if inst.n_experts != 1:
-            raise ValueError(f"mode {mode!r} needs a single-expert instance")
+            raise ValueError(f"config field 'mode': {mode!r} needs a single-expert instance")
         p, q = inst.arrivals.pmf[0], inst.experts[0].success_prob
         if mode == "single":
             return {"mode": mode, "lambda_star": single_capacity(p, q).lambda_star}

@@ -35,7 +35,7 @@ def _read_config(path: str) -> tuple[dict, model.Instance]:
     except (OSError, json.JSONDecodeError) as exc:
         raise ValueError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
-        raise ValueError("config root must be a JSON object")
+        raise ValueError("config must be an object with field 'instance' or 'instance_path'")
     if "instance" in cfg:
         inst = model.instance_from_dict(config_field(cfg, "instance", "object"))
     elif "instance_path" in cfg:
@@ -43,9 +43,10 @@ def _read_config(path: str) -> tuple[dict, model.Instance]:
         try:
             inst = model.load_instance(instance_path)
         except (OSError, ValueError) as exc:
-            raise ValueError(f"cannot load instance {instance_path}: {exc}") from exc
+            message = f"config field 'instance_path': cannot load {instance_path}: {exc}"
+            raise ValueError(message) from exc
     else:
-        raise ValueError("config needs an 'instance' or 'instance_path' field")
+        raise ValueError("config needs field 'instance' or 'instance_path'")
     problems = model.validate_instance(inst)
     if problems:
         raise ValueError("invalid instance: " + "; ".join(problems))

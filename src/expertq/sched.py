@@ -211,7 +211,7 @@ def build_scheduler(inst: Instance, spec: dict) -> Scheduler:
     root = {"scheduler": spec}  # so that errors name 'scheduler.<field>'
     kind = config_field(root, "scheduler.kind", "string")
     if kind not in SCHEDULER_KEYS:
-        raise ValueError(f"unknown scheduler kind {kind!r}")
+        raise ValueError(f"config field 'scheduler.kind': unknown kind {kind!r}")
     for key in spec:
         if key not in ("kind", *SCHEDULER_KEYS[kind]):
             takes = SCHEDULER_KEYS[kind]

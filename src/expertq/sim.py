@@ -283,7 +283,11 @@ def step(
 
 
 def run(config: SimConfig) -> TraceStats:
-    """Simulate the configured horizon and collect metrics."""
+    """Simulate the configured horizon and collect metrics.
+
+    Raises ValueError before slot 0 when a ``record_lyapunov`` run's
+    per-slot record cannot be allocated.
+    """
     inst = config.instance
     streams = RngStreams.from_seed(config.seed)
     engine = _Engine(inst, config.scheduler, streams, initial_state(inst))
@@ -315,8 +319,12 @@ def run(config: SimConfig) -> TraceStats:
                 for row, wrow in zip(engine.queues, weights)
             ]
 
-        lyap = np.empty((horizon + 1, n), dtype=np.float64)
-        busy = np.empty((horizon, n), dtype=bool)
+        try:
+            lyap = np.empty((horizon + 1, n), dtype=np.float64)
+            busy = np.empty((horizon, n), dtype=bool)
+        except MemoryError as exc:
+            need = (horizon + 1) * n * 8 + horizon * n
+            raise ValueError(f"horizon {horizon}: the drift record needs {need} bytes") from exc
 
     n_topics = engine.n_topics
     # rng.DRAW_BLOCK_BYTES of uniforms per block: 2048 slots at 1 expert x

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from expertq import cli, sched
+from expertq import analysis, cli, sched
 from expertq.cli import main
 from expertq.model import load_instance, validate_instance
 
@@ -419,6 +419,29 @@ def malformed_cases():
             {**verify, "geometric": {"q_values": []}},
             "geometric.q_values",
         ),
+        # Exits no other case reaches.
+        "config-root-not-an-object": ("capacity", [single_expert_doc()], "instance"),
+        "config-without-instance": ("capacity", {"mode": "single"}, "instance"),
+        "config-instance-path-missing": (
+            "capacity",
+            {"instance_path": "missing.json", "mode": "single"},
+            "instance_path",
+        ),
+        "capacity-unknown-mode": (
+            "capacity",
+            {"instance": single_expert_doc(), "mode": "dual"},
+            "mode",
+        ),
+        "capacity-single-on-several-experts": (
+            "capacity",
+            {"instance": generalist_doc(), "mode": "single"},
+            "mode",
+        ),
+        "simulate-unknown-scheduler-kind": (
+            "simulate",
+            {**simulate, "scheduler": {"kind": "fifo"}},
+            "scheduler.kind",
+        ),
         # A NaN threshold used to call every cell inconclusive.
         **{
             f"sweep-slope-threshold-{value}": (
@@ -441,6 +464,47 @@ def test_malformed_value_exits_2_without_traceback(tmp_path, runner, case):
     assert "config error:" in result.output
     assert f"field {field!r}" in result.output
     assert isinstance(result.exception, SystemExit)
+    assert not out.exists() or not any(out.iterdir())
+
+
+def rejected_before_running_cases():
+    """(command, config) for each bad value that used to be rejected only
+    after some cells, the routing LP or the geometric checks had run."""
+    sweep = {
+        "instance": single_expert_doc(),
+        "scheduler": {"kind": "work_conserving"},
+        "lambdas": [0.3, 0.4, 0.5],
+        "seeds": [1, 2],
+        "horizon": 200,
+    }
+    verify = {"instance": single_expert_doc(), "geometric": {"trials": 1000}}
+    return {
+        "sweep-last-load-1.2": ("sweep", {**sweep, "lambdas": [0.3, 0.4, 1.2]}),
+        "sweep-horizon-0": ("sweep", {**sweep, "horizon": 0}),
+        "sweep-sample-interval-0": ("sweep", {**sweep, "sample_interval": 0}),
+        "sweep-slope-threshold-nan": ("sweep", {**sweep, "slope_threshold": math.nan}),
+        "verify-drift-lambda-1.5": ("verify", {**verify, "drift": {"lambda": 1.5}}),
+        "verify-drift-horizon-0": ("verify", {**verify, "drift": {"horizon": 0}}),
+        "verify-misestimation-gamma-string": (
+            "verify",
+            {**verify, "misestimation": {"gamma": "x"}},
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(rejected_before_running_cases()))
+def test_rejected_before_any_simulation_or_solve(tmp_path, runner, monkeypatch, case):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("ran before the bad value was rejected")
+
+    for name in ("run", "geometric_service_check", "multi_capacity_dual"):
+        monkeypatch.setattr(analysis, name, forbidden)
+    command, config = rejected_before_running_cases()[case]
+    cfg = write_json(tmp_path / "cfg.json", config)
+    out = tmp_path / "out"
+    result = runner.invoke(main, [command, cfg, "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "config error:" in result.output
     assert not out.exists() or not any(out.iterdir())
 
 
@@ -555,6 +619,13 @@ class TestSimulateCommand:
         result = runner.invoke(main, ["simulate", cfg, "--out", str(tmp_path / "out")])
         assert result.exit_code == 3
 
+    def test_zero_horizon_creates_no_output_directory(self, tmp_path, runner):
+        cfg = write_json(tmp_path / "cfg.json", self.simulate_cfg(horizon=0))
+        result = runner.invoke(main, ["simulate", cfg, "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert "horizon must be at least 1" in result.output
+        assert not (tmp_path / "out").exists()
+
     def test_seed_override(self, tmp_path, runner):
         cfg = write_json(tmp_path / "cfg.json", self.simulate_cfg(seed=1))
         result = runner.invoke(
@@ -626,6 +697,24 @@ class TestSweepCommand:
         assert bracket["lambda_lo"] == 0.5
         assert bracket["lambda_hi"] == 0.8
         assert bracket["lambda_lo"] <= lam_star <= bracket["lambda_hi"]
+
+    def test_seed_override_numbers_the_seeds_from_it(self, tmp_path, runner):
+        cfg = write_json(
+            tmp_path / "cfg.json",
+            {
+                "instance": single_expert_doc(),
+                "scheduler": {"kind": "work_conserving"},
+                "lambdas": [0.3],
+                "horizon": 1000,
+                "seeds": [0, 1, 2],
+            },
+        )
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["sweep", cfg, "--out", str(out), "--seed-override", "5"])
+        assert result.exit_code == 0, result.output
+        assert json.loads((out / "bracket.json").read_text())["seeds"] == [5, 6, 7]
+        with open(out / "sweep.csv") as fh:
+            assert [row["seed"] for row in csv.DictReader(fh)] == ["5", "6", "7"]
 
     def test_zero_workers_is_a_config_error(self, tmp_path, runner):
         cfg = write_json(
@@ -735,6 +824,24 @@ class TestVerifyCommand:
         assert report["all_passed"] is True
         gap = {c["name"]: c for c in report["checks"]}["duality_gap"]
         assert gap["measured"] <= gap["tolerance"] < 1e-6
+
+    def test_unallocatable_drift_record_exits_2(self, tmp_path, runner):
+        # 10**17 slots of float64 is 800 PB, more than any 64-bit Linux
+        # address space, so the allocation fails at once. It used to escape
+        # as numpy's MemoryError with exit 1, the code of a failed check.
+        cfg = write_json(
+            tmp_path / "cfg.json",
+            {
+                "instance": single_expert_doc(),
+                "geometric": {"trials": 1000},
+                "drift": {"horizon": 10**17},
+            },
+        )
+        result = runner.invoke(main, ["verify", cfg, "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert "horizon 100000000000000000" in result.output
+        assert isinstance(result.exception, SystemExit)
+        assert not (tmp_path / "out" / "verify.json").exists()
 
     @pytest.mark.parametrize("trials", [0, -5])
     def test_nonpositive_trials_exit_2(self, tmp_path, runner, trials):
