@@ -277,7 +277,7 @@ def policy_load(inst: Instance, sched: Scheduler) -> float:
     """Worst per-expert service load per unit of arrival rate under a policy.
 
     Expert i's load is ``sum_x flow[i, x] / q[i, x]`` over the flow the
-    policy sends her. Flow sent to an expert that cannot answer its topic
+    policy sends it. Flow sent to an expert that cannot answer its topic
     makes the load infinite.
     """
     return float(service_load(_flow(inst, sched), inst.success_matrix()).max())
