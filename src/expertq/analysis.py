@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import os
 from dataclasses import dataclass
 
@@ -140,16 +141,21 @@ def classify_stability(
 
     The default threshold is 0.01 * lam requests per slot at the run's load;
     a given one must be finite and positive. The slope is a least-squares
-    fit of the sampled total queue against time over the final half.
+    fit of the sampled total queue against time over the final half,
+    formed exactly in integers and rounded once, so no BLAS call is made.
     """
     threshold = _given_threshold(slope_threshold) or 0.01 * stats.config.instance.arrivals.lam
-    times = stats.sample_times
-    totals = stats.total_queue_series
-    mask = times >= stats.config.horizon / 2
+    mask = stats.sample_times >= stats.config.horizon / 2
+    # Python ints, so the sums below are exact and cannot overflow.
+    t = stats.sample_times[mask].tolist()
+    y = stats.total_queue_series[mask].tolist()
+    n = len(t)
     final_quarter_mean = float(stats.mean_queue_final_quarter.sum())
-    if int(mask.sum()) < 2:
+    if n < 2:
         return StabilityVerdict("inconclusive", math.nan, final_quarter_mean, threshold)
-    slope = float(np.polyfit(times[mask], totals[mask].astype(np.float64), 1)[0])
+    # Distinct sample times make the denominator positive; int / int rounds once.
+    numerator = n * sum(map(operator.mul, t, y)) - sum(t) * sum(y)
+    slope = numerator / (n * sum(map(operator.mul, t, t)) - sum(t) ** 2)
     if slope <= threshold:
         verdict = "stable"
     elif slope >= 10.0 * threshold:
