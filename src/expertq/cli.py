@@ -96,9 +96,11 @@ def main() -> None:
 
 def _command(name: str, *outputs: str, seeded: bool = True):
     """Register ``body(cfg, inst, seed_override, prepare)`` as the command
-    ``name`` over one config file. ``prepare()`` checks and returns the
-    paths of ``outputs`` in ``--out``; they are echoed after the body, and
-    a non-zero code it returns becomes the exit code."""
+    ``name`` over one config file. The paths of ``outputs`` in ``--out``
+    must be free, or ``--force`` given, before the body runs; ``prepare()``
+    makes ``--out`` and returns them, so a body calls it once its work is
+    done and a rejected command leaves no directory. The paths are echoed
+    after the body, and a non-zero code it returns becomes the exit code."""
     seed_option = click.option("--seed-override", type=int, default=None)
 
     def register(body):
@@ -109,14 +111,13 @@ def _command(name: str, *outputs: str, seeded: bool = True):
         @(seed_option if seeded else lambda command: command)
         def command(config_path, out_dir, force, seed_override=None):
             cfg, inst = _read_config(config_path)
-            targets = []
+            targets = [Path(out_dir) / n for n in outputs]
+            for target in targets:
+                if target.exists() and not force:
+                    raise ValueError(f"{target} exists; pass --force to overwrite")
 
             def prepare() -> list[Path]:
                 Path(out_dir).mkdir(parents=True, exist_ok=True)
-                for target in (Path(out_dir) / n for n in outputs):
-                    if target.exists() and not force:
-                        raise ValueError(f"{target} exists; pass --force to overwrite")
-                    targets.append(target)
                 return targets
 
             code = body(cfg, inst, seed_override, prepare)
@@ -150,7 +151,6 @@ def cmd_simulate(cfg, inst, seed_override, prepare) -> None:
         seed=seed,
         sample_interval=config_field(cfg, "sample_interval", "integer", 100),
     )
-    trace_target, summary_target = prepare()
     stats = sim.run(config)
     verdict = analysis.classify_stability(stats)
     summary = stats.summary()
@@ -163,6 +163,7 @@ def cmd_simulate(cfg, inst, seed_override, prepare) -> None:
             "growth_slope": verdict.growth_slope,
         }
     )
+    trace_target, summary_target = prepare()
     sim.write_trace_csv(stats, trace_target)
     _write_json(summary_target, summary)
 
@@ -174,7 +175,6 @@ def cmd_sweep(cfg, inst, seed_override, prepare) -> None:
     seeds = config_field(cfg, "seeds", "integers")
     if seed_override is not None:
         seeds = [seed_override + k for k in range(len(seeds))]
-    sweep_target, bracket_target = prepare()
     result = analysis.capacity_boundary_sweep(
         inst,
         scheduler,
@@ -186,6 +186,7 @@ def cmd_sweep(cfg, inst, seed_override, prepare) -> None:
         workers=config_field(cfg, "workers", "integer", 1),
     )
     boundary = analysis.analytic_boundary(inst, scheduler)
+    sweep_target, bracket_target = prepare()
 
     with open(sweep_target, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -211,9 +212,9 @@ def cmd_verify(cfg, inst, seed_override, prepare) -> int:
     """Cross-check analytic values against simulation; exit 1 on failure."""
     seed = config_field(cfg, "seed", "integer", 0)
     seed = seed if seed_override is None else seed_override
-    (target,) = prepare()
     checks = analysis.verify(inst, cfg, seed)
     all_passed = all(c["passed"] for c in checks)
+    (target,) = prepare()
     _write_json(target, {"all_passed": all_passed, "checks": checks})
     for c in checks:
         click.echo(f"{'PASS' if c['passed'] else 'FAIL'} {c['name']}")

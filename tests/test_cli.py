@@ -189,7 +189,7 @@ def test_nan_input_exits_2(tmp_path, runner, case):
     result = runner.invoke(main, [command, cfg, "--out", str(out)])
     assert result.exit_code == 2, result.output
     assert message in result.output
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 def malformed_cases():
@@ -464,7 +464,7 @@ def test_malformed_value_exits_2_without_traceback(tmp_path, runner, case):
     assert "config error:" in result.output
     assert f"field {field!r}" in result.output
     assert isinstance(result.exception, SystemExit)
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 def rejected_before_running_cases():
@@ -505,7 +505,25 @@ def test_rejected_before_any_simulation_or_solve(tmp_path, runner, monkeypatch, 
     result = runner.invoke(main, [command, cfg, "--out", str(out)])
     assert result.exit_code == 2, result.output
     assert "config error:" in result.output
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["sweep", "verify"])
+def test_existing_output_is_refused_before_any_simulation(tmp_path, runner, monkeypatch, command):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("ran before the existing output was refused")
+
+    monkeypatch.setattr(analysis, "run", forbidden)
+    config = {"instance": single_expert_doc(), "scheduler": {"kind": "work_conserving"}}
+    config.update({"lambdas": [0.3], "seeds": [1], "horizon": 200})
+    cfg = write_json(tmp_path / "cfg.json", config)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / ("sweep.csv" if command == "sweep" else "verify.json")).write_text("kept")
+    result = runner.invoke(main, [command, cfg, "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "pass --force to overwrite" in result.output
+    assert [p.read_text() for p in out.iterdir()] == ["kept"]
 
 
 def test_integral_float_horizon_writes_the_same_bytes(tmp_path, runner):
@@ -925,7 +943,7 @@ class TestShippedConfigs:
         result = runner.invoke(main, [command, cfg, "--out", str(out)])
         assert result.exit_code == 2, result.output
         assert "config error:" in result.output
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
     def test_capacity_multi_primal_on_shipped_specialists(self, tmp_path, runner):
         (path,) = [p for p in CONFIGS if p.name == "instance_specialists.json"]
