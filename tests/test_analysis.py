@@ -2,9 +2,12 @@ import concurrent.futures
 import dataclasses
 import math
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from expertq import analysis, capacity
 from expertq.analysis import (
@@ -202,6 +205,78 @@ class TestClassifyStability:
         )
         with pytest.raises(ValueError, match="'slope_threshold' must be finite and > 0"):
             classify_stability(stats, slope_threshold=threshold)
+
+
+def with_series(times, totals):
+    """A finished 10-slot run whose samples are replaced by ``times`` and
+    ``totals``; times of at least 5 all fall in the fitted final half."""
+    inst = single_expert_instance(0.5, [1.0], [1.0])
+    config = SimConfig(instance=inst, scheduler=work_conserving_single(inst), horizon=10, seed=0)
+    return dataclasses.replace(
+        run(config),
+        sample_times=np.array(times, dtype=np.int64),
+        total_queue_series=np.array(totals, dtype=np.int64),
+    )
+
+
+def fraction_slope(times, totals):
+    """The least-squares slope in exact rationals, about the means."""
+    t_mean = Fraction(sum(times), len(times))
+    y_mean = Fraction(sum(totals), len(totals))
+    cov = sum((t - t_mean) * (y - y_mean) for t, y in zip(times, totals))
+    return float(cov / sum((t - t_mean) ** 2 for t in times))
+
+
+# Distinct sample times of at least 5, each with a total; up to 2**62, so
+# the sums of products exceed 2**63.
+integer_series = st.lists(
+    st.tuples(st.integers(5, 2**62), st.integers(0, 2**62)),
+    min_size=2,
+    max_size=40,
+    unique_by=lambda pair: pair[0],
+)
+
+
+class TestGrowthSlope:
+    @given(integer_series)
+    @example([(2**62, 2**62), (2**62 - 1, 0), (5, 2**61)])
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_exact_least_squares_slope(self, pairs):
+        times, totals = zip(*pairs)
+        slope = classify_stability(with_series(times, totals)).growth_slope
+        assert slope == fraction_slope(times, totals)
+
+    def test_agrees_with_polyfit(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            size = int(rng.integers(2, 500))
+            interval = int(rng.integers(1, 300))
+            times = 5 + interval * np.arange(size)
+            totals = np.cumsum(rng.integers(-3, 5, size=size)) + 10**6
+            slope = classify_stability(with_series(times, totals)).growth_slope
+            reference = np.polyfit(times, totals.astype(np.float64), 1)[0]
+            assert slope == pytest.approx(reference, rel=1e-9)
+
+    def test_constant_series_has_zero_slope(self):
+        times = [5, 9, 13, 17]
+        for level in (0, 7, 2**62):
+            slope = classify_stability(with_series(times, [level] * 4)).growth_slope
+            assert slope == 0.0 and math.copysign(1.0, slope) == 1.0
+
+    def test_makes_no_least_squares_call(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("least-squares call")
+
+        monkeypatch.setattr(np.linalg, "lstsq", forbidden)
+        # np.polyfit keeps its own reference to lstsq.
+        monkeypatch.setattr(np, "polyfit", forbidden)
+        lam_star = 2 / 3
+        inst = single_expert_instance(1.2 * lam_star, [0.5, 0.5], [1.0, 0.5])
+        sched = work_conserving_single(inst, tie_break="longest_queue")
+        stats = run(SimConfig(instance=inst, scheduler=sched, horizon=20_000, seed=3))
+        verdict = classify_stability(stats)
+        assert verdict.verdict == "unstable"
+        assert verdict.growth_slope > 0
 
 
 class TestBoundarySweep:

@@ -5,20 +5,25 @@ The fixture in ``golden/cli.json`` pins, for each shipped command config
 ``shortened``) and for a few mode and scheduler variants of them, the
 exit code, the stdout lines with the output directory written as
 ``<out>``, and the sha256 of every file the command writes (null when
-it never made the output directory). Refactors of
-the CLI must reproduce it exactly. To regenerate the fixture after a
-deliberate change of behaviour, run
+it never made the output directory). Refactors of the CLI must reproduce
+it exactly, whatever CPU kernel OpenBLAS picks: the fixture is checked
+again with the kernel forced to two older ones. To regenerate the
+fixture after a deliberate change of behaviour, run
 ``PYTHONPATH=src python tests/test_golden_cli.py``.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import expertq
 from expertq.cli import main
 from test_cli import shortened
 
@@ -114,6 +119,34 @@ def test_fixture_covers_every_case(golden):
 @pytest.mark.parametrize("name", sorted(cases()))
 def test_command_matches_golden(golden, tmp_path, name):
     assert run_case(name, tmp_path) == golden[name]
+
+
+@pytest.mark.parametrize("core", ["Haswell", "Prescott"])
+def test_fixture_holds_under_a_forced_openblas_kernel(golden, tmp_path, core):
+    # OpenBLAS picks its CPU kernel once, when it loads, so only a fresh
+    # process can be given another one; where numpy has no OpenBLAS the
+    # setting is ignored and the run is an ordinary one.
+    here = Path(__file__).parent
+    path = [str(here), str(Path(expertq.__file__).parent.parent)]
+    env = {
+        **os.environ,
+        "OPENBLAS_CORETYPE": core,
+        "PYTHONPATH": os.pathsep.join(path + [os.environ.get("PYTHONPATH", "")]),
+    }
+    script = (
+        "import json, sys, pathlib, test_golden_cli as g; "
+        "print(json.dumps({n: g.run_case(n, pathlib.Path(sys.argv[1])) for n in g.cases()}))"
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert child.returncode == 0, child.stderr
+    docs = json.loads(child.stdout)
+    assert {n: d for n, d in docs.items() if d != golden[n]} == {}
 
 
 if __name__ == "__main__":
