@@ -514,8 +514,13 @@ def test_existing_output_is_refused_before_any_simulation(tmp_path, runner, monk
         raise AssertionError("ran before the existing output was refused")
 
     monkeypatch.setattr(analysis, "run", forbidden)
-    config = {"instance": single_expert_doc(), "scheduler": {"kind": "work_conserving"}}
-    config.update({"lambdas": [0.3], "seeds": [1], "horizon": 200})
+    config = {
+        "instance": single_expert_doc(),
+        "scheduler": {"kind": "work_conserving"},
+        "lambdas": [0.3],
+        "seeds": [1],
+        "horizon": 200,
+    }
     cfg = write_json(tmp_path / "cfg.json", config)
     out = tmp_path / "out"
     out.mkdir()

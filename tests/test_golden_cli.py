@@ -127,11 +127,11 @@ def test_fixture_holds_under_a_forced_openblas_kernel(golden, tmp_path, core):
     # process can be given another one; where numpy has no OpenBLAS the
     # setting is ignored and the run is an ordinary one.
     here = Path(__file__).parent
-    path = [str(here), str(Path(expertq.__file__).parent.parent)]
+    path = [str(here), str(Path(expertq.__file__).parent.parent), os.environ.get("PYTHONPATH")]
     env = {
         **os.environ,
         "OPENBLAS_CORETYPE": core,
-        "PYTHONPATH": os.pathsep.join(path + [os.environ.get("PYTHONPATH", "")]),
+        "PYTHONPATH": os.pathsep.join(filter(None, path)),
     }
     script = (
         "import json, sys, pathlib, test_golden_cli as g; "
