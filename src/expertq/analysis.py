@@ -15,6 +15,7 @@ import math
 import operator
 import os
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -96,34 +97,42 @@ class StabilityVerdict:
 def drift_check(stats: TraceStats, expert: int = 0) -> DriftReport:
     """Compare the simulated busy-slot drift against its analytic value.
 
-    Requires a run recorded with ``record_lyapunov``; raises if the trace
-    lacks per-slot samples or if the run's policy sends the expert a topic
+    Requires a run recorded with ``record_lyapunov``; raises if the run
+    had fewer than two busy slots or if its policy sends the expert a topic
     it cannot answer (the weighted sum is undefined there). The load, the
     expert's flow and its success probabilities come from the run's config.
+    The mean and variance are formed exactly from ``busy_moments`` with the
+    float weights 1.0/q(x); the mean and standard error are rounded once.
     """
-    if stats.lyapunov_series is None or stats.busy_series is None:
+    if stats.busy_moments is None:
         raise ValueError("drift check needs a run with record_lyapunov enabled")
     inst = stats.config.instance
-    flow = _flow(inst, stats.config.scheduler)[expert]
-    load = service_load(flow, inst.success_matrix()[expert])
+    q = inst.success_matrix()[expert]
+    load = service_load(_flow(inst, stats.config.scheduler)[expert], q)
     if load == math.inf:
         raise ValueError("drift undefined: mass-bearing topic with zero success prob")
     delta = 1.0 - inst.arrivals.lam * load
-
-    level = stats.lyapunov_series[:, expert]
-    busy = stats.busy_series[:, expert]
-    steps = np.diff(level)[busy]
-    if steps.size < 2:
+    (count, *first), *second = stats.busy_moments[expert].tolist()
+    if count < 2:
         raise ValueError("not enough busy slots to estimate drift")
-    empirical = float(steps.mean())
-    std_error = float(steps.std(ddof=1) / math.sqrt(steps.size))
+    w = [Fraction(1.0 / qx) if qx > 0.0 else Fraction(0) for qx in q.tolist()]
+    total = sum(map(operator.mul, w, first))
+    square = sum(wx * wy * s for wx, (_, *row) in zip(w, second) for wy, s in zip(w, row) if s)
+    variance = (square - total * total / count) / (count - 1)
     return DriftReport(
-        empirical_drift=empirical,
+        empirical_drift=float(total / count),
         predicted_drift=-delta,
         delta=delta,
-        busy_slots=int(steps.size),
-        std_error=std_error,
+        busy_slots=count,
+        std_error=_sqrt(variance / count),
     )
+
+
+def _sqrt(r: Fraction) -> float:
+    """sqrt(r >= 0) correctly rounded: a 55+ bit root rounded to odd, divided once."""
+    k = max(0, 112 - r.numerator.bit_length() + r.denominator.bit_length()) // 2
+    root = math.isqrt((r.numerator << 2 * k) // r.denominator)
+    return (root | (root * root * r.denominator != r.numerator << 2 * k)) / (1 << k)
 
 
 def _given_threshold(slope_threshold: float | None) -> float | None:

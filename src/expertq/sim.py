@@ -46,8 +46,8 @@ class SimConfig:
 
     ``sample_interval`` spaces the recorded time series; exact time
     averages are accumulated every slot regardless. ``record_lyapunov``
-    additionally stores per-slot service-weighted queue sums and busy
-    flags per expert, which drift checks require. Raises ValueError when
+    additionally keeps, per expert, the integer moments of the queue
+    changes over busy slots that drift checks need. Raises ValueError when
     built on an invalid instance, a scheduler built for another shape, or a
     horizon or sample interval below 1.
     """
@@ -113,7 +113,10 @@ class TraceStats:
     per expert; the ``*_final_quarter`` variants average the last quarter
     only, as a finite-run stand-in for the long-run limit. The sampled
     series record totals at slot starts every ``sample_interval`` slots
-    plus the final state.
+    plus the final state. With ``record_lyapunov``, ``busy_moments[i]``
+    sums e e^T, e = (1, d_1, ..., d_T), over the slots that start with work
+    at expert i, d_x being queue x's change: the count N at [0, 0], S1_x at
+    [0, x] and S2_xy at [x, y]. Its size does not depend on the horizon.
     """
 
     config: SimConfig
@@ -128,8 +131,7 @@ class TraceStats:
     throughput: float
     empty_fraction: float
     empty_fraction_per_expert: np.ndarray
-    lyapunov_series: np.ndarray | None
-    busy_series: np.ndarray | None
+    busy_moments: np.ndarray | None
     final_state: QueueState
 
     def summary(self) -> dict:
@@ -283,11 +285,7 @@ def step(
 
 
 def run(config: SimConfig) -> TraceStats:
-    """Simulate the configured horizon and collect metrics.
-
-    Raises ValueError before slot 0 when a ``record_lyapunov`` run's
-    per-slot record cannot be allocated.
-    """
+    """Simulate the configured horizon and collect metrics."""
     inst = config.instance
     streams = RngStreams.from_seed(config.seed)
     engine = _Engine(inst, config.scheduler, streams, initial_state(inst))
@@ -307,26 +305,12 @@ def run(config: SimConfig) -> TraceStats:
     sample_loss: list[int] = []
     sample_dep: list[int] = []
 
-    record = config.record_lyapunov
-    if record:
-        weights = [
-            [(1.0 / qv if qv > 0.0 else 0.0) for qv in row] for row in engine.qprob
-        ]
-
-        def lyapunov_row() -> list[float]:
-            return [
-                sum(wrow[x] * row[x] for x in range(n_topics) if row[x])
-                for row, wrow in zip(engine.queues, weights)
-            ]
-
-        try:
-            lyap = np.empty((horizon + 1, n), dtype=np.float64)
-            busy = np.empty((horizon, n), dtype=bool)
-        except MemoryError as exc:
-            need = (horizon + 1) * n * 8 + horizon * n
-            raise ValueError(f"horizon {horizon}: the drift record needs {need} bytes") from exc
-
     n_topics = engine.n_topics
+    record = config.record_lyapunov
+    # Per expert, the sum over busy slots of e e^T with e = (1, d_1..d_T).
+    width = n_topics + 1
+    moments = [[[0] * width for _ in range(width)] for _ in range(n)] if record else None
+    busy = ()
     # rng.DRAW_BLOCK_BYTES of uniforms per block: 2048 slots at 1 expert x
     # 2 topics, 85 at 4 x 12, 2 at 32 x 50.
     rows = block_rows(8 * n * n_topics)
@@ -357,13 +341,22 @@ def run(config: SimConfig) -> TraceStats:
                 queue_at_quarter = list(queue_sum)
                 loss_at_quarter = [sum(row) for row in engine.cum_loss]
             if record:
-                lyap[t_abs] = lyapunov_row()
-                busy[t_abs] = [v > 0 for v in totals]
+                # Busy experts' live queue rows, slot-start copies and moments.
+                busy = [(r, r[:], m) for r, m, v in zip(engine.queues, moments, totals) if v]
             slot_arrivals = []
             while ptr < n_hits and slot_l[ptr] == s:
                 slot_arrivals.append((exp_l[ptr], top_l[ptr]))
                 ptr += 1
             engine.advance(slot_arrivals)
+            for row, before, m in busy:
+                if row == before:  # nothing changed: e = (1, 0, ..., 0)
+                    m[0][0] += 1
+                    continue
+                e = [(0, 1)]
+                e += [(x, a - b) for x, (a, b) in enumerate(zip(row, before), 1) if a != b]
+                for a, da in e:
+                    for b, db in e:
+                        m[a][b] += da * db
         done += block
 
     for i, total in enumerate(engine.totals):
@@ -372,8 +365,6 @@ def run(config: SimConfig) -> TraceStats:
     sample_queue.append(sum(engine.totals))
     sample_loss.append(engine.losses_total)
     sample_dep.append(engine.deps_total)
-    if record:
-        lyap[horizon] = lyapunov_row()
 
     loss_per_expert = np.array([sum(row) for row in engine.cum_loss], dtype=np.float64)
     loss_quarter = loss_per_expert - np.array(loss_at_quarter, dtype=np.float64)
@@ -395,8 +386,7 @@ def run(config: SimConfig) -> TraceStats:
         empty_fraction=empty_slots / horizon,
         empty_fraction_per_expert=np.array(empty_per_expert, dtype=np.float64)
         / horizon,
-        lyapunov_series=lyap if record else None,
-        busy_series=busy if record else None,
+        busy_moments=np.array(moments, dtype=np.int64) if record else None,
         final_state=engine.snapshot(),
     )
 

@@ -1,7 +1,9 @@
 import concurrent.futures
 import dataclasses
 import math
+import operator
 import os
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -34,7 +36,8 @@ from expertq.sched import (
     offline_routing_scheduler,
     work_conserving_single,
 )
-from expertq.sim import SimConfig, run
+from expertq.rng import RngStreams
+from expertq.sim import SimConfig, initial_state, run, step
 
 
 def single_expert_instance(lam, p, q):
@@ -56,6 +59,14 @@ def drift_run(lam, horizon=100_000, seed=1):
         )
     )
     return stats
+
+
+def decimal_sqrt(r: Fraction) -> float:
+    """sqrt(r) to 60 digits, then to the nearest float: the correctly
+    rounded root unless it lies within 1e-59 of a midpoint."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return float((Decimal(r.numerator) / Decimal(r.denominator)).sqrt())
 
 
 class TestDriftCheck:
@@ -98,6 +109,49 @@ class TestDriftCheck:
         )
         with pytest.raises(ValueError, match="zero success"):
             drift_check(stats)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_mean_and_std_error_are_correctly_rounded(self, seed):
+        # Rebuild every busy-slot step of L = sum_x (1.0/q_x) Q_x from step()
+        # states as an exact fraction of the float weights. Times like 2.71
+        # make weights whose float sums round, so a mean of rounded levels'
+        # differences can miss the correctly rounded value.
+        inst = Instance(
+            experts=(ExpertProfile.from_mean_times(0, [1.3, 2.71, 4.05]),),
+            arrivals=ArrivalSpec(lam=0.35, pmf=[[0.5, 0.3, 0.2]]),
+        )
+        sched = work_conserving_single(inst)
+        horizon = 2_000
+        report = drift_check(
+            run(
+                SimConfig(
+                    instance=inst,
+                    scheduler=sched,
+                    horizon=horizon,
+                    seed=seed,
+                    record_lyapunov=True,
+                )
+            )
+        )
+        weights = [Fraction(1.0 / q) for q in inst.experts[0].success_prob.tolist()]
+        streams, state, steps = RngStreams.from_seed(seed), initial_state(inst), []
+        for _ in range(horizon):
+            after, _ = step(state, inst, sched, streams)
+            if state.q.any():
+                steps.append(sum(map(operator.mul, weights, (after.q - state.q)[:, 0].tolist())))
+            state = after
+        mean = sum(steps) / len(steps)
+        variance = sum((s - mean) ** 2 for s in steps) / (len(steps) - 1)
+        assert report.busy_slots == len(steps)
+        assert report.empirical_drift == float(mean)
+        assert report.std_error == decimal_sqrt(variance / len(steps))
+
+    @given(st.fractions(min_value=0, max_value=10**6))
+    @example(Fraction(0))
+    @example(Fraction(2))
+    @example(Fraction(10**40 + 1, 10**20))
+    def test_sqrt_is_correctly_rounded(self, r):
+        assert analysis._sqrt(r) == decimal_sqrt(r)
 
     def test_per_expert_drift_on_routed_system(self):
         # three specialists at half speed, identity routing: expert i sees

@@ -1,8 +1,8 @@
 """Golden per-seed trajectories for every scheduler kind and selection rule.
 
 The fixture in ``golden/schedulers.json`` pins, for each case and seed, the
-run summary, the final queue state, the Lyapunov series sum and the
-analytic boundary. ``golden/steps.json`` pins, for the same cases and
+run summary, the final queue state, a sha256 of every expert's busy-slot
+moments, the busy-slot count and the analytic boundary. ``golden/steps.json`` pins, for the same cases and
 seeds, the events :func:`expertq.sim.step` reports over ``STEP_SLOTS``
 slots (a sha256 of their canonical JSON plus per-field counts) and the
 state it ends in. Refactors of the scheduler, the engine or the load
@@ -142,8 +142,12 @@ def snapshot(case: str, seed: int) -> dict:
     doc = {
         "summary": stats.summary(),
         "final_state": state_doc(stats.final_state),
-        "lyapunov_sum": float(stats.lyapunov_series.sum()),
-        "busy_slots": int(stats.busy_series.sum()),
+        # Every expert's (T + 1)^2 moments, as a digest: the wide cases alone
+        # would add 123,008 integers to the fixture.
+        "busy_moments_sha256": hashlib.sha256(
+            json.dumps(stats.busy_moments.tolist(), separators=(",", ":")).encode("utf-8")
+        ).hexdigest(),
+        "busy_slots": int(stats.busy_moments[:, 0, 0].sum()),
         "analytic_boundary": analytic_boundary(inst, sched),
     }
     # The stored form: floats survive the JSON round trip exactly.

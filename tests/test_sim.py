@@ -276,8 +276,10 @@ class TestRun:
                 record_lyapunov=True,
             )
         )
-        assert stats.lyapunov_series.shape == (501, 1)
-        assert stats.busy_series.shape == (500, 1)
+        # One expert, one topic: (1, 1 + T, 1 + T) whatever the horizon.
+        assert stats.busy_moments.shape == (1, 2, 2)
+        assert stats.busy_moments.dtype == np.int64
+        assert 0 < stats.busy_moments[0, 0, 0] < 500
         plain = run(
             SimConfig(
                 instance=inst,
@@ -286,7 +288,7 @@ class TestRun:
                 seed=2,
             )
         )
-        assert plain.lyapunov_series is None
+        assert plain.busy_moments is None
 
     def test_sampling_grid(self):
         inst = single_expert_instance(0.5, [1.0], [1.0])
@@ -357,8 +359,7 @@ class TestArrivalBlocks:
                     stats.total_queue_series,
                     stats.cum_loss_series,
                     stats.cum_departure_series,
-                    stats.lyapunov_series,
-                    stats.busy_series,
+                    stats.busy_moments,
                 )
             ],
         )
@@ -458,6 +459,33 @@ class TestArrivalBlocks:
             tracemalloc.stop()
         assert stats.final_state.q.sum() > 0
         assert peak < 0.75 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+    def test_drift_record_does_not_grow_with_the_horizon(self):
+        # A record_lyapunov run keeps fixed-size busy-slot moments; a per-slot
+        # record of 9 bytes a slot would add 3.6 MB at 400 000 slots. One
+        # sample per run keeps the sampled series out of the comparison.
+        inst = single_expert_instance(0.3, [0.6, 0.4], [0.5, 1 / 3.25])
+        sched = work_conserving_single(inst)
+
+        def peak(horizon):
+            config = SimConfig(
+                instance=inst,
+                scheduler=sched,
+                horizon=horizon,
+                seed=5,
+                sample_interval=horizon,
+                record_lyapunov=True,
+            )
+            tracemalloc.start()
+            try:
+                assert run(config).busy_moments[0, 0, 0] > horizon // 4
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(100)  # one-time allocations
+        short, long = peak(4_000), peak(400_000)
+        assert long - short < 10**6, f"{short / 1e6:.2f} MB vs {long / 1e6:.2f} MB"
 
 
 class TestUniformBuffer:
