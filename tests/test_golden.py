@@ -2,10 +2,11 @@
 
 The fixture in ``golden/schedulers.json`` pins, for each case and seed, the
 run summary, the final queue state, a sha256 of every expert's busy-slot
-moments, the busy-slot count and the analytic boundary. ``golden/steps.json`` pins, for the same cases and
-seeds, the events :func:`expertq.sim.step` reports over ``STEP_SLOTS``
-slots (a sha256 of their canonical JSON plus per-field counts) and the
-state it ends in. Refactors of the scheduler, the engine or the load
+moments, the busy-slot count and the analytic boundary.
+``golden/steps.json`` pins, for the same cases and seeds, the events
+:func:`expertq.sim.step` reports over ``STEP_SLOTS`` slots (a sha256 of
+their canonical JSON plus per-field counts) and the state it ends in.
+Refactors of the scheduler, the engine or the load
 formula must reproduce both exactly. To regenerate them after a
 deliberate change of behaviour, run
 ``PYTHONPATH=src python tests/test_golden.py``.
