@@ -411,12 +411,14 @@ def verify(inst: Instance, cfg: dict, seed: int) -> list[dict]:
         p, q = inst.arrivals.pmf[0], experts[0].success_prob
         lam_default = 0.75 * single_capacity(p, q).lambda_star
         lam = config_field(cfg, "drift.lambda", "number", lam_default)
+        drift_horizon = config_field(cfg, "drift.horizon", "integer", 100_000)
         drift_run = SimConfig(
             instance=with_load(inst, lam),
             scheduler=work_conserving_single(inst),
-            horizon=config_field(cfg, "drift.horizon", "integer", 100_000),
+            horizon=drift_horizon,
             seed=seed,
             record_lyapunov=True,
+            sample_interval=drift_horizon,  # drift_check reads only busy_moments
         )
         gamma = config_field(cfg, "misestimation.gamma", "number", GAMMA_DEFAULT)
         mis_seeds = [seed, seed + 1, seed + 2]

@@ -129,7 +129,7 @@ def routing_policy_violations(
             col = float(s[:, x].sum())
             if abs(col - 1.0) > POLICY_TOL:
                 violations.append(f"routing column for topic {x} sums to {col!r}")
-            bad = np.nonzero((q[:, x] <= 0) & (s[:, x] > POLICY_TOL))[0]
+            bad = np.nonzero((q[:, x] <= 0) & (s[:, x] > 0))[0]
             for i in bad:
                 violations.append(
                     f"topic {x} routed to expert {i} with zero success probability"

@@ -11,6 +11,9 @@ reads one from a config's ``scheduler`` object.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from itertools import accumulate
+
 import numpy as np
 
 from .capacity import LossPolicy, RoutingPolicy, loss_capacity, multi_capacity_dual
@@ -60,11 +63,14 @@ class Scheduler:
     to admit every arrival without a draw. Column x of ``s``, of shape
     (n_experts, n_topics), is the distribution of an admitted topic-x
     arrival's destination expert, or ``s`` is None to keep every request
-    at its door expert without a draw. ``rule`` picks the topic an expert
-    serves: the ``first`` non-empty queue, the ``longest`` queue (the
-    first one on ties), a ``uniform`` draw over the non-empty queues, or a
-    draw ``weighted`` by queue length. ``kind`` names the constructor that
-    built the policy.
+    at its door expert without a draw. A route goes to the first expert
+    whose cumulative weight exceeds the draw u, or else to the last expert
+    with positive weight (n - 1 if none has any), so a skill-less expert
+    must have weight exactly 0 in any column some expert can answer.
+    ``rule`` picks the topic an expert serves: the ``first`` non-empty
+    queue, the ``longest`` queue (the first one on ties), a ``uniform``
+    draw over the non-empty queues, or a draw ``weighted`` by queue
+    length. ``kind`` names the constructor that built the policy.
 
     ``admit`` and ``route`` run once per arrival; ``select`` runs once per
     expert per slot and is only called with a non-empty queue row, so it
@@ -81,7 +87,14 @@ class Scheduler:
         self.s = None if s is None else np.asarray(s, dtype=np.float64)
         self.rule = rule
         self._admit_prob = None if mu is None else self.mu.tolist()
-        self._cumulative = None if s is None else np.cumsum(self.s, axis=0).T.tolist()
+        self._cumulative = None
+        if s is not None:
+            # Running maxima keep each column sorted for bisection; edges are
+            # infinite from where a positive total is reached, else at n - 1.
+            edges = np.maximum.accumulate(np.cumsum(self.s, axis=0), axis=0)
+            edges[(edges == edges[-1]) & (edges[-1] > 0)] = np.inf
+            edges[-1] = np.inf
+            self._cumulative = edges.T.tolist()
 
     def admit(self, topic: int, door_expert: int, streams: RngStreams) -> bool:
         prob = self._admit_prob
@@ -91,40 +104,23 @@ class Scheduler:
         cumulative = self._cumulative
         if cumulative is None:
             return door_expert
-        u = streams.routing.next()
-        for i, edge in enumerate(cumulative[topic]):
-            if u < edge:
-                return i
-        return self.n_experts - 1
+        return bisect_right(cumulative[topic], streams.routing.next())
 
     def select(
         self, expert: int, queue_row: list[int], total: int, streams: RngStreams
     ) -> int:
         rule = self.rule
         if rule == "weighted":
-            # For a double u < 1 and an integer 1 <= total < 2**53,
-            # fl(u * total) < total, so the scan always returns by the last
-            # non-empty queue, where acc reaches total.
+            # Integer prefix sums are exact, and fl(u * total) < total for a
+            # double u < 1 and an integer 1 <= total < 2**53.
             target = streams.selection.next() * total
-            acc = 0.0
-            for x, count in enumerate(queue_row):
-                acc += count
-                if target < acc:
-                    return x
-        elif rule == "longest":
-            best, best_count = 0, -1
-            for x, count in enumerate(queue_row):
-                if count > best_count:
-                    best, best_count = x, count
-            return best
-        elif rule == "first":
-            for x, count in enumerate(queue_row):
-                if count:
-                    return x
-        else:
-            nonempty = [x for x, count in enumerate(queue_row) if count]
-            return nonempty[int(streams.selection.next() * len(nonempty))]
-        raise AssertionError("select called with empty queues")
+            return bisect_right(list(accumulate(queue_row)), target)
+        if rule == "longest":
+            return queue_row.index(max(queue_row))
+        if rule == "first":
+            return next(x for x, count in enumerate(queue_row) if count)
+        nonempty = [x for x, count in enumerate(queue_row) if count]
+        return nonempty[int(streams.selection.next() * len(nonempty))]
 
     def compatible_with(self, inst: Instance) -> None:
         if inst.n_experts != self.n_experts or inst.n_topics != self.n_topics:

@@ -1,4 +1,4 @@
-"""Grid-search oracles the test suite certifies the production code against.
+"""Naive oracles the test suite certifies the production code against.
 
 Nothing in ``expertq`` imports this module. It holds two deliberately naive
 searches that share no code with the routes they check:
@@ -10,6 +10,10 @@ searches that share no code with the routes they check:
   certificate :func:`expertq.capacity.max_min_load`.
 
 Both scan their grids in bounded blocks and refuse a grid too large to scan.
+
+It also holds per-element scans, the references for the bisections
+:class:`expertq.sched.Scheduler` routes and selects by: :func:`route_scan`,
+:func:`weighted_scan` and :func:`longest_scan`.
 """
 
 from __future__ import annotations
@@ -289,3 +293,32 @@ def duality_gap(p_merged, experts: list[ExpertProfile], resolution: float) -> fl
     if math.isinf(primal.lambda_star) and math.isinf(dual.lambda_star):
         return 0.0
     return abs(primal.lambda_star - dual.lambda_star)
+
+
+def route_scan(column, u: float) -> int:
+    """The expert a routing draw ``u`` goes to by scanning the cumulative
+    weights of ``column``: the first whose cumulative weight exceeds u, or
+    the last expert when none does."""
+    for i, edge in enumerate(np.cumsum(np.asarray(column, dtype=np.float64)).tolist()):
+        if u < edge:
+            return i
+    return len(column) - 1
+
+
+def weighted_scan(queue_row: list[int], target: float) -> int:
+    """The first queue whose running request count exceeds ``target``."""
+    acc = 0.0
+    for x, count in enumerate(queue_row):
+        acc += count
+        if target < acc:
+            return x
+    raise AssertionError(f"target {target!r} is not below the row total {acc!r}")
+
+
+def longest_scan(queue_row: list[int]) -> int:
+    """The longest queue, the first one on ties."""
+    best, best_count = 0, -1
+    for x, count in enumerate(queue_row):
+        if count > best_count:
+            best, best_count = x, count
+    return best

@@ -737,6 +737,30 @@ class TestVerify:
         self.checks(10)
         assert len(calls) == 1
 
+    def test_drift_run_samples_only_its_ends(self, monkeypatch):
+        # drift_check reads only busy_moments, so the drift run keeps one
+        # sample at each end, not a series that grows with the horizon.
+        drift_runs = []
+        simulate = analysis.run
+
+        def recorded(config):
+            stats = simulate(config)
+            if config.record_lyapunov:
+                drift_runs.append(stats)
+            return stats
+
+        monkeypatch.setattr(analysis, "run", recorded)
+        cfg = {
+            "geometric": {"trials": 1_000},
+            "drift": {"horizon": 3_000},
+            "misestimation": {"horizon": 200, "seeds": [0]},
+        }
+        inst = single_expert_instance(0.5, [0.5, 0.5], [1.0, 0.5])
+        checks = analysis.verify(inst, cfg, 4)
+        assert "drift" in [c["name"] for c in checks]
+        assert len(drift_runs) == 1
+        assert drift_runs[0].sample_times.tolist() == [0, 3_000]
+
     def test_duality_gap_is_exact(self):
         check = self.checks(10)["duality_gap"]
         assert check["passed"] is True

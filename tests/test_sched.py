@@ -4,18 +4,22 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from expertq.analysis import classify_stability
 from expertq.capacity import LossPolicy, RoutingPolicy, multi_capacity_dual
 from expertq.model import ArrivalSpec, ExpertProfile, Instance, merged_pmf
 from expertq.rng import RngStreams
 from expertq.sched import (
+    Scheduler,
     mismatch_baseline,
     offline_loss_scheduler,
     offline_routing_scheduler,
     work_conserving_single,
 )
 from expertq.sim import SimConfig, initial_state, run, step
+from oracles import longest_scan, route_scan, weighted_scan
 
 
 def single_expert_instance(lam, p, q):
@@ -251,6 +255,34 @@ class TestOfflineRoutingScheduler:
         with pytest.raises(ValueError):
             offline_routing_scheduler(inst, RoutingPolicy(s=None))
 
+    def test_draw_past_a_short_column_stays_with_a_skilled_expert(self):
+        # The column sums to 1 - 5e-8, within tolerance; a draw at or above
+        # that total goes to expert 1, the last with positive weight, and
+        # never to the skill-less expert 2, where it would wait forever.
+        inst = Instance(
+            experts=tuple(
+                ExpertProfile.from_success_probs(i, [q]) for i, q in enumerate([0.5, 0.5, 0.0])
+            ),
+            arrivals=ArrivalSpec(lam=0.3, pmf=[[1.0]] * 3),
+        )
+        sched = offline_routing_scheduler(inst, RoutingPolicy(s=[[0.5], [0.49999995], [0.0]]))
+        for u in (0.99999995, 0.999999999, float(np.nextafter(1.0, 0.0))):
+            streams = SimpleNamespace(routing=SimpleNamespace(next=lambda u=u: u))
+            assert sched.route(0, 0, streams) == 1
+
+    def test_skill_less_expert_needs_exactly_zero_weight(self):
+        # A weight within POLICY_TOL of zero would still send requests to an
+        # expert that can never finish them.
+        inst = Instance(
+            experts=tuple(
+                ExpertProfile.from_success_probs(i, [q]) for i, q in enumerate([0.5, 0.0, 0.5])
+            ),
+            arrivals=ArrivalSpec(lam=0.3, pmf=[[1.0]] * 3),
+        )
+        policy = RoutingPolicy(s=[[0.5], [5e-8], [0.49999995]])
+        with pytest.raises(ValueError, match="routed to expert 1 with zero success"):
+            offline_routing_scheduler(inst, policy)
+
     def test_request_weighted_selection_statistics(self):
         inst = specialist_instance(lam=0.5)
         policy = multi_capacity_dual(merged_pmf(inst), list(inst.experts)).certificate
@@ -317,3 +349,97 @@ class TestMismatchBaseline:
             )
         )
         assert classify_stability(routed_stats).verdict == "stable"
+
+
+def fixed_draw(purpose, u):
+    """Streams whose ``purpose`` stream yields ``u`` on every draw."""
+    return SimpleNamespace(**{purpose: SimpleNamespace(next=lambda: u)})
+
+
+def around(value):
+    """``value`` and the doubles one ulp either side of it."""
+    return (float(np.nextafter(value, -np.inf)), value, float(np.nextafter(value, np.inf)))
+
+
+def unit_draws(edges):
+    """Every draw in [0, 1) at, or one ulp either side of, an edge."""
+    draws = {0.0, float(np.nextafter(1.0, 0.0))}
+    draws.update(u for edge in edges for u in around(float(edge)))
+    return sorted(u for u in draws if 0.0 <= u < 1.0)
+
+
+# A routing weight: a run of exact zeros, a tolerated tiny negative entry,
+# or a positive share normalised below.
+WEIGHTS = st.one_of(st.just(0.0), st.just(-1e-13), st.floats(1e-9, 1.0))
+# Queue counts: short ones tie and run to zero often, long ones test that
+# the prefix sums stay exact.
+COUNTS = st.one_of(st.integers(0, 3), st.integers(0, 2**40))
+
+
+class TestBisectionMatchesScan:
+    """route and select bisect on prefix sums; tests/oracles.py holds the
+    per-element scans they must agree with."""
+
+    @staticmethod
+    def router(weights):
+        positive = sum(w for w in weights if w > 0)
+        column = [w / positive if w > 0 else w for w in weights] if positive else weights
+        inst = SimpleNamespace(n_experts=len(column), n_topics=1)
+        return column, Scheduler("routing", inst, None, np.array(column)[:, None], "first")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(WEIGHTS, min_size=1, max_size=8))
+    @example([0.5, 0.5])
+    @example([0.25, 0.0, 0.0, 0.75, 0.0, 0.0])
+    @example([0.5, -1e-13, 0.5, -1e-13])
+    def test_route_matches_scan_below_the_column_total(self, weights):
+        column, sched = self.router(weights)
+        cumsum = np.cumsum(column)
+        total = float(cumsum.max())
+        for u in unit_draws(cumsum):
+            if u < total:
+                assert sched.route(0, 0, fixed_draw("routing", u)) == route_scan(column, u)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(WEIGHTS, min_size=1, max_size=8))
+    @example([0.5, 0.49999995, 0.0])
+    @example([0.0, -1e-13, 0.0])
+    def test_route_past_the_column_total_goes_to_last_weighted_expert(self, weights):
+        column, sched = self.router(weights)
+        total = float(np.cumsum(column).max())
+        weighted = [i for i, w in enumerate(column) if w > 0]
+        last = weighted[-1] if weighted else len(column) - 1
+        for u in unit_draws([total]):
+            if u >= total:
+                assert sched.route(0, 0, fixed_draw("routing", u)) == last
+
+    @staticmethod
+    def selector(rule, row):
+        inst = SimpleNamespace(n_experts=1, n_topics=len(row))
+        return Scheduler("work_conserving", inst, None, None, rule)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(COUNTS, min_size=1, max_size=12).filter(any))
+    @example([0, 0, 5, 0, 0])
+    @example([2**40, 0, 2**40 - 1, 1])
+    def test_weighted_matches_scan(self, row):
+        total = sum(row)
+        sched = self.selector("weighted", row)
+        for u in unit_draws([p / total for p in np.cumsum(row).tolist()]):
+            expected = weighted_scan(row, u * total)
+            assert sched.select(0, row, total, fixed_draw("selection", u)) == expected
+
+    def test_weighted_target_on_a_prefix_sum_takes_the_next_queue(self):
+        # total 8: u = p / 8 is exact, so u * total equals the prefix sum p.
+        row = [1, 0, 0, 3, 0, 4]
+        sched = self.selector("weighted", row)
+        picks = [sched.select(0, row, 8, fixed_draw("selection", p / 8)) for p in (0, 1, 4)]
+        assert picks == [weighted_scan(row, p) for p in (0, 1, 4)] == [0, 3, 5]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(COUNTS, min_size=1, max_size=12).filter(any))
+    @example([3, 1, 3, 0])
+    @example([0, 2, 0, 2, 2])
+    def test_longest_matches_scan(self, row):
+        sched = self.selector("longest", row)
+        assert sched.select(0, row, sum(row), fixed_draw("selection", 0.5)) == longest_scan(row)
