@@ -35,7 +35,6 @@ from .model import (
     load_instance,
     merged_pmf,
     save_instance,
-    validate_instance,
 )
 from .rng import RngStreams
 from .sched import (

@@ -234,9 +234,10 @@ def capacity_boundary_sweep(
 ) -> SweepResult:
     """Simulate a sorted load grid across seeds and bracket the boundary.
 
-    Every cell's run is built, and so checked, before the first one runs.
-    Cells are seeded independently, so ``workers > 1`` runs them in a
-    process pool, never larger than the CPUs or cells, with equal results.
+    One instance per load and every cell's run are built, and so checked,
+    before the first one runs. Cells are seeded independently, so
+    ``workers > 1`` runs them in a process pool, never larger than the CPUs
+    or cells, with equal results.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
@@ -249,13 +250,13 @@ def capacity_boundary_sweep(
     cell = functools.partial(_sweep_cell, slope_threshold=_given_threshold(slope_threshold))
     configs = [
         SimConfig(
-            instance=with_load(inst, lam),
+            instance=loaded,
             scheduler=sched,
             horizon=horizon,
             seed=seed,
             sample_interval=sample_interval,
         )
-        for lam in lambdas
+        for loaded in [with_load(inst, lam) for lam in lambdas]
         for seed in seeds
     ]
     workers = min(workers, os.cpu_count() or 1, len(configs))

@@ -8,9 +8,10 @@ arrive Bernoulli per (topic, expert) pair with probability
 ``lam * p_i(x)`` each slot.
 
 All model types are immutable after construction and safe to share across
-threads or processes. Validation is collected by :func:`validate_instance`
-rather than raised at construction time, so malformed instances can be
-inspected and reported.
+threads or processes. An :class:`Instance` checks every model invariant
+when it is built and raises one ``ValueError`` listing each violation, so
+every instance that exists is valid. Bare profiles and arrival specs are
+not checked: capacity formulas take them on their own, estimates included.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ __all__ = [
     "ExpertProfile",
     "ArrivalSpec",
     "Instance",
-    "validate_instance",
     "merged_pmf",
     "instance_to_dict",
     "instance_from_dict",
@@ -116,7 +116,8 @@ class Instance:
 
     Any expert may be handed any request (a complete coordination graph).
     The arrival spec defines the topic universe width; every expert
-    profile must be indexed over the same universe.
+    profile must be indexed over the same universe. Raises ValueError
+    ``invalid instance: ...`` naming every violated invariant.
     """
 
     experts: tuple[ExpertProfile, ...]
@@ -124,6 +125,9 @@ class Instance:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "experts", tuple(self.experts))
+        problems = _validate_instance(self)
+        if problems:
+            raise ValueError("invalid instance: " + "; ".join(problems))
 
     @property
     def n_experts(self) -> int:
@@ -138,11 +142,9 @@ class Instance:
         return np.vstack([e.success_prob for e in self.experts])
 
 
-def validate_instance(inst: Instance) -> list[str]:
-    """Check every model invariant; return a description per violation.
-
-    Returns an empty list iff the instance is well formed. Pure: the same
-    instance always yields the same list, and nothing is mutated.
+def _validate_instance(inst: Instance) -> list[str]:
+    """Check every model invariant; return a description per violation,
+    an empty list iff the instance is well formed. Pure: nothing is mutated.
     """
     violations: list[str] = []
 
@@ -244,7 +246,8 @@ def instance_to_dict(inst: Instance) -> dict:
 
 def instance_from_dict(doc: dict) -> Instance:
     """Parse the canonical JSON document. Raises ValueError naming the
-    first malformed field."""
+    first malformed field, or every violation of a well-typed but invalid
+    instance."""
     n_topics = config_field(doc, "topics", "integer")
     lam = config_field(doc, "lambda", "number")
     pmf = config_field(doc, "pmf", "rows")
@@ -259,12 +262,6 @@ def instance_from_dict(doc: dict) -> Instance:
         if len(row) != n_topics:
             raise ValueError(
                 f"pmf row has {len(row)} entries, 'topics' declares {n_topics}"
-            )
-    for e in experts:
-        if e.n_topics != n_topics:
-            raise ValueError(
-                f"expert {e.expert_id} has {e.n_topics} topics, "
-                f"'topics' declares {n_topics}"
             )
     return Instance(experts=experts, arrivals=ArrivalSpec(lam=lam, pmf=pmf))
 

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import Instance, validate_instance
+from .model import Instance
 from .rng import RngStreams, block_rows
 from .sched import Scheduler
 
@@ -47,9 +47,9 @@ class SimConfig:
     ``sample_interval`` spaces the recorded time series; exact time
     averages are accumulated every slot regardless. ``record_lyapunov``
     additionally keeps, per expert, the integer moments of the queue
-    changes over busy slots that drift checks need. Raises ValueError when
-    built on an invalid instance, a scheduler built for another shape, or a
-    horizon or sample interval below 1.
+    changes over busy slots that drift checks need. The instance checked
+    itself when it was built; this raises ValueError on a scheduler built
+    for another shape, or a horizon or sample interval below 1.
     """
 
     instance: Instance
@@ -60,9 +60,6 @@ class SimConfig:
     record_lyapunov: bool = False
 
     def __post_init__(self) -> None:
-        problems = validate_instance(self.instance)
-        if problems:
-            raise ValueError("invalid instance: " + "; ".join(problems))
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
         if self.sample_interval < 1:

@@ -627,6 +627,20 @@ class TestMisestimation:
         assert r.lam == analysis.LOAD_FRACTION * guaranteed
         assert r.estimated_capacity == single_capacity([0.5, 0.5], [1.0, 0.5]).lambda_star
 
+    def test_estimates_below_one_slot_still_run(self):
+        # gamma * T is 0.5 slots on topic 0: the estimate is a bare profile,
+        # never an Instance, so it must not be held to T(x) >= 1.
+        result = misestimation_check(
+            self.base_instance(),
+            gamma=0.5,
+            seeds=[0],
+            horizon=1_000,
+            inflate=lambda t, g, rng: g * t,
+        )
+        (r,) = result.runs
+        assert r.estimated_capacity == pytest.approx(4 / 3, abs=1e-12)
+        assert r.lam == pytest.approx(0.95 * 0.5 * 4 / 3, abs=1e-12)
+
     def test_empty_seed_list_rejected(self):
         # No runs used to mean all_stable.
         with pytest.raises(ValueError, match="at least one seed"):

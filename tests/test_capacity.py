@@ -645,12 +645,14 @@ class TestDualityCertificate:
             g = max_min_load(p, experts, alpha)
             assert abs(g - mu) <= 1e-9 * mu
             # Weak duality: no weight vector beats the load of a routing.
+            # Each door gets p normalised, so the merged pmf is p scaled by
+            # n / p.sum() and so is the routing's load.
             n = len(experts)
-            inst = Instance(
-                experts=tuple(experts), arrivals=ArrivalSpec(lam=0.1, pmf=[p / n] * n)
-            )
+            scale = n / p.sum()
+            arrivals = ArrivalSpec(lam=0.1, pmf=[p / p.sum()] * n)
+            inst = Instance(experts=tuple(experts), arrivals=arrivals)
             sched = offline_routing_scheduler(inst, result.certificate)
-            assert g <= analysis.policy_load(inst, sched) * (1 + 1e-12)
+            assert g * scale <= analysis.policy_load(inst, sched) * (1 + 1e-12)
             qmat = np.vstack([e.success_prob for e in experts])
             skill_less = (qmat[:, p > 0] == 0.0).any(axis=1)
             zero_weights += int(((alpha == 0.0) & skill_less).any())

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from expertq import analysis, cli, sched
+from expertq import analysis, cli, model, sched
 from expertq.cli import main
-from expertq.model import load_instance, validate_instance
+from expertq.model import load_instance
 
 
 def write_json(path, doc):
@@ -190,6 +190,10 @@ def test_nan_input_exits_2(tmp_path, runner, case):
     assert result.exit_code == 2, result.output
     assert message in result.output
     assert not out.exists()
+
+
+# Written beside every malformed case's config: an instance with lambda 1.5.
+INVALID_INSTANCE_FILE = "invalid_instance.json"
 
 
 def malformed_cases():
@@ -427,6 +431,11 @@ def malformed_cases():
             {"instance_path": "missing.json", "mode": "single"},
             "instance_path",
         ),
+        "config-instance-path-invalid": (
+            "capacity",
+            {"instance_path": INVALID_INSTANCE_FILE, "mode": "single"},
+            "instance_path",
+        ),
         "capacity-unknown-mode": (
             "capacity",
             {"instance": single_expert_doc(), "mode": "dual"},
@@ -457,6 +466,7 @@ def malformed_cases():
 @pytest.mark.parametrize("case", sorted(malformed_cases()))
 def test_malformed_value_exits_2_without_traceback(tmp_path, runner, case):
     command, config, field = malformed_cases()[case]
+    write_json(tmp_path / INVALID_INSTANCE_FILE, single_expert_doc(lam=1.5))
     cfg = write_json(tmp_path / "cfg.json", config)
     out = tmp_path / "out"
     result = runner.invoke(main, [command, cfg, "--out", str(out)])
@@ -465,6 +475,17 @@ def test_malformed_value_exits_2_without_traceback(tmp_path, runner, case):
     assert f"field {field!r}" in result.output
     assert isinstance(result.exception, SystemExit)
     assert not out.exists()
+
+
+def test_invalid_instance_file_is_named_with_its_violation(tmp_path, runner):
+    instance = write_json(tmp_path / INVALID_INSTANCE_FILE, single_expert_doc(lam=1.5))
+    cfg = write_json(tmp_path / "cfg.json", {"instance_path": instance, "mode": "single"})
+    result = runner.invoke(main, ["capacity", cfg, "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert result.stderr == (
+        f"config error: config field 'instance_path': cannot load {instance}: "
+        "invalid instance: arrivals.lambda: must lie in [0, 1), got 1.5\n"
+    )
 
 
 def rejected_before_running_cases():
@@ -914,13 +935,42 @@ class TestShippedConfigs:
     def test_config_parses_and_builds(self, path):
         doc = json.loads(path.read_text(encoding="utf-8"))
         if "topics" in doc:  # an instance document that configs point at
-            assert validate_instance(load_instance(path)) == []
+            load_instance(path)  # raises if the instance is invalid
             return
         cfg, inst = cli._read_config(str(path))
         assert cfg == doc
         if "scheduler" in doc:
             scheduler = sched.build_scheduler(inst, doc["scheduler"])
             assert scheduler.kind == doc["scheduler"]["kind"]
+
+    def shipped_run_checks(self, tmp_path, runner, monkeypatch, name):
+        """How often the instance check runs in the shipped command config
+        ``name``, shortened, and that config's document."""
+        calls = []
+        check = model._validate_instance
+
+        def counted(inst):
+            calls.append(inst)
+            return check(inst)
+
+        monkeypatch.setattr(model, "_validate_instance", counted)
+        (path,) = [p for p in CONFIGS if p.name == name]
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = shortened({**doc, "instance_path": str(path.parent / doc["instance_path"])})
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        command = name.split("_")[0]
+        result = runner.invoke(main, [command, cfg, "--out", str(tmp_path / "out")])
+        assert result.exit_code == 0, result.output
+        return len(calls), doc
+
+    def test_simulate_checks_its_instance_once(self, tmp_path, runner, monkeypatch):
+        checks, _ = self.shipped_run_checks(tmp_path, runner, monkeypatch, "simulate_routing.json")
+        assert checks == 1
+
+    def test_sweep_checks_one_instance_per_load(self, tmp_path, runner, monkeypatch):
+        checks, doc = self.shipped_run_checks(tmp_path, runner, monkeypatch, "sweep_single.json")
+        assert len(doc["seeds"]) > 1
+        assert checks == 1 + len(doc["lambdas"])
 
     @pytest.mark.parametrize("case", sorted(mistyped_shipped_configs()))
     def test_mistyped_number_exits_2_without_output(self, tmp_path, runner, case):

@@ -15,7 +15,7 @@ from expertq.model import (
     load_instance,
     merged_pmf,
     save_instance,
-    validate_instance,
+    _validate_instance,
 )
 
 
@@ -55,48 +55,78 @@ def instances(draw):
     return make_instance(pmf, q_rows, lam)
 
 
+def violations(build) -> list[str]:
+    """Each violation ``build()`` raises, in order, on an invalid instance."""
+    with pytest.raises(ValueError) as info:
+        build()
+    message = str(info.value)
+    assert message.startswith("invalid instance: ")
+    return message.removeprefix("invalid instance: ").split("; ")
+
+
 class TestValidation:
     def test_well_formed_instance_has_no_violations(self):
         inst = make_instance(
             [[0.2, 0.3, 0.5], [0.5, 0.25, 0.25]],
             [[1.0, 0.5, 0.0], [0.25, 0.0, 1.0]],
         )
-        assert validate_instance(inst) == []
+        assert _validate_instance(inst) == []
 
     def test_unnormalized_pmf_is_flagged_with_expert_index(self):
-        inst = make_instance(
-            [[0.5, 0.5], [0.5, 0.4]],
-            [[1.0, 1.0], [1.0, 1.0]],
+        found = violations(
+            lambda: make_instance([[0.5, 0.5], [0.5, 0.4]], [[1.0, 1.0], [1.0, 1.0]])
         )
-        violations = validate_instance(inst)
-        assert len(violations) == 1
-        assert "expert 1" in violations[0] and "pmf" in violations[0]
+        assert found == ["arrivals.pmf[expert 1]: sums to 0.9, expected 1 within 1e-09"]
 
     def test_mean_time_below_one_is_flagged(self):
         expert = ExpertProfile.from_mean_times(0, [0.5, 2.0])
-        inst = Instance(
-            experts=(expert,), arrivals=ArrivalSpec(lam=0.5, pmf=[[0.5, 0.5]])
+        found = violations(
+            lambda: Instance(
+                experts=(expert,), arrivals=ArrivalSpec(lam=0.5, pmf=[[0.5, 0.5]])
+            )
         )
-        violations = validate_instance(inst)
-        assert any("mean_time" in v and "topic 0" in v for v in violations)
-        assert not any("topic 1" in v for v in violations)
+        assert found == [
+            "expert 0.mean_time[topic 0]: T(x) >= 1 required, got 0.5",
+            "expert 0.success_prob[topic 0]: outside [0, 1], got 2.0",
+        ]
 
     def test_lambda_out_of_range(self):
         for lam in (-0.1, 1.0, 1.5):
-            inst = make_instance([[1.0]], [[1.0]], lam=lam)
-            assert any("lambda" in v for v in validate_instance(inst))
+            found = violations(lambda: make_instance([[1.0]], [[1.0]], lam=lam))
+            assert found == [f"arrivals.lambda: must lie in [0, 1), got {lam}"]
         # lam == 0 is the accepted degenerate no-traffic case
-        assert validate_instance(make_instance([[1.0]], [[1.0]], lam=0.0)) == []
+        assert make_instance([[1.0]], [[1.0]], lam=0.0).arrivals.lam == 0.0
 
     def test_inconsistent_profile_is_flagged(self):
         expert = ExpertProfile(0, mean_time=[2.0], success_prob=[0.6])
-        inst = Instance(experts=(expert,), arrivals=ArrivalSpec(lam=0.5, pmf=[[1.0]]))
-        assert any("inconsistent" in v for v in validate_instance(inst))
+        found = violations(
+            lambda: Instance(experts=(expert,), arrivals=ArrivalSpec(lam=0.5, pmf=[[1.0]]))
+        )
+        assert found == [
+            "expert 0[topic 0]: success_prob 0.6 and mean_time 2.0 inconsistent "
+            "(q*T deviates from 1 by 0.2)"
+        ]
 
     def test_topic_universe_mismatch(self):
         expert = ExpertProfile.from_success_probs(0, [1.0, 1.0])
-        inst = Instance(experts=(expert,), arrivals=ArrivalSpec(lam=0.5, pmf=[[1.0]]))
-        assert any("universe" in v for v in validate_instance(inst))
+        found = violations(
+            lambda: Instance(experts=(expert,), arrivals=ArrivalSpec(lam=0.5, pmf=[[1.0]]))
+        )
+        assert found == ["expert 0: profile over 2 topics, instance universe has 1"]
+
+    def test_lambda_pmf_and_expert_violations_in_one_error(self):
+        expert = ExpertProfile(0, mean_time=[2.0, 1.0], success_prob=[0.6, 1.0])
+        found = violations(
+            lambda: Instance(
+                experts=(expert,), arrivals=ArrivalSpec(lam=1.5, pmf=[[0.5, 0.4]])
+            )
+        )
+        assert found == [
+            "arrivals.lambda: must lie in [0, 1), got 1.5",
+            "arrivals.pmf[expert 0]: sums to 0.9, expected 1 within 1e-09",
+            "expert 0[topic 0]: success_prob 0.6 and mean_time 2.0 inconsistent "
+            "(q*T deviates from 1 by 0.2)",
+        ]
 
     @pytest.mark.parametrize(
         "pmf, times, message",
@@ -111,22 +141,28 @@ class TestValidation:
     def test_non_finite_numbers_are_flagged(self, pmf, times, message):
         # Every comparison with NaN is false, so no range check alone sees it.
         doc = {"topics": 2, "lambda": 0.5, "pmf": pmf, "experts": [{"id": 0, "T": times}]}
-        violations = validate_instance(instance_from_dict(doc))
-        assert message in violations[0]
+        found = violations(lambda: instance_from_dict(doc))
+        assert message in found[0]
         # An infinite entry also makes its row's sum wrong; NaN never compares.
-        assert len(violations) == 1 + any(math.isinf(v) for v in doc["pmf"][0])
+        assert len(found) == 1 + any(math.isinf(v) for v in doc["pmf"][0])
+
+    def test_bare_profile_below_one_slot_constructs(self):
+        # Capacity formulas take bare profiles built from estimates, which
+        # may fall below one slot; only an Instance checks T(x) >= 1.
+        expert = ExpertProfile.from_mean_times(0, [0.5])
+        assert expert.success_prob.tolist() == [2.0]
 
     def test_infinite_mean_time_stays_legal(self):
         doc = {"topics": 2, "lambda": 0.5, "pmf": [[0.5, 0.5]] * 2,
                "experts": [{"id": 0, "T": [math.inf, 2]}, {"id": 1, "T": [None, 1]}]}
-        assert validate_instance(instance_from_dict(doc)) == []
+        assert instance_from_dict(doc).n_experts == 2
 
     @given(instances())
     @settings(max_examples=30, deadline=None)
     def test_validate_is_pure_and_idempotent(self, inst):
-        first = validate_instance(inst)
-        second = validate_instance(inst)
-        assert first == second
+        first = _validate_instance(inst)
+        second = _validate_instance(inst)
+        assert first == second == []
 
 
 class TestMergedPmf:

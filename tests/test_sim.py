@@ -242,14 +242,9 @@ class TestRun:
         other = single_expert_instance(0.5, [0.5, 0.5], [1.0, 1.0])
         with pytest.raises(ValueError):
             SimConfig(instance=other, scheduler=sched, horizon=10, seed=0)
-        bad = single_expert_instance(1.2, [1.0], [1.0])
+        # An invalid instance cannot reach a SimConfig: it fails when built.
         with pytest.raises(ValueError, match="lambda"):
-            SimConfig(
-                instance=bad,
-                scheduler=work_conserving_single(bad),
-                horizon=10,
-                seed=0,
-            )
+            single_expert_instance(1.2, [1.0], [1.0])
 
     def test_time_average_is_exact(self):
         # replay the trajectory step by step and recompute the average
