@@ -50,9 +50,8 @@ from .sim import (
     SlotEvents,
     TraceStats,
     geometric_service_check,
-    initial_state,
     run,
-    step,
+    steps,
     write_trace_csv,
 )
 

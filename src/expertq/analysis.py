@@ -406,8 +406,8 @@ def verify(inst: Instance, cfg: dict, seed: int) -> list[dict]:
     ``n`` times the per-door one."""
     experts = list(inst.experts)
     n = inst.n_experts
-    trials = config_field(cfg, "geometric.trials", "integer", 1_000_000)
-    q_values = config_field(cfg, "geometric.q_values", "numbers", [1.0, 0.5, 0.1])
+    trials = config_field(cfg, "geometric.trials", "count", 1_000_000)
+    q_values = config_field(cfg, "geometric.q_values", "probs", [1.0, 0.5, 0.1])
     if n == 1:
         p, q = inst.arrivals.pmf[0], experts[0].success_prob
         lam_default = 0.75 * single_capacity(p, q).lambda_star
@@ -423,7 +423,7 @@ def verify(inst: Instance, cfg: dict, seed: int) -> list[dict]:
         )
         gamma = config_field(cfg, "misestimation.gamma", "number", GAMMA_DEFAULT)
         mis_seeds = [seed, seed + 1, seed + 2]
-        mis_seeds = config_field(cfg, "misestimation.seeds", "integers", mis_seeds)
+        mis_seeds = config_field(cfg, "misestimation.seeds", "seeds", mis_seeds)
         mis_horizon = config_field(cfg, "misestimation.horizon", "integer", 100_000)
     else:
         horizon = config_field(cfg, "routing_check.horizon", "integer", 50_000)

@@ -98,7 +98,7 @@ def _command(name: str, *outputs: str, seeded: bool = True):
     makes ``--out`` and returns them, so a body calls it once its work is
     done and a rejected command leaves no directory. The paths are echoed
     after the body, and a non-zero code it returns becomes the exit code."""
-    seed_option = click.option("--seed-override", type=int, default=None)
+    seed_option = click.option("--seed-override", type=click.IntRange(min=0), default=None)
 
     def register(body):
         @main.command(name, help=body.__doc__)
@@ -139,7 +139,7 @@ def cmd_capacity(cfg, inst, seed_override, prepare) -> None:
 def cmd_simulate(cfg, inst, seed_override, prepare) -> None:
     """Run one seeded simulation; write trace.csv and summary.json."""
     scheduler = sched.build_scheduler(inst, config_field(cfg, "scheduler", "object"))
-    seed = config_field(cfg, "seed", "integer", 0)
+    seed = config_field(cfg, "seed", "seed", 0)
     seed = seed if seed_override is None else seed_override
     config = sim.SimConfig(
         instance=inst,
@@ -169,7 +169,7 @@ def cmd_simulate(cfg, inst, seed_override, prepare) -> None:
 def cmd_sweep(cfg, inst, seed_override, prepare) -> None:
     """Sweep a load grid; write sweep.csv and bracket.json."""
     scheduler = sched.build_scheduler(inst, config_field(cfg, "scheduler", "object"))
-    seeds = config_field(cfg, "seeds", "integers")
+    seeds = config_field(cfg, "seeds", "seeds")
     if seed_override is not None:
         seeds = [seed_override + k for k in range(len(seeds))]
     result = analysis.capacity_boundary_sweep(
@@ -207,7 +207,7 @@ def cmd_sweep(cfg, inst, seed_override, prepare) -> None:
 @_command("verify", "verify.json")
 def cmd_verify(cfg, inst, seed_override, prepare) -> int:
     """Cross-check analytic values against simulation; exit 1 on failure."""
-    seed = config_field(cfg, "seed", "integer", 0)
+    seed = config_field(cfg, "seed", "seed", 0)
     seed = seed if seed_override is None else seed_override
     checks = analysis.verify(inst, cfg, seed)
     all_passed = all(c["passed"] for c in checks)

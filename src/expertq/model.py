@@ -270,11 +270,16 @@ _REQUIRED = object()
 _FAIL = object()
 _KINDS = {
     "integer": "an integer",
+    "seed": "a non-negative integer",
+    "count": "a positive integer",
     "number": "a number",
+    "prob": "a number in (0, 1]",
     "string": "a string",
     "object": "a JSON object",
     "integers": "a non-empty list of integers",
+    "seeds": "a non-empty list of non-negative integers",
     "numbers": "a non-empty list of numbers",
+    "probs": "a non-empty list of numbers in (0, 1]",
     "times": "a non-empty list of numbers or nulls",
     "objects": "a non-empty list of JSON objects",
     "rows": "a non-empty list of equal-length non-empty lists of numbers",
@@ -284,8 +289,10 @@ _KINDS = {
 def _as_kind(value, kind: str):
     """``value`` converted to ``kind``, or ``_FAIL`` if it is not one. A list
     kind is non-empty, with items of the kind without its final s; those of
-    ``rows`` are equal-length ``numbers``, and a ``time`` is a number or None."""
-    if kind in ("integers", "numbers", "times", "objects", "rows"):
+    ``rows`` are equal-length ``numbers``, and a ``time`` is a number or None.
+    A ``seed`` is an integer from 0, a ``count`` one from 1, and a ``prob``
+    a number in (0, 1]."""
+    if kind in ("integers", "seeds", "numbers", "probs", "times", "objects", "rows"):
         ok = isinstance(value, (list, tuple)) and len(value) > 0
         item = "numbers" if kind == "rows" else kind[:-1]
         items = [_as_kind(v, item) for v in value] if ok else [_FAIL]
@@ -297,9 +304,12 @@ def _as_kind(value, kind: str):
         return value if isinstance(value, dict if kind == "object" else str) else _FAIL
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         return _FAIL
-    if kind == "integer":
+    if kind in ("integer", "seed", "count"):
         integral = isinstance(value, numbers.Integral) or float(value).is_integer()
-        return int(value) if integral else _FAIL
+        lowest = {"seed": 0, "count": 1}.get(kind)
+        return int(value) if integral and (lowest is None or value >= lowest) else _FAIL
+    if kind == "prob" and not 0.0 < value <= 1.0:
+        return _FAIL
     return float(value)
 
 
@@ -308,7 +318,7 @@ def config_field(doc: dict, path: str, kind: str, default=_REQUIRED):
     ``_KINDS``. Integers may be written as integral floats; ``bool`` and
     ``null`` are never numbers. A missing parent reads as an empty object,
     and a missing field as ``default``. Raises ValueError naming the field,
-    e.g. ``config field 'geometric.trials': expected an integer, got true``.
+    e.g. ``config field 'geometric.trials': expected a positive integer, got true``.
     """
     parent, _, key = path.rpartition(".")
     if parent:

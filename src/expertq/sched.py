@@ -122,14 +122,6 @@ class Scheduler:
         nonempty = [x for x, count in enumerate(queue_row) if count]
         return nonempty[int(streams.selection.next() * len(nonempty))]
 
-    def compatible_with(self, inst: Instance) -> None:
-        if inst.n_experts != self.n_experts or inst.n_topics != self.n_topics:
-            raise ValueError(
-                f"scheduler built for {self.n_experts} experts x "
-                f"{self.n_topics} topics, instance has {inst.n_experts} x "
-                f"{inst.n_topics}"
-            )
-
 
 def work_conserving_single(inst: Instance, tie_break: str = "arbitrary") -> Scheduler:
     """Single-expert scheduler that admits everything and never idles while

@@ -12,12 +12,14 @@ selection, so a request can be served in its arrival slot.
 
 Queues are unbounded counters per (topic, expert); instability shows up
 as unbounded growth, never as overflow. A run is a pure function of its
-config: identical seeds replay identical trajectories.
+config: identical seeds replay identical trajectories, and :func:`steps`
+replays the trajectory of :func:`run` slot by slot, with every event.
 """
 
 from __future__ import annotations
 
 import csv
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,8 +34,7 @@ __all__ = [
     "QueueState",
     "SlotEvents",
     "TraceStats",
-    "initial_state",
-    "step",
+    "steps",
     "run",
     "geometric_service_check",
     "write_trace_csv",
@@ -49,7 +50,8 @@ class SimConfig:
     additionally keeps, per expert, the integer moments of the queue
     changes over busy slots that drift checks need. The instance checked
     itself when it was built; this raises ValueError on a scheduler built
-    for another shape, or a horizon or sample interval below 1.
+    for another shape, a negative seed, or a horizon or sample interval
+    below 1.
     """
 
     instance: Instance
@@ -64,7 +66,15 @@ class SimConfig:
             raise ValueError("horizon must be at least 1")
         if self.sample_interval < 1:
             raise ValueError("sample_interval must be at least 1")
-        self.scheduler.compatible_with(self.instance)
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
+        inst, sched = self.instance, self.scheduler
+        if (inst.n_experts, inst.n_topics) != (sched.n_experts, sched.n_topics):
+            raise ValueError(
+                f"scheduler built for {sched.n_experts} experts x "
+                f"{sched.n_topics} topics, instance has {inst.n_experts} x "
+                f"{inst.n_topics}"
+            )
 
 
 @dataclass(frozen=True)
@@ -72,8 +82,8 @@ class QueueState:
     """Snapshot of all virtual queues plus flow counters.
 
     ``q[x, i]`` is the number of topic-x requests pending at expert i.
-    ``cum_arrivals`` counts enqueues by destination queue; the engine derives
-    it from cum_arrivals - cum_departures == q - q_at_reset per (x, i).
+    ``cum_arrivals`` counts enqueues by destination queue; every run starts
+    empty, so the engine derives it as q + cum_departures per (x, i).
     ``cum_losses`` counts door rejections at the expert where they arrived.
     """
 
@@ -145,26 +155,23 @@ class TraceStats:
 
 
 class _Engine:
-    """Mutable run state, expert-major plain-Python lists for speed."""
+    """Mutable run state from the empty system at t = 0, expert-major
+    plain-Python lists for speed."""
 
-    def __init__(
-        self, inst: Instance, sched: Scheduler, streams: RngStreams, state: QueueState
-    ) -> None:
+    def __init__(self, inst: Instance, sched: Scheduler, streams: RngStreams) -> None:
         self.sched = sched
         self.streams = streams
-        self.n = inst.n_experts
-        self.n_topics = inst.n_topics
+        self.n = n = inst.n_experts
+        self.n_topics = n_topics = inst.n_topics
         self.probs = np.ascontiguousarray(inst.arrivals.lam * inst.arrivals.pmf)
         self.qprob = [[float(v) for v in e.success_prob] for e in inst.experts]
-        self.t = state.t
-        self.queues = state.q.T.astype(np.int64).tolist()
-        # Flow conservation: cum_arrivals - q - cum_departures never changes.
-        self.arr_offset = state.cum_arrivals - state.q - state.cum_departures
-        self.cum_dep = state.cum_departures.T.astype(np.int64).tolist()
-        self.cum_loss = state.cum_losses.T.astype(np.int64).tolist()
-        self.totals = [sum(row) for row in self.queues]
-        self.losses_total = sum(sum(row) for row in self.cum_loss)
-        self.deps_total = sum(sum(row) for row in self.cum_dep)
+        self.t = 0
+        self.queues = [[0] * n_topics for _ in range(n)]
+        self.cum_dep = [[0] * n_topics for _ in range(n)]
+        self.cum_loss = [[0] * n_topics for _ in range(n)]
+        self.totals = [0] * n
+        self.losses_total = 0
+        self.deps_total = 0
 
     def snapshot(self) -> QueueState:
         def pack(rows):
@@ -173,7 +180,7 @@ class _Engine:
             return arr
 
         q, cum_dep = pack(self.queues), pack(self.cum_dep)
-        cum_arr = self.arr_offset + q + cum_dep
+        cum_arr = q + cum_dep
         cum_arr.setflags(write=False)
         return QueueState(
             q=q,
@@ -209,12 +216,26 @@ class _Engine:
                 self.deps_total += 1
         self.t += 1
 
-
-def _draw_arrivals(engine: _Engine, slots: int) -> list[list[int]]:
-    """Slot, expert and topic index lists of the next ``slots`` slots'
-    arrivals, slot by slot in expert-major order."""
-    u = engine.streams.arrivals.random((slots, engine.n, engine.n_topics))
-    return [idx.tolist() for idx in np.nonzero(u < engine.probs)]
+    def arrivals(self, horizon: int) -> Iterator[list[tuple[int, int]]]:
+        """The (door_expert, topic) arrival list of each of ``horizon`` slots,
+        in expert-major order. Each block of uniforms, (slots, experts,
+        topics), fills ``rng.DRAW_BLOCK_BYTES``: 2048 slots at 1 expert x 2
+        topics, 85 at 4 x 12, 2 at 32 x 50. Only its hits' flat index lists
+        are kept, and walked one slot at a time."""
+        n, n_topics = self.n, self.n_topics
+        rows = block_rows(8 * n * n_topics)
+        for done in range(0, horizon, rows):
+            block = min(rows, horizon - done)
+            u = self.streams.arrivals.random((block, n, n_topics))
+            slot_l, exp_l, top_l = [idx.tolist() for idx in np.nonzero(u < self.probs)]
+            del u
+            ptr, n_hits = 0, len(slot_l)
+            for s in range(block):
+                slot_arrivals = []
+                while ptr < n_hits and slot_l[ptr] == s:
+                    slot_arrivals.append((exp_l[ptr], top_l[ptr]))
+                    ptr += 1
+                yield slot_arrivals
 
 
 class _Recorder:
@@ -245,47 +266,38 @@ class _Recorder:
         return topic
 
 
-def initial_state(inst: Instance) -> QueueState:
-    """The empty system at t = 0."""
-    zeros = np.zeros((inst.n_topics, inst.n_experts), dtype=np.int64)
-    zeros.setflags(write=False)
-    return QueueState(
-        q=zeros, t=0, cum_arrivals=zeros, cum_departures=zeros, cum_losses=zeros
-    )
+def steps(config: SimConfig) -> Iterator[tuple[QueueState, SlotEvents]]:
+    """Replay ``run(config)`` slot by slot: the state after each of
+    ``config.horizon`` slots and everything that happened in it.
 
-
-def step(
-    state: QueueState, inst: Instance, sched: Scheduler, streams: RngStreams
-) -> tuple[QueueState, SlotEvents]:
-    """Advance one slot and report everything that happened.
-
-    Plays the slot through the same engine and arrival draw as :func:`run`,
-    so a sequence of steps from the same seed replays the same trajectory.
+    One engine plays the whole horizon on the streams of ``config.seed``,
+    so the trajectory is exactly that of :func:`run`. Each slot's decisions
+    pass through a fresh recorder; the scheduler itself is left unchanged.
     """
-    sched.compatible_with(inst)
-    recorder = _Recorder(sched, inst.n_experts)
-    engine = _Engine(inst, recorder, streams, state)
-    _, exp_l, top_l = _draw_arrivals(engine, 1)
-    engine.advance(list(zip(exp_l, top_l)))
-    after = engine.snapshot()
-    # Each expert completes at most one request per slot, so the nonzero
-    # entries list the completions in expert order.
-    done_exp, done_top = np.nonzero((after.cum_departures - state.cum_departures).T)
-    return after, SlotEvents(
-        arrivals=tuple(recorder.arrivals),
-        admitted=tuple(recorder.admitted),
-        enqueued=tuple(recorder.enqueued),
-        losses=tuple(recorder.losses),
-        assignments=recorder.assignments,
-        completions=tuple(zip(done_top.tolist(), done_exp.tolist())),
-    )
+    sched = config.scheduler
+    engine = _Engine(config.instance, sched, RngStreams.from_seed(config.seed))
+    before = engine.snapshot()
+    for slot_arrivals in engine.arrivals(config.horizon):
+        recorder = engine.sched = _Recorder(sched, engine.n)
+        engine.advance(slot_arrivals)
+        after = engine.snapshot()
+        # Each expert completes at most one request per slot, so the nonzero
+        # entries list the completions in expert order.
+        done_exp, done_top = np.nonzero((after.cum_departures - before.cum_departures).T)
+        yield after, SlotEvents(
+            arrivals=tuple(recorder.arrivals),
+            admitted=tuple(recorder.admitted),
+            enqueued=tuple(recorder.enqueued),
+            losses=tuple(recorder.losses),
+            assignments=recorder.assignments,
+            completions=tuple(zip(done_top.tolist(), done_exp.tolist())),
+        )
+        before = after
 
 
 def run(config: SimConfig) -> TraceStats:
     """Simulate the configured horizon and collect metrics."""
-    inst = config.instance
-    streams = RngStreams.from_seed(config.seed)
-    engine = _Engine(inst, config.scheduler, streams, initial_state(inst))
+    engine = _Engine(config.instance, config.scheduler, RngStreams.from_seed(config.seed))
     n = engine.n
     horizon = config.horizon
     interval = config.sample_interval
@@ -308,53 +320,38 @@ def run(config: SimConfig) -> TraceStats:
     width = n_topics + 1
     moments = [[[0] * width for _ in range(width)] for _ in range(n)] if record else None
     busy = ()
-    # rng.DRAW_BLOCK_BYTES of uniforms per block: 2048 slots at 1 expert x
-    # 2 topics, 85 at 4 x 12, 2 at 32 x 50.
-    rows = block_rows(8 * n * n_topics)
-    done = 0
-    while done < horizon:
-        block = min(rows, horizon - done)
-        slot_l, exp_l, top_l = _draw_arrivals(engine, block)
-        ptr = 0
-        n_hits = len(slot_l)
-        for s in range(block):
-            t_abs = done + s
-            totals = engine.totals
-            if t_abs % interval == 0:
-                sample_times.append(t_abs)
-                sample_queue.append(sum(totals))
-                sample_loss.append(engine.losses_total)
-                sample_dep.append(engine.deps_total)
-            # Slot-start totals here and the final ones after the loop: run
-            # starts empty, so queue_sum is the sum of the slot-end totals.
-            for i, total in enumerate(totals):
-                if total:
-                    queue_sum[i] += total
-                else:
-                    empty_per_expert[i] += 1
-            if not any(totals):
-                empty_slots += 1
-            if t_abs == quarter_start:
-                queue_at_quarter = list(queue_sum)
-                loss_at_quarter = [sum(row) for row in engine.cum_loss]
-            if record:
-                # Busy experts' live queue rows, slot-start copies and moments.
-                busy = [(r, r[:], m) for r, m, v in zip(engine.queues, moments, totals) if v]
-            slot_arrivals = []
-            while ptr < n_hits and slot_l[ptr] == s:
-                slot_arrivals.append((exp_l[ptr], top_l[ptr]))
-                ptr += 1
-            engine.advance(slot_arrivals)
-            for row, before, m in busy:
-                if row == before:  # nothing changed: e = (1, 0, ..., 0)
-                    m[0][0] += 1
-                    continue
-                e = [(0, 1)]
-                e += [(x, a - b) for x, (a, b) in enumerate(zip(row, before), 1) if a != b]
-                for a, da in e:
-                    for b, db in e:
-                        m[a][b] += da * db
-        done += block
+    for t_abs, slot_arrivals in enumerate(engine.arrivals(horizon)):
+        totals = engine.totals
+        if t_abs % interval == 0:
+            sample_times.append(t_abs)
+            sample_queue.append(sum(totals))
+            sample_loss.append(engine.losses_total)
+            sample_dep.append(engine.deps_total)
+        # Slot-start totals here and the final ones after the loop: run
+        # starts empty, so queue_sum is the sum of the slot-end totals.
+        for i, total in enumerate(totals):
+            if total:
+                queue_sum[i] += total
+            else:
+                empty_per_expert[i] += 1
+        if not any(totals):
+            empty_slots += 1
+        if t_abs == quarter_start:
+            queue_at_quarter = list(queue_sum)
+            loss_at_quarter = [sum(row) for row in engine.cum_loss]
+        if record:
+            # Busy experts' live queue rows, slot-start copies and moments.
+            busy = [(r, r[:], m) for r, m, v in zip(engine.queues, moments, totals) if v]
+        engine.advance(slot_arrivals)
+        for row, before, m in busy:
+            if row == before:  # nothing changed: e = (1, 0, ..., 0)
+                m[0][0] += 1
+                continue
+            e = [(0, 1)]
+            e += [(x, a - b) for x, (a, b) in enumerate(zip(row, before), 1) if a != b]
+            for a, da in e:
+                for b, db in e:
+                    m[a][b] += da * db
 
     for i, total in enumerate(engine.totals):
         queue_sum[i] += total

@@ -30,13 +30,12 @@ from expertq.capacity import (
     single_capacity,
 )
 from expertq.model import ArrivalSpec, ExpertProfile, Instance
-from expertq.rng import RngStreams
 from expertq.sched import (
     offline_loss_scheduler,
     offline_routing_scheduler,
     work_conserving_single,
 )
-from expertq.sim import SimConfig, geometric_service_check, initial_state, run, step
+from expertq.sim import SimConfig, geometric_service_check, run, steps
 from oracles import duality_gap, multi_capacity_primal
 
 LAMBDA_STAR = 2 / 3  # capacity of the reference instance below
@@ -257,16 +256,14 @@ def test_criterion_6_routing_frequencies_and_work_conservation():
     assert verdict.verdict == "stable"
     STABLE_RUNS.append(("routing frequency run", stats.empty_fraction))
 
-    streams = RngStreams.from_seed(7)
-    state = initial_state(inst)
-    for _ in range(10_000):
-        own_before = state.q.sum(axis=0)
-        state, events = step(state, inst, sched, streams)
+    own_before = np.zeros(inst.n_experts, dtype=np.int64)
+    for state, events in steps(SimConfig(instance=inst, scheduler=sched, horizon=10_000, seed=7)):
         routed_in = Counter(dest for _, dest in events.enqueued)
         for i in range(inst.n_experts):
             has_work = int(own_before[i]) + routed_in[i] > 0
             idle = events.assignments[i] is None
             assert idle != has_work, (state.t, i)
+        own_before = state.q.sum(axis=0)
 
     print(
         "\nACCEPTANCE 6 PASS: routing frequencies within 4 sigma over "

@@ -36,8 +36,7 @@ from expertq.sched import (
     offline_routing_scheduler,
     work_conserving_single,
 )
-from expertq.rng import RngStreams
-from expertq.sim import SimConfig, initial_state, run, step
+from expertq.sim import SimConfig, run, steps
 
 
 def single_expert_instance(lam, p, q):
@@ -112,7 +111,7 @@ class TestDriftCheck:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_mean_and_std_error_are_correctly_rounded(self, seed):
-        # Rebuild every busy-slot step of L = sum_x (1.0/q_x) Q_x from step()
+        # Rebuild every busy-slot step of L = sum_x (1.0/q_x) Q_x from steps()
         # states as an exact fraction of the float weights. Times like 2.71
         # make weights whose float sums round, so a mean of rounded levels'
         # differences can miss the correctly rounded value.
@@ -120,31 +119,25 @@ class TestDriftCheck:
             experts=(ExpertProfile.from_mean_times(0, [1.3, 2.71, 4.05]),),
             arrivals=ArrivalSpec(lam=0.35, pmf=[[0.5, 0.3, 0.2]]),
         )
-        sched = work_conserving_single(inst)
-        horizon = 2_000
-        report = drift_check(
-            run(
-                SimConfig(
-                    instance=inst,
-                    scheduler=sched,
-                    horizon=horizon,
-                    seed=seed,
-                    record_lyapunov=True,
-                )
-            )
+        config = SimConfig(
+            instance=inst,
+            scheduler=work_conserving_single(inst),
+            horizon=2_000,
+            seed=seed,
+            record_lyapunov=True,
         )
+        report = drift_check(run(config))
         weights = [Fraction(1.0 / q) for q in inst.experts[0].success_prob.tolist()]
-        streams, state, steps = RngStreams.from_seed(seed), initial_state(inst), []
-        for _ in range(horizon):
-            after, _ = step(state, inst, sched, streams)
-            if state.q.any():
-                steps.append(sum(map(operator.mul, weights, (after.q - state.q)[:, 0].tolist())))
-            state = after
-        mean = sum(steps) / len(steps)
-        variance = sum((s - mean) ** 2 for s in steps) / (len(steps) - 1)
-        assert report.busy_slots == len(steps)
+        state_q, changes = np.zeros((3, 1), dtype=np.int64), []
+        for after, _ in steps(config):
+            if state_q.any():
+                changes.append(sum(map(operator.mul, weights, (after.q - state_q)[:, 0].tolist())))
+            state_q = after.q
+        mean = sum(changes) / len(changes)
+        variance = sum((s - mean) ** 2 for s in changes) / (len(changes) - 1)
+        assert report.busy_slots == len(changes)
         assert report.empirical_drift == float(mean)
-        assert report.std_error == decimal_sqrt(variance / len(steps))
+        assert report.std_error == decimal_sqrt(variance / len(changes))
 
     @given(st.fractions(min_value=0, max_value=10**6))
     @example(Fraction(0))

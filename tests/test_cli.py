@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from expertq import analysis, cli, model, sched
+from expertq import analysis, cli, model, sched, sim
 from expertq.cli import main
 from expertq.model import load_instance
 
@@ -423,6 +423,31 @@ def malformed_cases():
             {**verify, "geometric": {"q_values": []}},
             "geometric.q_values",
         ),
+        # Out of range: numpy's seed error named no field, and a bad q or
+        # trial count was caught only after the routing LP.
+        "simulate-seed-negative": ("simulate", {**simulate, "seed": -1}, "seed"),
+        "sweep-seeds-negative": ("sweep", {**sweep, "seeds": [0, 1, -1]}, "seeds"),
+        "verify-seed-negative": ("verify", {**verify, "seed": -3}, "seed"),
+        "verify-misestimation-seeds-negative": (
+            "verify",
+            {**single_verify, "misestimation": {"seeds": [1, -2]}},
+            "misestimation.seeds",
+        ),
+        "verify-q-values-zero": (
+            "verify",
+            {**verify, "geometric": {"q_values": [1.0, 0.5, 0.1, 0.0]}},
+            "geometric.q_values",
+        ),
+        "verify-q-values-above-one": (
+            "verify",
+            {**verify, "geometric": {"q_values": [1.5]}},
+            "geometric.q_values",
+        ),
+        "verify-trials-zero": (
+            "verify",
+            {**verify, "geometric": {"trials": 0}},
+            "geometric.trials",
+        ),
         # Exits no other case reaches.
         "config-root-not-an-object": ("capacity", [single_expert_doc()], "instance"),
         "config-without-instance": ("capacity", {"mode": "single"}, "instance"),
@@ -510,6 +535,16 @@ def rejected_before_running_cases():
             "verify",
             {**verify, "misestimation": {"gamma": "x"}},
         ),
+        "sweep-seeds-negative": ("sweep", {**sweep, "seeds": [1, 2, -1]}),
+        "verify-misestimation-seeds-negative": (
+            "verify",
+            {**verify, "misestimation": {"seeds": [1, -2]}},
+        ),
+        "verify-q-values-zero": (
+            "verify",
+            {**verify, "geometric": {"q_values": [1.0, 0.5, 0.1, 0.0]}},
+        ),
+        "verify-trials-negative": ("verify", {**verify, "geometric": {"trials": -5}}),
     }
 
 
@@ -526,6 +561,65 @@ def test_rejected_before_any_simulation_or_solve(tmp_path, runner, monkeypatch, 
     result = runner.invoke(main, [command, cfg, "--out", str(out)])
     assert result.exit_code == 2, result.output
     assert "config error:" in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "extra, stderr",
+    [
+        (
+            {"seeds": [0, 1, -1]},
+            "config field 'seeds': expected a non-empty list of non-negative integers, "
+            "got [0, 1, -1]",
+        ),
+        (
+            {"geometric": {"q_values": [1.0, 0.0]}},
+            "config field 'geometric.q_values': expected a non-empty list of numbers "
+            "in (0, 1], got [1.0, 0.0]",
+        ),
+        (
+            {"geometric": {"trials": 0}},
+            "config field 'geometric.trials': expected a positive integer, got 0",
+        ),
+    ],
+    ids=["seeds", "q-values", "trials"],
+)
+def test_out_of_range_value_is_named_with_its_range(tmp_path, runner, extra, stderr):
+    config = {
+        "instance": single_expert_doc(),
+        "scheduler": {"kind": "work_conserving"},
+        "lambdas": [0.3],
+        "seeds": [1],
+        "horizon": 200,
+        **extra,
+    }
+    command = "sweep" if "seeds" in extra else "verify"
+    cfg = write_json(tmp_path / "cfg.json", config)
+    result = runner.invoke(main, [command, cfg, "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert result.stderr == f"config error: {stderr}\n"
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep", "verify"])
+def test_negative_seed_override_is_refused(tmp_path, runner, monkeypatch, command):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("ran before the bad seed was refused")
+
+    for name in ("run", "geometric_service_check", "multi_capacity_dual"):
+        monkeypatch.setattr(analysis, name, forbidden)
+    monkeypatch.setattr(sim, "run", forbidden)
+    config = {
+        "instance": single_expert_doc(),
+        "scheduler": {"kind": "work_conserving"},
+        "lambdas": [0.3],
+        "seeds": [1],
+        "horizon": 200,
+    }
+    cfg = write_json(tmp_path / "cfg.json", config)
+    out = tmp_path / "out"
+    result = runner.invoke(main, [command, cfg, "--out", str(out), "--seed-override", "-1"])
+    assert result.exit_code == 2, result.output
+    assert "Invalid value for '--seed-override': -1 is not in the range x>=0." in result.stderr
     assert not out.exists()
 
 
@@ -880,7 +974,7 @@ class TestVerifyCommand:
         )
         result = runner.invoke(main, ["verify", cfg, "--out", str(tmp_path / "out")])
         assert result.exit_code == 2
-        assert "trials must be at least 1" in result.output
+        assert "field 'geometric.trials': expected a positive integer" in result.output
         assert not (tmp_path / "out" / "verify.json").exists()
 
 

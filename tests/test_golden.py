@@ -4,7 +4,7 @@ The fixture in ``golden/schedulers.json`` pins, for each case and seed, the
 run summary, the final queue state, a sha256 of every expert's busy-slot
 moments, the busy-slot count and the analytic boundary.
 ``golden/steps.json`` pins, for the same cases and seeds, the events
-:func:`expertq.sim.step` reports over ``STEP_SLOTS`` slots (a sha256 of
+:func:`expertq.sim.steps` reports over ``STEP_SLOTS`` slots (a sha256 of
 their canonical JSON plus per-field counts) and the state it ends in.
 Refactors of the scheduler, the engine or the load
 formula must reproduce both exactly. To regenerate them after a
@@ -28,8 +28,7 @@ from expertq.sched import (
     offline_routing_scheduler,
     work_conserving_single,
 )
-from expertq.rng import RngStreams
-from expertq.sim import SimConfig, initial_state, run, step
+from expertq.sim import SimConfig, run, steps
 
 GOLDEN = Path(__file__).parent / "golden" / "schedulers.json"
 GOLDEN_STEPS = Path(__file__).parent / "golden" / "steps.json"
@@ -162,11 +161,10 @@ def step_snapshot(case: str, seed: int) -> dict:
     """``STEP_SLOTS`` steps from the empty system: the events' digest and
     per-field counts, and the final state."""
     inst, sched = build(case)
-    streams = RngStreams.from_seed(seed)
-    state = initial_state(inst)
     slots = []
-    for _ in range(STEP_SLOTS):
-        state, events = step(state, inst, sched, streams)
+    for state, events in steps(
+        SimConfig(instance=inst, scheduler=sched, horizon=STEP_SLOTS, seed=seed)
+    ):
         # Tuples of pairs become lists of lists; assignments keep their
         # key order as (expert, topic or null) pairs.
         slots.append(

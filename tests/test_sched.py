@@ -18,7 +18,7 @@ from expertq.sched import (
     offline_routing_scheduler,
     work_conserving_single,
 )
-from expertq.sim import SimConfig, initial_state, run, step
+from expertq.sim import SimConfig, run, steps
 from oracles import longest_scan, route_scan, weighted_scan
 
 
@@ -97,14 +97,12 @@ class TestWorkConservingSingle:
     def test_never_idle_with_work(self):
         inst = single_expert_instance(0.8, [0.5, 0.5], [1.0, 0.5])
         sched = work_conserving_single(inst)
-        streams = RngStreams.from_seed(5)
-        state = initial_state(inst)
-        for _ in range(2000):
-            before_total = int(state.q.sum())
-            state, events = step(state, inst, sched, streams)
+        before_total = 0
+        for state, events in steps(SimConfig(instance=inst, scheduler=sched, horizon=2000, seed=5)):
             queued_at_selection = before_total + len(events.enqueued)
             idle = events.assignments[0] is None
             assert idle == (queued_at_selection == 0)
+            before_total = int(state.q.sum())
 
 
 class TestOfflineLossScheduler:
@@ -160,17 +158,16 @@ class TestOfflineLossScheduler:
         mu = [0.3, 0.8]
         inst = single_expert_instance(lam, [0.5, 0.5], [0.6, 0.6])
         sched = offline_loss_scheduler(inst, LossPolicy(mu=mu, epsilon=1.0))
-        streams = RngStreams.from_seed(17)
-        state = initial_state(inst)
         admitted = {True: Counter(), False: Counter()}
         seen = {True: Counter(), False: Counter()}
-        for _ in range(30_000):
-            empty = int(state.q.sum()) == 0
-            state, events = step(state, inst, sched, streams)
+        empty = True
+        config = SimConfig(instance=inst, scheduler=sched, horizon=30_000, seed=17)
+        for state, events in steps(config):
             for x, _ in events.arrivals:
                 seen[empty][x] += 1
             for x, _ in events.admitted:
                 admitted[empty][x] += 1
+            empty = int(state.q.sum()) == 0
         for bucket in (True, False):
             for x in (0, 1):
                 total = seen[bucket][x]
@@ -196,10 +193,7 @@ class TestOfflineRoutingScheduler:
         inst = specialist_instance(lam=0.5)
         policy = multi_capacity_dual(merged_pmf(inst), list(inst.experts)).certificate
         sched = offline_routing_scheduler(inst, policy)
-        streams = RngStreams.from_seed(19)
-        state = initial_state(inst)
-        for _ in range(500):
-            state, events = step(state, inst, sched, streams)
+        for _, events in steps(SimConfig(instance=inst, scheduler=sched, horizon=500, seed=19)):
             for x, dest in events.enqueued:
                 assert dest == x
 
@@ -233,16 +227,15 @@ class TestOfflineRoutingScheduler:
         inst = specialist_instance(lam=0.7)
         policy = multi_capacity_dual(merged_pmf(inst), list(inst.experts)).certificate
         sched = offline_routing_scheduler(inst, policy)
-        streams = RngStreams.from_seed(23)
-        state = initial_state(inst)
-        for _ in range(2000):
-            before = state.q.sum(axis=0)
-            state, events = step(state, inst, sched, streams)
+        before = np.zeros(inst.n_experts, dtype=np.int64)
+        config = SimConfig(instance=inst, scheduler=sched, horizon=2000, seed=23)
+        for state, events in steps(config):
             enq = Counter(dest for _, dest in events.enqueued)
             for i in range(inst.n_experts):
                 own_work = int(before[i]) + enq[i]
                 idle = events.assignments[i] is None
                 assert idle == (own_work == 0)
+            before = state.q.sum(axis=0)
 
     def test_invalid_matrix_rejected(self):
         inst = specialist_instance()

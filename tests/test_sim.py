@@ -6,20 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from expertq import rng
+from expertq import rng, sim
 from expertq.capacity import RoutingPolicy, multi_capacity_dual
 from expertq.model import ArrivalSpec, ExpertProfile, Instance, merged_pmf
 from expertq.rng import RngStreams, UniformBuffer
 from expertq.sched import offline_routing_scheduler, work_conserving_single
-from expertq.sim import (
-    QueueState,
-    SimConfig,
-    geometric_service_check,
-    initial_state,
-    run,
-    step,
-    write_trace_csv,
-)
+from expertq.sim import SimConfig, geometric_service_check, run, steps, write_trace_csv
 from test_golden import CASES, build
 
 
@@ -43,27 +35,31 @@ class TestStep:
     def test_no_traffic_only_advances_clock(self):
         inst = single_expert_instance(0.0, [1.0], [1.0])
         sched = work_conserving_single(inst)
-        streams = RngStreams.from_seed(0)
-        state, events = step(initial_state(inst), inst, sched, streams)
-        assert state.t == 1
-        assert state.q.sum() == 0
-        assert events.arrivals == () and events.completions == ()
-        assert events.assignments == {0: None}
+        config = SimConfig(instance=inst, scheduler=sched, horizon=3, seed=0)
+        replay = list(steps(config))
+        assert [state.t for state, _ in replay] == [1, 2, 3]
+        for state, events in replay:
+            assert state.q.sum() == 0
+            assert events.arrivals == () and events.completions == ()
+            assert events.assignments == {0: None}
 
     def test_certain_service_departs_queued_request(self):
-        inst = single_expert_instance(1e-9, [1.0], [1.0])
+        # Every request is served in its arrival slot and departs at once.
+        inst = single_expert_instance(0.5, [1.0], [1.0])
         sched = work_conserving_single(inst)
-        streams = RngStreams.from_seed(1)
-        one = np.array([[1]], dtype=np.int64)
-        zero = np.zeros((1, 1), dtype=np.int64)
-        state = QueueState(
-            q=one, t=0, cum_arrivals=one, cum_departures=zero, cum_losses=zero
-        )
-        after, events = step(state, inst, sched, streams)
-        assert events.assignments == {0: 0}
-        assert events.completions == ((0, 0),)
-        assert after.cum_departures[0, 0] == 1
-        assert after.q[0, 0] == 0
+        config = SimConfig(instance=inst, scheduler=sched, horizon=200, seed=1)
+        served = 0
+        for state, events in steps(config):
+            assert state.q[0, 0] == 0
+            if events.arrivals:
+                assert events.enqueued == ((0, 0),)
+                assert events.assignments == {0: 0}
+                assert events.completions == ((0, 0),)
+                served += 1
+            else:
+                assert events.assignments == {0: None} and events.completions == ()
+        assert served > 50
+        assert state.cum_departures[0, 0] == state.cum_arrivals[0, 0] == served
 
     def test_completion_fraction_matches_service_probability(self):
         # saturated single expert, q = 1/2: over ~1e6 served slots the
@@ -81,11 +77,10 @@ class TestStep:
     def test_matches_run_trajectory_exactly(self, case):
         inst, sched = build(case)
         horizon = 300
-        stats = run(SimConfig(instance=inst, scheduler=sched, horizon=horizon, seed=9))
-        streams = RngStreams.from_seed(9)
-        state = initial_state(inst)
-        for _ in range(horizon):
-            state, _ = step(state, inst, sched, streams)
+        config = SimConfig(instance=inst, scheduler=sched, horizon=horizon, seed=9)
+        stats = run(config)
+        for state, _ in steps(config):
+            pass
         final = stats.final_state
         assert state.t == final.t == horizon
         assert np.array_equal(state.q, final.q)
@@ -97,12 +92,24 @@ class TestStep:
     def test_leaves_the_scheduler_unchanged(self, case):
         inst, sched = build(case)
         before = pickle.dumps(vars(sched))
-        streams = RngStreams.from_seed(5)
-        state = initial_state(inst)
-        for _ in range(50):
-            state, _ = step(state, inst, sched, streams)
+        for _ in steps(SimConfig(instance=inst, scheduler=sched, horizon=50, seed=5)):
+            pass
         assert pickle.dumps(vars(sched)) == before
         assert not {"admit", "route", "select"} & vars(sched).keys()
+
+    def test_one_replay_builds_one_engine(self, monkeypatch):
+        built = []
+
+        class CountingEngine(sim._Engine):
+            def __init__(self, *args) -> None:
+                built.append(self)
+                super().__init__(*args)
+
+        monkeypatch.setattr(sim, "_Engine", CountingEngine)
+        inst, sched = build("routing:request_weighted")
+        config = SimConfig(instance=inst, scheduler=sched, horizon=300, seed=2)
+        assert sum(1 for _ in steps(config)) == 300
+        assert len(built) == 1
 
 
 class TestFlowConservation:
@@ -110,11 +117,9 @@ class TestFlowConservation:
         inst = specialist_instance(lam=0.7)
         policy = multi_capacity_dual(merged_pmf(inst), list(inst.experts)).certificate
         sched = offline_routing_scheduler(inst, policy)
-        streams = RngStreams.from_seed(33)
-        state = initial_state(inst)
-        for _ in range(2000):
-            before = state.q
-            state, events = step(state, inst, sched, streams)
+        before = np.zeros((inst.n_topics, inst.n_experts), dtype=np.int64)
+        config = SimConfig(instance=inst, scheduler=sched, horizon=2000, seed=33)
+        for state, events in steps(config):
             delta = np.zeros_like(before)
             for x, j in events.enqueued:
                 delta[x, j] += 1
@@ -128,36 +133,9 @@ class TestFlowConservation:
                 arrivals.remove(pair)
             for x, i in events.completions:
                 assert events.assignments[i] == x
+            before = state.q
         final = state
         assert np.array_equal(final.cum_arrivals - final.cum_departures, final.q)
-
-    def test_arrivals_count_enqueues_from_a_mid_run_reset(self):
-        # cum_arrivals - cum_departures = 6 here, not q = 2: the engine must
-        # add each slot's enqueues to the counter it was given.
-        inst = generalist_instance(0.3, 3, 4)
-        sched = uniform_routing(inst)
-        streams = RngStreams.from_seed(21)
-        shape = (inst.n_topics, inst.n_experts)
-        state = QueueState(
-            q=np.full(shape, 2),
-            t=40,
-            cum_arrivals=np.full(shape, 7),
-            cum_departures=np.full(shape, 1),
-            cum_losses=np.zeros(shape, dtype=np.int64),
-        )
-        start = state
-        enqueued = np.zeros(shape, dtype=np.int64)
-        for _ in range(300):
-            before = state
-            state, events = step(state, inst, sched, streams)
-            slot = np.zeros(shape, dtype=np.int64)
-            for x, j in events.enqueued:
-                slot[x, j] += 1
-            assert np.array_equal(state.cum_arrivals - before.cum_arrivals, slot)
-            enqueued += slot
-        assert enqueued.sum() > 100
-        assert np.array_equal(state.cum_arrivals - start.cum_arrivals, enqueued)
-        assert np.all(state.cum_arrivals - state.cum_departures - state.q == 4)
 
     def test_arrival_rate_matches_bernoulli_probabilities(self):
         inst = single_expert_instance(0.6, [0.7, 0.3], [1.0, 1.0])
@@ -240,8 +218,11 @@ class TestRun:
                 sample_interval=0,
             )
         other = single_expert_instance(0.5, [0.5, 0.5], [1.0, 1.0])
-        with pytest.raises(ValueError):
+        message = "scheduler built for 1 experts x 1 topics, instance has 1 x 2"
+        with pytest.raises(ValueError, match=message):
             SimConfig(instance=other, scheduler=sched, horizon=10, seed=0)
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+            SimConfig(instance=inst, scheduler=sched, horizon=10, seed=-1)
         # An invalid instance cannot reach a SimConfig: it fails when built.
         with pytest.raises(ValueError, match="lambda"):
             single_expert_instance(1.2, [1.0], [1.0])
@@ -251,13 +232,9 @@ class TestRun:
         inst = single_expert_instance(0.6, [0.5, 0.5], [1.0, 0.5])
         sched = work_conserving_single(inst)
         horizon = 400
-        stats = run(SimConfig(instance=inst, scheduler=sched, horizon=horizon, seed=8))
-        streams = RngStreams.from_seed(8)
-        state = initial_state(inst)
-        total = 0
-        for _ in range(horizon):
-            state, _ = step(state, inst, sched, streams)
-            total += int(state.q.sum())
+        config = SimConfig(instance=inst, scheduler=sched, horizon=horizon, seed=8)
+        stats = run(config)
+        total = sum(int(state.q.sum()) for state, _ in steps(config))
         assert stats.mean_queue[0] == pytest.approx(total / horizon, abs=1e-12)
 
     def test_lyapunov_recording_shapes(self):
