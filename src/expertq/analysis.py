@@ -10,11 +10,9 @@ the cross-checks that ``expertq verify`` reports.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
-import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -230,24 +228,19 @@ def capacity_boundary_sweep(
     seeds,
     slope_threshold: float | None = None,
     sample_interval: int = 100,
-    workers: int = 1,
 ) -> SweepResult:
     """Simulate a sorted load grid across seeds and bracket the boundary.
 
     One instance per load and every cell's run are built, and so checked,
-    before the first one runs. Cells are seeded independently, so
-    ``workers > 1`` runs them in a process pool, never larger than the CPUs
-    or cells, with equal results.
+    before the first one runs; the cells then run in order in this process.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
     lambdas = tuple(float(v) for v in lambdas)
     if list(lambdas) != sorted(lambdas):
         raise ValueError("load grid must be sorted ascending")
     seeds = tuple(int(s) for s in seeds)
     if not (lambdas and seeds):
         raise ValueError("a sweep needs at least one load and one seed")
-    cell = functools.partial(_sweep_cell, slope_threshold=_given_threshold(slope_threshold))
+    threshold = _given_threshold(slope_threshold)
     configs = [
         SimConfig(
             instance=loaded,
@@ -259,15 +252,7 @@ def capacity_boundary_sweep(
         for loaded in [with_load(inst, lam) for lam in lambdas]
         for seed in seeds
     ]
-    workers = min(workers, os.cpu_count() or 1, len(configs))
-    if workers > 1:
-        # Imported here: only a pooled sweep needs multiprocessing.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            cells = tuple(pool.map(cell, configs))
-    else:
-        cells = tuple(map(cell, configs))
+    cells = tuple(_sweep_cell(config, threshold) for config in configs)
 
     verdicts = {lam: {c.verdict for c in cells if c.lam == lam} for lam in lambdas}
     stable = [lam for lam, seen in verdicts.items() if seen == {"stable"}]
@@ -342,11 +327,11 @@ def misestimation_check(
     """Stability under capacity computed from misestimated research times.
 
     For each seed, an estimate generator produces per-topic times bounded
-    below by ``gamma`` times the truth (anything violating that bound is
-    rejected before any simulation). The run then drives the true system
+    below by ``gamma`` times the truth. The run then drives the true system
     at ``LOAD_FRACTION`` of the :func:`degraded_capacity` of the
     estimates; every such load is guaranteed sustainable, so each run
-    should classify stable.
+    should classify stable. Every seed's estimate and run are built, and so
+    checked, before the first one runs.
     """
     if inst.n_experts != 1:
         raise ValueError("misestimation check is defined for a single expert")
@@ -360,8 +345,10 @@ def misestimation_check(
     p = inst.arrivals.pmf[0]
     sched = work_conserving_single(inst)
 
-    runs = []
+    planned = []
     for seed in seeds:
+        # Checks the seed and horizon before numpy's seeding would.
+        config = SimConfig(instance=inst, scheduler=sched, horizon=horizon, seed=seed)
         rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence([seed, 0x7E57]))
         )
@@ -376,15 +363,16 @@ def misestimation_check(
         q_hat = ExpertProfile.from_mean_times(0, estimated).success_prob
         estimated_capacity = single_capacity(p, q_hat).lambda_star
         lam = LOAD_FRACTION * degraded_capacity(p, q_hat, gamma)
-        config = SimConfig(
-            instance=with_load(inst, lam), scheduler=sched, horizon=horizon, seed=seed
-        )
+        planned.append((estimated_capacity, replace(config, instance=with_load(inst, lam))))
+
+    runs = []
+    for estimated_capacity, config in planned:
         cell = _sweep_cell(config, None)
         runs.append(
             MisestimationRun(
                 seed=cell.seed,
                 estimated_capacity=estimated_capacity,
-                lam=lam,
+                lam=cell.lam,
                 verdict=cell.verdict,
                 growth_slope=cell.growth_slope,
             )
@@ -412,7 +400,7 @@ def verify(inst: Instance, cfg: dict, seed: int) -> list[dict]:
         p, q = inst.arrivals.pmf[0], experts[0].success_prob
         lam_default = 0.75 * single_capacity(p, q).lambda_star
         lam = config_field(cfg, "drift.lambda", "number", lam_default)
-        drift_horizon = config_field(cfg, "drift.horizon", "integer", 100_000)
+        drift_horizon = config_field(cfg, "drift.horizon", "count", 100_000)
         drift_run = SimConfig(
             instance=with_load(inst, lam),
             scheduler=work_conserving_single(inst),
@@ -421,12 +409,12 @@ def verify(inst: Instance, cfg: dict, seed: int) -> list[dict]:
             record_lyapunov=True,
             sample_interval=drift_horizon,  # drift_check reads only busy_moments
         )
-        gamma = config_field(cfg, "misestimation.gamma", "number", GAMMA_DEFAULT)
+        gamma = config_field(cfg, "misestimation.gamma", "prob", GAMMA_DEFAULT)
         mis_seeds = [seed, seed + 1, seed + 2]
         mis_seeds = config_field(cfg, "misestimation.seeds", "seeds", mis_seeds)
-        mis_horizon = config_field(cfg, "misestimation.horizon", "integer", 100_000)
+        mis_horizon = config_field(cfg, "misestimation.horizon", "count", 100_000)
     else:
-        horizon = config_field(cfg, "routing_check.horizon", "integer", 50_000)
+        horizon = config_field(cfg, "routing_check.horizon", "count", 50_000)
         s = config_field(cfg, "routing_check.s", "rows", None)
 
     merged = merged_pmf(inst)

@@ -144,9 +144,9 @@ def cmd_simulate(cfg, inst, seed_override, prepare) -> None:
     config = sim.SimConfig(
         instance=inst,
         scheduler=scheduler,
-        horizon=config_field(cfg, "horizon", "integer"),
+        horizon=config_field(cfg, "horizon", "count"),
         seed=seed,
-        sample_interval=config_field(cfg, "sample_interval", "integer", 100),
+        sample_interval=config_field(cfg, "sample_interval", "count", 100),
     )
     stats = sim.run(config)
     verdict = analysis.classify_stability(stats)
@@ -176,11 +176,10 @@ def cmd_sweep(cfg, inst, seed_override, prepare) -> None:
         inst,
         scheduler,
         lambdas=config_field(cfg, "lambdas", "numbers"),
-        horizon=config_field(cfg, "horizon", "integer"),
+        horizon=config_field(cfg, "horizon", "count"),
         seeds=seeds,
         slope_threshold=config_field(cfg, "slope_threshold", "number", None),
-        sample_interval=config_field(cfg, "sample_interval", "integer", 100),
-        workers=config_field(cfg, "workers", "integer", 1),
+        sample_interval=config_field(cfg, "sample_interval", "count", 100),
     )
     boundary = analysis.analytic_boundary(inst, scheduler)
     sweep_target, bracket_target = prepare()

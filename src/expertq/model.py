@@ -276,7 +276,6 @@ _KINDS = {
     "prob": "a number in (0, 1]",
     "string": "a string",
     "object": "a JSON object",
-    "integers": "a non-empty list of integers",
     "seeds": "a non-empty list of non-negative integers",
     "numbers": "a non-empty list of numbers",
     "probs": "a non-empty list of numbers in (0, 1]",
@@ -292,7 +291,7 @@ def _as_kind(value, kind: str):
     ``rows`` are equal-length ``numbers``, and a ``time`` is a number or None.
     A ``seed`` is an integer from 0, a ``count`` one from 1, and a ``prob``
     a number in (0, 1]."""
-    if kind in ("integers", "seeds", "numbers", "probs", "times", "objects", "rows"):
+    if kind in ("seeds", "numbers", "probs", "times", "objects", "rows"):
         ok = isinstance(value, (list, tuple)) and len(value) > 0
         item = "numbers" if kind == "rows" else kind[:-1]
         items = [_as_kind(v, item) for v in value] if ok else [_FAIL]

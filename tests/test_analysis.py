@@ -1,8 +1,6 @@
-import concurrent.futures
 import dataclasses
 import math
 import operator
-import os
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -398,18 +396,6 @@ class TestBoundarySweep:
         with pytest.raises(ValueError):
             capacity_boundary_sweep(inst, sched, [0.5, 0.4], horizon=10, seeds=[0])
 
-    def test_parallel_workers_match_serial(self):
-        inst = single_expert_instance(0.5, [0.5, 0.5], [1.0, 0.5])
-        sched = work_conserving_single(inst)
-        grid = [0.4, 0.8]
-        serial = capacity_boundary_sweep(
-            inst, sched, grid, horizon=10_000, seeds=[0, 1], workers=1
-        )
-        parallel = capacity_boundary_sweep(
-            inst, sched, grid, horizon=10_000, seeds=[0, 1], workers=2
-        )
-        assert serial.cells == parallel.cells
-
     @pytest.mark.parametrize("grid, seeds", [([], [0]), ([0.4], [])])
     def test_empty_grid_or_seed_list_rejected(self, grid, seeds):
         # Either used to give a sweep with no cells that exited cleanly.
@@ -417,47 +403,6 @@ class TestBoundarySweep:
         sched = work_conserving_single(inst)
         with pytest.raises(ValueError, match="at least one load and one seed"):
             capacity_boundary_sweep(inst, sched, grid, horizon=10, seeds=seeds)
-
-    @pytest.mark.parametrize("workers", [0, -1])
-    def test_non_positive_workers_rejected(self, workers):
-        inst = single_expert_instance(0.5, [1.0], [1.0])
-        sched = work_conserving_single(inst)
-        with pytest.raises(ValueError, match="workers"):
-            capacity_boundary_sweep(
-                inst, sched, [0.4], horizon=10, seeds=[0], workers=workers
-            )
-
-    @pytest.mark.parametrize(
-        "workers, cpus, expected",
-        [(64, 3, 3), (64, None, None), (64, 16, 4), (3, 16, 3), (2, 2, 2), (1, 16, None)],
-    )
-    def test_pool_size_is_clamped(self, monkeypatch, workers, cpus, expected):
-        """The pool never exceeds the CPUs or the 4 cells; a pool of one
-        runs the cells in this process."""
-        pools = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs):
-                return map(fn, jobs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        inst = single_expert_instance(0.5, [1.0], [1.0])
-        sched = work_conserving_single(inst)
-        result = capacity_boundary_sweep(
-            inst, sched, [0.3, 0.4], horizon=50, seeds=[0, 1], workers=workers
-        )
-        assert len(result.cells) == 4
-        assert pools == ([] if expected is None else [expected])
 
 
 class TestAnalyticBoundary:
@@ -662,6 +607,30 @@ class TestMisestimation:
     def test_gamma_validated(self):
         with pytest.raises(ValueError):
             misestimation_check(self.base_instance(), gamma=1.5, seeds=[0])
+
+    def test_negative_seed_is_named_before_any_run(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("ran before the bad seed was rejected")
+
+        monkeypatch.setattr(analysis, "run", forbidden)
+        with pytest.raises(ValueError, match="got -2"):
+            misestimation_check(self.base_instance(), gamma=0.5, seeds=[1, -2], horizon=200_000)
+
+    def test_every_run_is_built_before_the_first_runs(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("ran before the bad estimate was rejected")
+
+        def inflate(t, g, rng):
+            calls.append(g)
+            return t.copy() if len(calls) == 1 else 0.4 * t
+
+        calls = []
+        monkeypatch.setattr(analysis, "run", forbidden)
+        with pytest.raises(ValueError, match="bound"):
+            misestimation_check(
+                self.base_instance(), gamma=0.5, seeds=[0, 1], horizon=10, inflate=inflate
+            )
+        assert len(calls) == 2
 
 
 class TestVerify:

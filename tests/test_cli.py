@@ -545,6 +545,18 @@ def rejected_before_running_cases():
             {**verify, "geometric": {"q_values": [1.0, 0.5, 0.1, 0.0]}},
         ),
         "verify-trials-negative": ("verify", {**verify, "geometric": {"trials": -5}}),
+        "verify-misestimation-gamma-1.5": (
+            "verify",
+            {**verify, "misestimation": {"gamma": 1.5}},
+        ),
+        "verify-misestimation-horizon-0": (
+            "verify",
+            {**verify, "misestimation": {"horizon": 0}},
+        ),
+        "verify-routing-check-horizon-0": (
+            "verify",
+            {**verify, "instance": generalist_doc(), "routing_check": {"horizon": 0}},
+        ),
     }
 
 
@@ -565,26 +577,69 @@ def test_rejected_before_any_simulation_or_solve(tmp_path, runner, monkeypatch, 
 
 
 @pytest.mark.parametrize(
-    "extra, stderr",
+    "command, extra, stderr",
     [
         (
+            "sweep",
             {"seeds": [0, 1, -1]},
             "config field 'seeds': expected a non-empty list of non-negative integers, "
             "got [0, 1, -1]",
         ),
         (
+            "verify",
             {"geometric": {"q_values": [1.0, 0.0]}},
             "config field 'geometric.q_values': expected a non-empty list of numbers "
             "in (0, 1], got [1.0, 0.0]",
         ),
         (
+            "verify",
             {"geometric": {"trials": 0}},
             "config field 'geometric.trials': expected a positive integer, got 0",
         ),
+        (
+            "sweep",
+            {"horizon": 0},
+            "config field 'horizon': expected a positive integer, got 0",
+        ),
+        (
+            "simulate",
+            {"sample_interval": -3},
+            "config field 'sample_interval': expected a positive integer, got -3",
+        ),
+        (
+            "verify",
+            {"drift": {"horizon": 0}},
+            "config field 'drift.horizon': expected a positive integer, got 0",
+        ),
+        (
+            "verify",
+            {"misestimation": {"horizon": 0}},
+            "config field 'misestimation.horizon': expected a positive integer, got 0",
+        ),
+        (
+            "verify",
+            {"misestimation": {"gamma": 1.5}},
+            "config field 'misestimation.gamma': expected a number in (0, 1], got 1.5",
+        ),
+        (
+            "verify",
+            {"instance": generalist_doc(), "routing_check": {"horizon": 0}},
+            "config field 'routing_check.horizon': expected a positive integer, got 0",
+        ),
     ],
-    ids=["seeds", "q-values", "trials"],
+    ids=[
+        "seeds",
+        "q-values",
+        "trials",
+        "horizon",
+        "sample-interval",
+        "drift-horizon",
+        "misestimation-horizon",
+        "misestimation-gamma",
+        "routing-check-horizon",
+    ],
 )
-def test_out_of_range_value_is_named_with_its_range(tmp_path, runner, extra, stderr):
+def test_out_of_range_value_is_named_with_its_range(tmp_path, runner, command, extra, stderr):
     config = {
         "instance": single_expert_doc(),
         "scheduler": {"kind": "work_conserving"},
@@ -593,7 +648,6 @@ def test_out_of_range_value_is_named_with_its_range(tmp_path, runner, extra, std
         "horizon": 200,
         **extra,
     }
-    command = "sweep" if "seeds" in extra else "verify"
     cfg = write_json(tmp_path / "cfg.json", config)
     result = runner.invoke(main, [command, cfg, "--out", str(tmp_path / "out")])
     assert result.exit_code == 2, result.output
@@ -675,8 +729,8 @@ def test_unexpected_error_keeps_its_traceback(tmp_path, runner, monkeypatch):
 
 
 def test_import_leaves_out_the_process_pool_and_scipy_sparse():
-    """Loading the CLI imports neither the process pool (only a sweep with
-    ``workers > 1`` uses it) nor scipy.sparse (only an LP does)."""
+    """Loading the CLI imports neither the process pool (no command uses
+    it) nor scipy.sparse (only an LP does)."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     env = {**os.environ, "PYTHONPATH": path}
@@ -761,7 +815,9 @@ class TestSimulateCommand:
         cfg = write_json(tmp_path / "cfg.json", self.simulate_cfg(horizon=0))
         result = runner.invoke(main, ["simulate", cfg, "--out", str(tmp_path / "out")])
         assert result.exit_code == 2
-        assert "horizon must be at least 1" in result.output
+        assert result.stderr == (
+            "config error: config field 'horizon': expected a positive integer, got 0\n"
+        )
         assert not (tmp_path / "out").exists()
 
     def test_seed_override(self, tmp_path, runner):
@@ -853,22 +909,6 @@ class TestSweepCommand:
         assert json.loads((out / "bracket.json").read_text())["seeds"] == [5, 6, 7]
         with open(out / "sweep.csv") as fh:
             assert [row["seed"] for row in csv.DictReader(fh)] == ["5", "6", "7"]
-
-    def test_zero_workers_is_a_config_error(self, tmp_path, runner):
-        cfg = write_json(
-            tmp_path / "cfg.json",
-            {
-                "instance": single_expert_doc(),
-                "scheduler": {"kind": "work_conserving"},
-                "lambdas": [0.3],
-                "horizon": 100,
-                "seeds": [0],
-                "workers": 0,
-            },
-        )
-        result = runner.invoke(main, ["sweep", cfg, "--out", str(tmp_path / "out")])
-        assert result.exit_code == 2
-        assert "workers" in result.output
 
 
 class TestVerifyCommand:
