@@ -386,134 +386,127 @@ def verify(inst: Instance, cfg: dict, seed: int) -> list[dict]:
     then drift and misestimation stability for one expert, or the validity,
     load and simulated frequencies of a routing matrix for several.
 
-    Every config field is read, and the drift run built, before the routing
-    LP is solved once, on the per-door pmf the routing simulation uses; the
-    routing run is built right after it. The duality gap compares the LP's
-    capacity with the one its own expert weights certify,
-    ``1/max_min_load(alpha*)``, in system units, where the capacity is
-    ``n`` times the per-door one."""
-    experts = list(inst.experts)
-    n = inst.n_experts
+    ``geometric`` is read first; then one expert's path reads ``drift`` and
+    ``misestimation`` and builds the drift run, and several experts' path
+    reads ``routing_check``. Each path rejects the other's blocks. So every
+    field is read before the routing LP is solved once, on the per-door pmf
+    the routing simulation uses. The routing run is built after the
+    geometric checks, once the policy it simulates has passed its check."""
     trials = config_field(cfg, "geometric.trials", "count", 1_000_000)
     q_values = config_field(cfg, "geometric.q_values", "probs", [1.0, 0.5, 0.1])
-    if n == 1:
-        p, q = inst.arrivals.pmf[0], experts[0].success_prob
-        lam_default = 0.75 * single_capacity(p, q).lambda_star
-        lam = config_field(cfg, "drift.lambda", "number", lam_default)
-        drift_horizon = config_field(cfg, "drift.horizon", "count", 100_000)
-        drift_run = SimConfig(
-            instance=with_load(inst, lam),
-            scheduler=work_conserving_single(inst),
-            horizon=drift_horizon,
-            seed=seed,
-            record_lyapunov=True,
-            sample_interval=drift_horizon,  # drift_check reads only busy_moments
-        )
-        gamma = config_field(cfg, "misestimation.gamma", "prob", GAMMA_DEFAULT)
-        mis_seeds = [seed, seed + 1, seed + 2]
-        mis_seeds = config_field(cfg, "misestimation.seeds", "seeds", mis_seeds)
-        mis_horizon = config_field(cfg, "misestimation.horizon", "count", 100_000)
-    else:
-        horizon = config_field(cfg, "routing_check.horizon", "count", 50_000)
-        s = config_field(cfg, "routing_check.s", "rows", None)
+    path_checks = (_single_checks if inst.n_experts == 1 else _routing_checks)(inst, cfg, seed)
+    optimal = multi_capacity_dual(merged_pmf(inst), list(inst.experts))
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 1])))
+    rows = [_duality_gap(inst, optimal), *(_geometric(q, trials, rng) for q in q_values)]
+    return rows + path_checks(optimal)
 
-    merged = merged_pmf(inst)
-    optimal = multi_capacity_dual(merged, experts)
-    if n > 1:
+
+def _single_checks(inst: Instance, cfg: dict, seed: int):
+    """Read the ``drift`` and ``misestimation`` blocks and build the drift
+    run; return the function from the LP result to their two rows."""
+    if "routing_check" in cfg:
+        raise ValueError("config field 'routing_check': only a multi-expert instance takes it")
+    p, q = inst.arrivals.pmf[0], inst.experts[0].success_prob
+    lam = config_field(cfg, "drift.lambda", "rate", 0.75 * single_capacity(p, q).lambda_star)
+    drift_horizon = config_field(cfg, "drift.horizon", "count", 100_000)
+    drift_run = SimConfig(
+        instance=with_load(inst, lam),
+        scheduler=work_conserving_single(inst),
+        horizon=drift_horizon,
+        seed=seed,
+        record_lyapunov=True,
+        sample_interval=drift_horizon,  # drift_check reads only busy_moments
+    )
+    gamma = config_field(cfg, "misestimation.gamma", "prob", GAMMA_DEFAULT)
+    seeds = config_field(cfg, "misestimation.seeds", "seeds", [seed, seed + 1, seed + 2])
+    mis_horizon = config_field(cfg, "misestimation.horizon", "count", 100_000)
+    return lambda optimal: [_drift(drift_run), _misestimation(inst, gamma, seeds, mis_horizon)]
+
+
+def _routing_checks(inst: Instance, cfg: dict, seed: int):
+    """Read the ``routing_check`` block; return the function from the LP
+    result to the rows of the matrix it gives, or of the LP's certificate."""
+    for block in ("drift", "misestimation"):
+        if block in cfg:
+            raise ValueError(f"config field {block!r}: only a single-expert instance takes it")
+    horizon = config_field(cfg, "routing_check.horizon", "count", 50_000)
+    s = config_field(cfg, "routing_check.s", "rows", None)
+
+    def checks(optimal) -> list[dict]:
         policy = optimal.certificate if s is None else RoutingPolicy(s=s)
-        problems = routing_policy_violations(policy, inst.success_matrix())
-        if not problems:
-            sched = offline_routing_scheduler(inst, policy)
-            routing_run = SimConfig(instance=inst, scheduler=sched, horizon=horizon, seed=seed)
+        valid = _routing_policy_valid(inst, policy)
+        if not valid["passed"]:
+            return [valid]
+        sched = offline_routing_scheduler(inst, policy)
+        config = SimConfig(instance=inst, scheduler=sched, horizon=horizon, seed=seed)
+        return [valid, _certificate_load(inst, sched, optimal), _frequencies(config, policy)]
 
-    checks: list[dict] = []
+    return checks
+
+
+def _row(name: str, passed, **values) -> dict:
+    return {"name": name, "passed": bool(passed), **values}
+
+
+def _duality_gap(inst: Instance, optimal) -> dict:
+    """The LP's capacity against the one its own expert weights certify,
+    ``n/max_min_load(alpha*)``, in system units: ``n`` times per-door."""
+    n = inst.n_experts
     system = n * optimal.lambda_star
-    load = max_min_load(merged, experts, optimal.certificate.alpha)
+    load = max_min_load(merged_pmf(inst), list(inst.experts), optimal.certificate.alpha)
     certified = math.inf if load == 0.0 else n / load
     gap = 0.0 if certified == system else abs(certified - system)  # inf == inf
-    gap_tol = 1e-9 * system
-    checks.append(
-        {
-            "name": "duality_gap",
-            "passed": bool(gap <= gap_tol),
-            "measured": gap,
-            "tolerance": gap_tol,
-        }
+    tol = 1e-9 * system
+    return _row("duality_gap", gap <= tol, measured=gap, tolerance=tol)
+
+
+def _geometric(q: float, trials: int, rng) -> dict:
+    mean = geometric_service_check(q, trials, rng)
+    tol = 4.0 * math.sqrt(1.0 - q) / q / math.sqrt(trials)
+    passed = abs(mean - 1.0 / q) <= tol
+    return _row(f"geometric_service_q={q}", passed, measured=mean, expected=1.0 / q, tolerance=tol)
+
+
+def _drift(config: SimConfig) -> dict:
+    report = drift_check(run(config))
+    return _row(
+        "drift",
+        report.within(4.0),
+        measured=report.empirical_drift,
+        expected=report.predicted_drift,
+        tolerance=4.0 * report.std_error,
     )
 
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 1])))
-    for q_val in q_values:
-        mean = geometric_service_check(q_val, trials, rng)
-        tol = 4.0 * math.sqrt(1.0 - q_val) / q_val / math.sqrt(trials)
-        checks.append(
-            {
-                "name": f"geometric_service_q={q_val}",
-                "passed": bool(abs(mean - 1.0 / q_val) <= tol),
-                "measured": mean,
-                "expected": 1.0 / q_val,
-                "tolerance": tol,
-            }
-        )
 
-    if n == 1:
-        report = drift_check(run(drift_run))
-        checks.append(
-            {
-                "name": "drift",
-                "passed": bool(report.within(4.0)),
-                "measured": report.empirical_drift,
-                "expected": report.predicted_drift,
-                "tolerance": 4.0 * report.std_error,
-            }
-        )
+def _misestimation(inst: Instance, gamma: float, seeds: list[int], horizon: int) -> dict:
+    result = misestimation_check(inst, gamma, seeds=seeds, horizon=horizon)
+    verdicts, loads = [r.verdict for r in result.runs], [r.lam for r in result.runs]
+    return _row("misestimation_stability", result.all_stable, measured=verdicts, loads=loads)
 
-        result = misestimation_check(inst, gamma, seeds=mis_seeds, horizon=mis_horizon)
-        checks.append(
-            {
-                "name": "misestimation_stability",
-                "passed": bool(result.all_stable),
-                "measured": [r.verdict for r in result.runs],
-                "loads": [r.lam for r in result.runs],
-            }
-        )
-    else:
-        checks.append(
-            {
-                "name": "routing_policy_valid",
-                "passed": not problems,
-                "measured": problems,
-            }
-        )
-        if not problems:
-            load = policy_load(inst, sched)
-            bound = optimal.certificate.dual_mu * (1.0 + 1e-6) + 1e-9
-            checks.append(
-                {
-                    "name": "routing_certificate_load",
-                    "passed": bool(load <= bound),
-                    "measured": load,
-                    "tolerance": bound,
-                }
-            )
-            stats = run(routing_run)
-            counts = stats.final_state.cum_arrivals  # (topics, experts)
-            total = counts.sum(axis=1, keepdims=True)
-            seen = total[:, 0] >= 100
-            share, total = policy.s.T[seen], total[seen]
-            variance = share * (1 - share)
-            tol = 4.0 * np.sqrt(np.maximum(variance, 1e-12) / total)
-            # excess > 0 exactly when deviation > tol: a > b iff fl(a - b) > 0.
-            excess = np.abs(counts[seen] / total - share) - tol
-            # Signed, negative is the margin left; taken over randomized
-            # shares only, since a share of 0 or 1 has deviation 0 and its
-            # variance floor would hold the maximum near -4e-8.
-            randomized = excess[variance > 1e-12]
-            worst = float(randomized.max()) if randomized.size else None
-            checks.append(
-                {
-                    "name": "routing_frequencies",
-                    "passed": bool(np.all(excess <= 0)),
-                    "measured_worst_excess": worst,
-                }
-            )
-    return checks
+
+def _routing_policy_valid(inst: Instance, policy: RoutingPolicy) -> dict:
+    problems = routing_policy_violations(policy, inst.success_matrix())
+    return _row("routing_policy_valid", not problems, measured=problems)
+
+
+def _certificate_load(inst: Instance, sched: Scheduler, optimal) -> dict:
+    load = policy_load(inst, sched)
+    bound = optimal.certificate.dual_mu * (1.0 + 1e-6) + 1e-9
+    return _row("routing_certificate_load", load <= bound, measured=load, tolerance=bound)
+
+
+def _frequencies(config: SimConfig, policy: RoutingPolicy) -> dict:
+    counts = run(config).final_state.cum_arrivals  # (topics, experts)
+    total = counts.sum(axis=1, keepdims=True)
+    seen = total[:, 0] >= 100
+    share, total = policy.s.T[seen], total[seen]
+    variance = share * (1 - share)
+    tol = 4.0 * np.sqrt(np.maximum(variance, 1e-12) / total)
+    # excess > 0 exactly when deviation > tol: a > b iff fl(a - b) > 0.
+    excess = np.abs(counts[seen] / total - share) - tol
+    # Signed, negative is the margin left; taken over randomized shares
+    # only, since a share of 0 or 1 has deviation 0 and its variance floor
+    # would hold the maximum near -4e-8.
+    randomized = excess[variance > 1e-12]
+    worst = float(randomized.max()) if randomized.size else None
+    return _row("routing_frequencies", np.all(excess <= 0), measured_worst_excess=worst)

@@ -274,6 +274,7 @@ _KINDS = {
     "count": "a positive integer",
     "number": "a number",
     "prob": "a number in (0, 1]",
+    "rate": "a number in (0, 1)",
     "string": "a string",
     "object": "a JSON object",
     "seeds": "a non-empty list of non-negative integers",
@@ -289,8 +290,8 @@ def _as_kind(value, kind: str):
     """``value`` converted to ``kind``, or ``_FAIL`` if it is not one. A list
     kind is non-empty, with items of the kind without its final s; those of
     ``rows`` are equal-length ``numbers``, and a ``time`` is a number or None.
-    A ``seed`` is an integer from 0, a ``count`` one from 1, and a ``prob``
-    a number in (0, 1]."""
+    A ``seed`` is an integer from 0, a ``count`` one from 1, a ``prob`` a
+    number in (0, 1] and a ``rate`` one in (0, 1)."""
     if kind in ("seeds", "numbers", "probs", "times", "objects", "rows"):
         ok = isinstance(value, (list, tuple)) and len(value) > 0
         item = "numbers" if kind == "rows" else kind[:-1]
@@ -307,7 +308,7 @@ def _as_kind(value, kind: str):
         integral = isinstance(value, numbers.Integral) or float(value).is_integer()
         lowest = {"seed": 0, "count": 1}.get(kind)
         return int(value) if integral and (lowest is None or value >= lowest) else _FAIL
-    if kind == "prob" and not 0.0 < value <= 1.0:
+    if kind == "prob" and not 0.0 < value <= 1.0 or kind == "rate" and not 0.0 < value < 1.0:
         return _FAIL
     return float(value)
 

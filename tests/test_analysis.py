@@ -737,6 +737,28 @@ class TestVerify:
         assert len(drift_runs) == 1
         assert drift_runs[0].sample_times.tolist() == [0, 3_000]
 
+    @pytest.mark.parametrize("path", ["single", "routing"])
+    def test_lp_is_the_first_heavy_call(self, monkeypatch, path):
+        # Every field is read, and every bad one rejected, before the LP is
+        # solved; set-up timings cut at the first of these calls rely on it.
+        calls = []
+        for name in ("multi_capacity_dual", "max_min_load", "geometric_service_check", "run"):
+
+            def recorded(*args, _name=name, _fn=getattr(analysis, name), **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(analysis, name, recorded)
+        if path == "single":
+            inst = single_expert_instance(0.5, [0.5, 0.5], [1.0, 0.5])
+            cfg = {"drift": {"horizon": 200}, "misestimation": {"horizon": 200, "seeds": [0]}}
+        else:
+            inst, cfg = self.mixed_instance(), self.config(10)
+        analysis.verify(inst, {**cfg, "geometric": {"trials": 1_000}}, 4)
+        assert calls[0] == "multi_capacity_dual"
+        assert calls.count("multi_capacity_dual") == 1
+        assert {"max_min_load", "geometric_service_check", "run"} <= set(calls)
+
     def test_duality_gap_is_exact(self):
         check = self.checks(10)["duality_gap"]
         assert check["passed"] is True

@@ -530,6 +530,8 @@ def rejected_before_running_cases():
         "sweep-sample-interval-0": ("sweep", {**sweep, "sample_interval": 0}),
         "sweep-slope-threshold-nan": ("sweep", {**sweep, "slope_threshold": math.nan}),
         "verify-drift-lambda-1.5": ("verify", {**verify, "drift": {"lambda": 1.5}}),
+        "verify-drift-lambda-0": ("verify", {**verify, "drift": {"lambda": 0}}),
+        "verify-drift-lambda-1": ("verify", {**verify, "drift": {"lambda": 1}}),
         "verify-drift-horizon-0": ("verify", {**verify, "drift": {"horizon": 0}}),
         "verify-misestimation-gamma-string": (
             "verify",
@@ -626,6 +628,11 @@ def test_rejected_before_any_simulation_or_solve(tmp_path, runner, monkeypatch, 
             {"instance": generalist_doc(), "routing_check": {"horizon": 0}},
             "config field 'routing_check.horizon': expected a positive integer, got 0",
         ),
+        (
+            "verify",
+            {"drift": {"lambda": 1}},
+            "config field 'drift.lambda': expected a number in (0, 1), got 1",
+        ),
     ],
     ids=[
         "seeds",
@@ -637,6 +644,7 @@ def test_rejected_before_any_simulation_or_solve(tmp_path, runner, monkeypatch, 
         "misestimation-horizon",
         "misestimation-gamma",
         "routing-check-horizon",
+        "drift-lambda",
     ],
 )
 def test_out_of_range_value_is_named_with_its_range(tmp_path, runner, command, extra, stderr):
@@ -652,6 +660,38 @@ def test_out_of_range_value_is_named_with_its_range(tmp_path, runner, command, e
     result = runner.invoke(main, [command, cfg, "--out", str(tmp_path / "out")])
     assert result.exit_code == 2, result.output
     assert result.stderr == f"config error: {stderr}\n"
+
+
+@pytest.mark.parametrize(
+    "instance, block, stderr",
+    [
+        (
+            single_expert_doc(),
+            {"routing_check": {"horizon": 0}},
+            "config field 'routing_check': only a multi-expert instance takes it",
+        ),
+        (
+            generalist_doc(),
+            {"misestimation": {"gamma": 0.5}},
+            "config field 'misestimation': only a single-expert instance takes it",
+        ),
+    ],
+    ids=["single", "routing"],
+)
+def test_verify_refuses_the_other_paths_block(
+    tmp_path, runner, monkeypatch, instance, block, stderr
+):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("ran before the unread block was refused")
+
+    for name in ("run", "geometric_service_check", "multi_capacity_dual"):
+        monkeypatch.setattr(analysis, name, forbidden)
+    cfg = write_json(tmp_path / "cfg.json", {"instance": instance, **block})
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["verify", cfg, "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert result.stderr == f"config error: {stderr}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep", "verify"])
