@@ -49,7 +49,6 @@ from .sim import (
     SimConfig,
     SlotEvents,
     TraceStats,
-    geometric_service_check,
     run,
     steps,
     write_trace_csv,

@@ -29,7 +29,7 @@ from .capacity import (
 )
 from .model import ArrivalSpec, ExpertProfile, Instance, config_field, merged_pmf
 from .sched import Scheduler, offline_routing_scheduler, work_conserving_single
-from .sim import SimConfig, TraceStats, geometric_service_check, run
+from .sim import SimConfig, TraceStats, run
 
 __all__ = [
     "DriftReport",
@@ -382,28 +382,24 @@ def misestimation_check(
 
 def verify(inst: Instance, cfg: dict, seed: int) -> list[dict]:
     """The checks of ``expertq verify``, one dict with ``name`` and
-    ``passed`` each: the duality gap and geometric service times always,
-    then drift and misestimation stability for one expert, or the validity,
-    load and simulated frequencies of a routing matrix for several.
+    ``passed`` each: the duality gap, then drift, service success and
+    misestimation stability for one expert, or the validity, load,
+    simulated frequencies and service success of a routing matrix for
+    several. Service is checked on the run each path already makes.
 
-    ``geometric`` is read first; then one expert's path reads ``drift`` and
-    ``misestimation`` and builds the drift run, and several experts' path
-    reads ``routing_check``. Each path rejects the other's blocks. So every
-    field is read before the routing LP is solved once, on the per-door pmf
-    the routing simulation uses. The routing run is built after the
-    geometric checks, once the policy it simulates has passed its check."""
-    trials = config_field(cfg, "geometric.trials", "count", 1_000_000)
-    q_values = config_field(cfg, "geometric.q_values", "probs", [1.0, 0.5, 0.1])
+    One expert's path reads ``drift`` and ``misestimation``, several
+    experts' path ``routing_check``; each rejects the other's blocks, and
+    other keys are ignored. So every field is read before the routing LP is
+    solved once, on the per-door pmf the routing simulation uses. The
+    routing run is built once its policy has passed its check."""
     path_checks = (_single_checks if inst.n_experts == 1 else _routing_checks)(inst, cfg, seed)
     optimal = multi_capacity_dual(merged_pmf(inst), list(inst.experts))
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 1])))
-    rows = [_duality_gap(inst, optimal), *(_geometric(q, trials, rng) for q in q_values)]
-    return rows + path_checks(optimal)
+    return [_duality_gap(inst, optimal), *path_checks(optimal)]
 
 
 def _single_checks(inst: Instance, cfg: dict, seed: int):
     """Read the ``drift`` and ``misestimation`` blocks and build the drift
-    run; return the function from the LP result to their two rows."""
+    run; return the function from the LP result to their three rows."""
     if "routing_check" in cfg:
         raise ValueError("config field 'routing_check': only a multi-expert instance takes it")
     p, q = inst.arrivals.pmf[0], inst.experts[0].success_prob
@@ -415,12 +411,17 @@ def _single_checks(inst: Instance, cfg: dict, seed: int):
         horizon=drift_horizon,
         seed=seed,
         record_lyapunov=True,
-        sample_interval=drift_horizon,  # drift_check reads only busy_moments
+        sample_interval=drift_horizon,  # the rows read only its final moments and counts
     )
     gamma = config_field(cfg, "misestimation.gamma", "prob", GAMMA_DEFAULT)
     seeds = config_field(cfg, "misestimation.seeds", "seeds", [seed, seed + 1, seed + 2])
     mis_horizon = config_field(cfg, "misestimation.horizon", "count", 100_000)
-    return lambda optimal: [_drift(drift_run), _misestimation(inst, gamma, seeds, mis_horizon)]
+
+    def checks(optimal) -> list[dict]:
+        stats = run(drift_run)
+        return [_drift(stats), _service(stats), _misestimation(inst, gamma, seeds, mis_horizon)]
+
+    return checks
 
 
 def _routing_checks(inst: Instance, cfg: dict, seed: int):
@@ -438,8 +439,10 @@ def _routing_checks(inst: Instance, cfg: dict, seed: int):
         if not valid["passed"]:
             return [valid]
         sched = offline_routing_scheduler(inst, policy)
-        config = SimConfig(instance=inst, scheduler=sched, horizon=horizon, seed=seed)
-        return [valid, _certificate_load(inst, sched, optimal), _frequencies(config, policy)]
+        load = _certificate_load(inst, sched, optimal)
+        # The rows read only the final counts, so one sample is kept.
+        stats = run(SimConfig(inst, sched, horizon, seed, sample_interval=horizon))
+        return [valid, load, _frequencies(stats, policy), _service(stats)]
 
     return checks
 
@@ -460,15 +463,8 @@ def _duality_gap(inst: Instance, optimal) -> dict:
     return _row("duality_gap", gap <= tol, measured=gap, tolerance=tol)
 
 
-def _geometric(q: float, trials: int, rng) -> dict:
-    mean = geometric_service_check(q, trials, rng)
-    tol = 4.0 * math.sqrt(1.0 - q) / q / math.sqrt(trials)
-    passed = abs(mean - 1.0 / q) <= tol
-    return _row(f"geometric_service_q={q}", passed, measured=mean, expected=1.0 / q, tolerance=tol)
-
-
-def _drift(config: SimConfig) -> dict:
-    report = drift_check(run(config))
+def _drift(stats: TraceStats) -> dict:
+    report = drift_check(stats)
     return _row(
         "drift",
         report.within(4.0),
@@ -495,18 +491,33 @@ def _certificate_load(inst: Instance, sched: Scheduler, optimal) -> dict:
     return _row("routing_certificate_load", load <= bound, measured=load, tolerance=bound)
 
 
-def _frequencies(config: SimConfig, policy: RoutingPolicy) -> dict:
-    counts = run(config).final_state.cum_arrivals  # (topics, experts)
+def _frequencies(stats: TraceStats, policy: RoutingPolicy) -> dict:
+    counts = stats.final_state.cum_arrivals  # (topics, experts)
     total = counts.sum(axis=1, keepdims=True)
     seen = total[:, 0] >= 100
-    share, total = policy.s.T[seen], total[seen]
-    variance = share * (1 - share)
-    tol = 4.0 * np.sqrt(np.maximum(variance, 1e-12) / total)
+    return _binomial("routing_frequencies", counts[seen], total[seen], policy.s.T[seen], 1e-12)
+
+
+def _service(stats: TraceStats) -> dict:
+    """Completions per attempt of each (topic, expert) pair tried 100 times
+    or more, against its q: one service uniform is drawn per busy expert
+    whatever topic it serves, so a pair's outcomes are Bernoulli(q)."""
+    state = stats.final_state
+    attempts = state.cum_attempts  # (topics, experts)
+    seen = attempts >= 100
+    q = stats.config.instance.success_matrix().T[seen]
+    return _binomial("service_success", state.cum_departures[seen], attempts[seen], q, 0.0)
+
+
+def _binomial(name: str, hits, trials, p, floor: float) -> dict:
+    """``hits/trials`` against ``p`` within four binomial standard errors,
+    the variance floored at ``floor``."""
+    variance = p * (1 - p)
+    tol = 4.0 * np.sqrt(np.maximum(variance, floor) / trials)
     # excess > 0 exactly when deviation > tol: a > b iff fl(a - b) > 0.
-    excess = np.abs(counts[seen] / total - share) - tol
-    # Signed, negative is the margin left; taken over randomized shares
-    # only, since a share of 0 or 1 has deviation 0 and its variance floor
-    # would hold the maximum near -4e-8.
-    randomized = excess[variance > 1e-12]
+    excess = np.abs(hits / trials - p) - tol
+    # Signed, negative is the margin left. Pairs at the floor deviate by 0, so
+    # the floor alone would set their excess (near -4e-8 at 1e-12): left out.
+    randomized = excess[variance > floor]
     worst = float(randomized.max()) if randomized.size else None
-    return _row("routing_frequencies", np.all(excess <= 0), measured_worst_excess=worst)
+    return _row(name, np.all(excess <= 0), measured_worst_excess=worst)

@@ -279,7 +279,6 @@ _KINDS = {
     "object": "a JSON object",
     "seeds": "a non-empty list of non-negative integers",
     "numbers": "a non-empty list of numbers",
-    "probs": "a non-empty list of numbers in (0, 1]",
     "times": "a non-empty list of numbers or nulls",
     "objects": "a non-empty list of JSON objects",
     "rows": "a non-empty list of equal-length non-empty lists of numbers",
@@ -292,7 +291,7 @@ def _as_kind(value, kind: str):
     ``rows`` are equal-length ``numbers``, and a ``time`` is a number or None.
     A ``seed`` is an integer from 0, a ``count`` one from 1, a ``prob`` a
     number in (0, 1] and a ``rate`` one in (0, 1)."""
-    if kind in ("seeds", "numbers", "probs", "times", "objects", "rows"):
+    if kind in ("seeds", "numbers", "times", "objects", "rows"):
         ok = isinstance(value, (list, tuple)) and len(value) > 0
         item = "numbers" if kind == "rows" else kind[:-1]
         items = [_as_kind(v, item) for v in value] if ok else [_FAIL]
@@ -318,7 +317,7 @@ def config_field(doc: dict, path: str, kind: str, default=_REQUIRED):
     ``_KINDS``. Integers may be written as integral floats; ``bool`` and
     ``null`` are never numbers. A missing parent reads as an empty object,
     and a missing field as ``default``. Raises ValueError naming the field,
-    e.g. ``config field 'geometric.trials': expected a positive integer, got true``.
+    e.g. ``config field 'drift.horizon': expected a positive integer, got true``.
     """
     parent, _, key = path.rpartition(".")
     if parent:

@@ -19,9 +19,9 @@ __all__ = ["DRAW_BLOCK_BYTES", "RngStreams", "UniformBuffer", "block_rows"]
 
 _PURPOSES = ("arrivals", "admission", "routing", "selection", "service")
 # Bytes of float64 uniforms drawn from a generator at once, by every
-# pre-drawn block: a UniformBuffer refill, an arrival block in sim.run and
-# a round block of the geometric service check. PCG64 doubles do not depend
-# on how the draws are split, so the budget changes memory, never a value.
+# pre-drawn block: a UniformBuffer refill and an arrival block in sim.run.
+# PCG64 doubles do not depend on how the draws are split, so the budget
+# changes memory, never a value.
 DRAW_BLOCK_BYTES = 1 << 15
 
 

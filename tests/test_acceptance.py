@@ -35,7 +35,7 @@ from expertq.sched import (
     offline_routing_scheduler,
     work_conserving_single,
 )
-from expertq.sim import SimConfig, geometric_service_check, run, steps
+from expertq.sim import SimConfig, run, steps
 from oracles import duality_gap, multi_capacity_primal
 
 LAMBDA_STAR = 2 / 3  # capacity of the reference instance below
@@ -273,7 +273,9 @@ def test_criterion_6_routing_frequencies_and_work_conservation():
 
 
 def test_criterion_7_drift_and_geometric_service():
-    margins = []
+    # Service is geometric: each attempt completes with probability q, so
+    # completions per attempt sit within 4 sigma of q on each run.
+    margins, ratios = [], []
     for lam, delta in ((0.25, 0.5), (0.45, 0.1), (0.6, -0.2)):
         inst = Instance(
             experts=(ExpertProfile.from_success_probs(0, [0.5]),),
@@ -295,18 +297,16 @@ def test_criterion_7_drift_and_geometric_service():
         margins.append(
             abs(report.empirical_drift - report.predicted_drift) / report.std_error
         )
-
-    rng = np.random.default_rng(23)
-    trials = 1_000_000
-    for q_val in (1.0, 0.5, 0.1):
-        mean = geometric_service_check(q_val, trials, rng)
-        tolerance = 4.0 * math.sqrt(1.0 - q_val) / q_val / math.sqrt(trials)
-        assert abs(mean - 1.0 / q_val) <= tolerance, (q_val, mean)
+        attempts = int(stats.final_state.cum_attempts[0, 0])
+        done = int(stats.final_state.cum_departures[0, 0])
+        assert attempts >= report.busy_slots  # plus slots whose work arrived in them
+        assert abs(done / attempts - 0.5) <= 4.0 * math.sqrt(0.25 / attempts), (lam, done)
+        ratios.append(done / attempts)
 
     print(
         f"\nACCEPTANCE 7 PASS: busy-slot drift within 4 SE for margins "
-        f"{{0.5, 0.1, -0.2}} (worst {max(margins):.2f} SE); geometric means "
-        f"within 4 sigma for q in {{1, 0.5, 0.1}}"
+        f"{{0.5, 0.1, -0.2}} (worst {max(margins):.2f} SE); completions per "
+        f"attempt {', '.join(f'{r:.4f}' for r in ratios)} within 4 sigma of q = 0.5"
     )
 
 

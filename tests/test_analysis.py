@@ -645,10 +645,7 @@ class TestVerify:
         )
 
     def config(self, horizon):
-        return {
-            "geometric": {"trials": 10_000},
-            "routing_check": {"horizon": horizon},
-        }
+        return {"routing_check": {"horizon": horizon}}
 
     def checks(self, horizon, seed=4):
         checks = analysis.verify(self.mixed_instance(), self.config(horizon), seed)
@@ -727,7 +724,6 @@ class TestVerify:
 
         monkeypatch.setattr(analysis, "run", recorded)
         cfg = {
-            "geometric": {"trials": 1_000},
             "drift": {"horizon": 3_000},
             "misestimation": {"horizon": 200, "seeds": [0]},
         }
@@ -737,12 +733,26 @@ class TestVerify:
         assert len(drift_runs) == 1
         assert drift_runs[0].sample_times.tolist() == [0, 3_000]
 
+    def test_routing_run_samples_only_its_ends(self, monkeypatch):
+        # The routing rows read only the final counts.
+        configs = []
+        simulate = analysis.run
+
+        def recorded(config):
+            configs.append(config)
+            return simulate(config)
+
+        monkeypatch.setattr(analysis, "run", recorded)
+        checks = self.checks(3_000)
+        assert list(checks)[-2:] == ["routing_frequencies", "service_success"]
+        assert [(c.horizon, c.sample_interval) for c in configs] == [(3_000, 3_000)]
+
     @pytest.mark.parametrize("path", ["single", "routing"])
     def test_lp_is_the_first_heavy_call(self, monkeypatch, path):
         # Every field is read, and every bad one rejected, before the LP is
         # solved; set-up timings cut at the first of these calls rely on it.
         calls = []
-        for name in ("multi_capacity_dual", "max_min_load", "geometric_service_check", "run"):
+        for name in ("multi_capacity_dual", "max_min_load", "run"):
 
             def recorded(*args, _name=name, _fn=getattr(analysis, name), **kwargs):
                 calls.append(_name)
@@ -754,10 +764,10 @@ class TestVerify:
             cfg = {"drift": {"horizon": 200}, "misestimation": {"horizon": 200, "seeds": [0]}}
         else:
             inst, cfg = self.mixed_instance(), self.config(10)
-        analysis.verify(inst, {**cfg, "geometric": {"trials": 1_000}}, 4)
+        analysis.verify(inst, cfg, 4)
         assert calls[0] == "multi_capacity_dual"
         assert calls.count("multi_capacity_dual") == 1
-        assert {"max_min_load", "geometric_service_check", "run"} <= set(calls)
+        assert {"max_min_load", "run"} <= set(calls)
 
     def test_duality_gap_is_exact(self):
         check = self.checks(10)["duality_gap"]
@@ -786,3 +796,89 @@ class TestVerify:
         check = self.checks(10)["duality_gap"]
         assert check["passed"] is False
         assert check["measured"] > check["tolerance"]
+
+
+class TestServiceSuccess:
+    """Completions per service attempt of each (topic, expert) pair against q."""
+
+    def stats(self, inst, horizon=20_000, seed=3):
+        sched = (
+            work_conserving_single(inst)
+            if inst.n_experts == 1
+            else offline_routing_scheduler(
+                inst, multi_capacity_dual(merged_pmf(inst), list(inst.experts)).certificate
+            )
+        )
+        return run(SimConfig(instance=inst, scheduler=sched, horizon=horizon, seed=seed))
+
+    def test_passes_and_reports_the_worst_randomized_pair(self):
+        inst = single_expert_instance(0.6, [0.4, 0.3, 0.3], [0.5, 0.8, 1.0])
+        stats = self.stats(inst)
+        check = analysis._service(stats)
+        state = stats.final_state
+        expected = -math.inf
+        for x, q in enumerate([0.5, 0.8]):
+            a = int(state.cum_attempts[x, 0])
+            assert a >= 100
+            tol = 4.0 * math.sqrt(q * (1 - q) / a)
+            expected = max(expected, abs(int(state.cum_departures[x, 0]) / a - q) - tol)
+        assert check == {
+            "name": "service_success",
+            "passed": True,
+            "measured_worst_excess": expected,
+        }
+
+    def test_fails_against_q_scaled_by_nine_tenths(self):
+        inst = single_expert_instance(0.6, [0.5, 0.5], [0.5, 0.8])
+        stats = self.stats(inst)
+        scaled = single_expert_instance(0.6, [0.5, 0.5], [0.45, 0.72])
+        judged = dataclasses.replace(
+            stats, config=dataclasses.replace(stats.config, instance=scaled)
+        )
+        check = analysis._service(judged)
+        assert check["passed"] is False
+        assert check["measured_worst_excess"] > 0.0
+
+    def test_certain_service_must_match_exactly(self):
+        # Specialists serve with q = 1 only: nothing is randomized, and one
+        # missing completion fails, as a/a is exactly 1 and has no floor.
+        experts = tuple(
+            ExpertProfile.from_success_probs(i, [1.0 if x == i else 0.0 for x in range(3)])
+            for i in range(3)
+        )
+        inst = Instance(experts=experts, arrivals=ArrivalSpec(lam=0.6, pmf=[[1 / 3] * 3] * 3))
+        stats = self.stats(inst, horizon=2_000)
+        assert (stats.final_state.cum_attempts >= 100).sum() == 3
+        check = analysis._service(stats)
+        assert check["passed"] is True and check["measured_worst_excess"] is None
+        state = stats.final_state
+        short = dataclasses.replace(state, cum_departures=state.cum_departures - np.eye(3, dtype=int))
+        assert analysis._service(dataclasses.replace(stats, final_state=short))["passed"] is False
+
+    def test_pairs_below_one_hundred_attempts_are_left_out(self):
+        inst = single_expert_instance(0.6, [0.5, 0.5], [0.5, 0.8])
+        stats = self.stats(inst, horizon=50)
+        assert stats.final_state.cum_attempts.max() < 100
+        check = analysis._service(stats)
+        assert check["passed"] is True and check["measured_worst_excess"] is None
+
+    @pytest.mark.parametrize("path", ["single", "routing"])
+    def test_verify_checks_the_run_it_already_makes(self, monkeypatch, path):
+        runs = []
+        simulate = analysis.run
+
+        def recorded(config):
+            runs.append(simulate(config))
+            return runs[-1]
+
+        monkeypatch.setattr(analysis, "run", recorded)
+        if path == "single":
+            inst = single_expert_instance(0.5, [0.5, 0.5], [1.0, 0.5])
+            cfg = {"drift": {"horizon": 3_000}, "misestimation": {"horizon": 200, "seeds": [0]}}
+        else:
+            inst, cfg = TestVerify().mixed_instance(), {"routing_check": {"horizon": 3_000}}
+        checks = {c["name"]: c for c in analysis.verify(inst, cfg, 4)}
+        checked = runs[0]  # the drift run, or the routing run
+        assert checks["service_success"] == analysis._service(checked)
+        assert checks["service_success"]["passed"] is True
+        assert checks["service_success"]["measured_worst_excess"] is not None

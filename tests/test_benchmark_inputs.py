@@ -2,10 +2,10 @@
 
 Each workload's config is written by ``benchmarks/gen_inputs.py`` and
 launched with its CLI command. A key the program stops accepting, such as
-sweep-single's ``"workers"`` or verify-quad's ``"resolution"``, would fail
-every launch of that workload. The simulation, the LP and the geometric
-check are stubbed to raise, so each command stops once its config has been
-read and checked, without running.
+sweep-single's ``"workers"`` or verify-quad's ``"resolution"`` and
+``"geometric"``, would fail every launch of that workload. The simulation
+and the LP are stubbed to raise, so each command stops once its config has
+been read and checked, without running.
 """
 
 import importlib
@@ -35,7 +35,7 @@ def test_generated_config_is_accepted(tmp_path, monkeypatch, workload, seed):
     gen_inputs = importlib.import_module("gen_inputs")
     command = importlib.import_module("run").WORKLOADS[workload].command
     for module in (analysis, sched, sim):
-        for name in ("run", "multi_capacity_dual", "geometric_service_check"):
+        for name in ("run", "multi_capacity_dual"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, reached)
     cfg = gen_inputs.write(workload, seed, tmp_path / "inputs")

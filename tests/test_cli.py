@@ -206,7 +206,7 @@ def malformed_cases():
         "seed": 1,
     }
     sweep = {**simulate, "lambdas": [0.3], "seeds": [0]}
-    verify = {"instance": generalist_doc(), "geometric": {"trials": 1000}}
+    verify = {"instance": generalist_doc()}
     single_verify = {**verify, "instance": single_expert_doc()}
     bad_id = single_expert_doc()
     bad_id["experts"][0]["id"] = True
@@ -299,17 +299,6 @@ def malformed_cases():
         "simulate-instance-number": ("simulate", {**simulate, "instance": 5}, "instance"),
         "sweep-seeds-number": ("sweep", {**sweep, "seeds": 5}, "seeds"),
         "sweep-lambdas-null": ("sweep", {**sweep, "lambdas": None}, "lambdas"),
-        "verify-q-values-number": (
-            "verify",
-            {**verify, "geometric": {"q_values": 5}},
-            "geometric.q_values",
-        ),
-        "verify-geometric-number": ("verify", {**verify, "geometric": 5}, "geometric"),
-        "verify-trials-true": (
-            "verify",
-            {**verify, "geometric": {"trials": True}},
-            "geometric.trials",
-        ),
         "verify-misestimation-seed-fraction": (
             "verify",
             {**single_verify, "misestimation": {"seeds": [1.7]}},
@@ -418,13 +407,7 @@ def malformed_cases():
             {**single_verify, "misestimation": {"seeds": []}},
             "misestimation.seeds",
         ),
-        "verify-q-values-empty": (
-            "verify",
-            {**verify, "geometric": {"q_values": []}},
-            "geometric.q_values",
-        ),
-        # Out of range: numpy's seed error named no field, and a bad q or
-        # trial count was caught only after the routing LP.
+        # Out of range: numpy's seed error named no field.
         "simulate-seed-negative": ("simulate", {**simulate, "seed": -1}, "seed"),
         "sweep-seeds-negative": ("sweep", {**sweep, "seeds": [0, 1, -1]}, "seeds"),
         "verify-seed-negative": ("verify", {**verify, "seed": -3}, "seed"),
@@ -432,21 +415,6 @@ def malformed_cases():
             "verify",
             {**single_verify, "misestimation": {"seeds": [1, -2]}},
             "misestimation.seeds",
-        ),
-        "verify-q-values-zero": (
-            "verify",
-            {**verify, "geometric": {"q_values": [1.0, 0.5, 0.1, 0.0]}},
-            "geometric.q_values",
-        ),
-        "verify-q-values-above-one": (
-            "verify",
-            {**verify, "geometric": {"q_values": [1.5]}},
-            "geometric.q_values",
-        ),
-        "verify-trials-zero": (
-            "verify",
-            {**verify, "geometric": {"trials": 0}},
-            "geometric.trials",
         ),
         # Exits no other case reaches.
         "config-root-not-an-object": ("capacity", [single_expert_doc()], "instance"),
@@ -515,7 +483,7 @@ def test_invalid_instance_file_is_named_with_its_violation(tmp_path, runner):
 
 def rejected_before_running_cases():
     """(command, config) for each bad value that used to be rejected only
-    after some cells, the routing LP or the geometric checks had run."""
+    after some cells or the routing LP had run."""
     sweep = {
         "instance": single_expert_doc(),
         "scheduler": {"kind": "work_conserving"},
@@ -523,7 +491,7 @@ def rejected_before_running_cases():
         "seeds": [1, 2],
         "horizon": 200,
     }
-    verify = {"instance": single_expert_doc(), "geometric": {"trials": 1000}}
+    verify = {"instance": single_expert_doc()}
     return {
         "sweep-last-load-1.2": ("sweep", {**sweep, "lambdas": [0.3, 0.4, 1.2]}),
         "sweep-horizon-0": ("sweep", {**sweep, "horizon": 0}),
@@ -542,11 +510,6 @@ def rejected_before_running_cases():
             "verify",
             {**verify, "misestimation": {"seeds": [1, -2]}},
         ),
-        "verify-q-values-zero": (
-            "verify",
-            {**verify, "geometric": {"q_values": [1.0, 0.5, 0.1, 0.0]}},
-        ),
-        "verify-trials-negative": ("verify", {**verify, "geometric": {"trials": -5}}),
         "verify-misestimation-gamma-1.5": (
             "verify",
             {**verify, "misestimation": {"gamma": 1.5}},
@@ -567,7 +530,7 @@ def test_rejected_before_any_simulation_or_solve(tmp_path, runner, monkeypatch, 
     def forbidden(*args, **kwargs):
         raise AssertionError("ran before the bad value was rejected")
 
-    for name in ("run", "geometric_service_check", "multi_capacity_dual"):
+    for name in ("run", "multi_capacity_dual"):
         monkeypatch.setattr(analysis, name, forbidden)
     command, config = rejected_before_running_cases()[case]
     cfg = write_json(tmp_path / "cfg.json", config)
@@ -586,17 +549,6 @@ def test_rejected_before_any_simulation_or_solve(tmp_path, runner, monkeypatch, 
             {"seeds": [0, 1, -1]},
             "config field 'seeds': expected a non-empty list of non-negative integers, "
             "got [0, 1, -1]",
-        ),
-        (
-            "verify",
-            {"geometric": {"q_values": [1.0, 0.0]}},
-            "config field 'geometric.q_values': expected a non-empty list of numbers "
-            "in (0, 1], got [1.0, 0.0]",
-        ),
-        (
-            "verify",
-            {"geometric": {"trials": 0}},
-            "config field 'geometric.trials': expected a positive integer, got 0",
         ),
         (
             "sweep",
@@ -636,8 +588,6 @@ def test_rejected_before_any_simulation_or_solve(tmp_path, runner, monkeypatch, 
     ],
     ids=[
         "seeds",
-        "q-values",
-        "trials",
         "horizon",
         "sample-interval",
         "drift-horizon",
@@ -684,7 +634,7 @@ def test_verify_refuses_the_other_paths_block(
     def forbidden(*args, **kwargs):
         raise AssertionError("ran before the unread block was refused")
 
-    for name in ("run", "geometric_service_check", "multi_capacity_dual"):
+    for name in ("run", "multi_capacity_dual"):
         monkeypatch.setattr(analysis, name, forbidden)
     cfg = write_json(tmp_path / "cfg.json", {"instance": instance, **block})
     out = tmp_path / "out"
@@ -699,7 +649,7 @@ def test_negative_seed_override_is_refused(tmp_path, runner, monkeypatch, comman
     def forbidden(*args, **kwargs):
         raise AssertionError("ran before the bad seed was refused")
 
-    for name in ("run", "geometric_service_check", "multi_capacity_dual"):
+    for name in ("run", "multi_capacity_dual"):
         monkeypatch.setattr(analysis, name, forbidden)
     monkeypatch.setattr(sim, "run", forbidden)
     config = {
@@ -957,7 +907,6 @@ class TestVerifyCommand:
             tmp_path / "cfg.json",
             {
                 "instance": specialist_doc(),
-                "geometric": {"trials": 100_000},
                 "routing_check": {"horizon": 20_000},
                 "seed": 5,
             },
@@ -974,7 +923,6 @@ class TestVerifyCommand:
             tmp_path / "cfg.json",
             {
                 "instance": single_expert_doc(lam=0.5, p=(1.0,), times=(2,)),
-                "geometric": {"trials": 100_000},
                 "drift": {"lambda": 0.25, "horizon": 40_000},
                 "misestimation": {"gamma": 0.5, "horizon": 30_000},
                 "seed": 2,
@@ -984,7 +932,7 @@ class TestVerifyCommand:
         assert result.exit_code == 0, result.output
         report = json.loads((tmp_path / "out" / "verify.json").read_text())
         names = {c["name"] for c in report["checks"]}
-        assert "drift" in names and "misestimation_stability" in names
+        assert {"drift", "service_success", "misestimation_stability"} <= names
 
     def test_corrupted_routing_matrix_fails_with_report(self, tmp_path, runner):
         # suboptimal matrix: every topic to expert 0; columns are still
@@ -994,7 +942,6 @@ class TestVerifyCommand:
             tmp_path / "cfg.json",
             {
                 "instance": generalist_doc(),
-                "geometric": {"trials": 50_000},
                 "routing_check": {"s": bad_s, "horizon": 10_000},
                 "seed": 3,
             },
@@ -1029,7 +976,8 @@ class TestVerifyCommand:
             tmp_path / "cfg.json",
             {
                 "instance": doc,
-                # The retired grid knob is ignored like any unknown key.
+                # The retired grid and geometric-check knobs are ignored
+                # like any unknown key.
                 "resolution": 0.004,
                 "geometric": {"trials": 20_000},
                 "routing_check": {"horizon": 5_000},
@@ -1043,27 +991,35 @@ class TestVerifyCommand:
         gap = {c["name"]: c for c in report["checks"]}["duality_gap"]
         assert gap["measured"] <= gap["tolerance"] < 1e-6
 
-    @pytest.mark.parametrize("trials", [0, -5])
-    def test_nonpositive_trials_exit_2(self, tmp_path, runner, trials):
+    @pytest.mark.parametrize(
+        "geometric", [{"trials": 1_000_000}, {"q_values": []}, 5], ids=["trials", "empty", "number"]
+    )
+    def test_geometric_block_is_ignored(self, tmp_path, runner, geometric):
+        # Configs written for the retired geometric side check still run;
+        # service is checked on the routing run instead.
         cfg = write_json(
             tmp_path / "cfg.json",
             {
-                "instance": generalist_doc(),
-                "geometric": {"trials": trials},
+                "instance": specialist_doc(),
+                "geometric": geometric,
+                "routing_check": {"horizon": 2_000},
+                "seed": 5,
             },
         )
         result = runner.invoke(main, ["verify", cfg, "--out", str(tmp_path / "out")])
-        assert result.exit_code == 2
-        assert "field 'geometric.trials': expected a positive integer" in result.output
-        assert not (tmp_path / "out" / "verify.json").exists()
+        assert result.exit_code == 0, result.output
+        report = json.loads((tmp_path / "out" / "verify.json").read_text())
+        names = [c["name"] for c in report["checks"]]
+        assert names[-1] == "service_success"
+        assert not [name for name in names if name.startswith("geometric")]
 
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
-SHORT = {"horizon": 200, "trials": 1000}
+SHORT = {"horizon": 200}
 
 
 def shortened(doc):
-    """``doc`` with every horizon and trial count cut to ``SHORT``."""
+    """``doc`` with every horizon cut to ``SHORT``."""
     if isinstance(doc, dict):
         return {k: SHORT[k] if k in SHORT else shortened(v) for k, v in doc.items()}
     return [shortened(v) for v in doc] if isinstance(doc, list) else doc

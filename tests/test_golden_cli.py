@@ -1,8 +1,7 @@
 """Golden output of every shipped ``configs/`` command.
 
 The fixture in ``golden/cli.json`` pins, for each shipped command config
-(its instance inlined, horizons and trial counts cut by ``test_cli``'s
-``shortened``) and for a few mode and scheduler variants of them, the
+(its instance inlined, horizons cut by ``test_cli``'s ``shortened``) and for a few mode and scheduler variants of them, the
 exit code, the stdout lines with the output directory written as
 ``<out>``, and the sha256 of every file the command writes (null when
 it never made the output directory). Refactors of the CLI must reproduce
@@ -41,8 +40,8 @@ def shipped_config(name: str) -> dict:
 
 def cases() -> dict[str, tuple[str, dict]]:
     """(command, config) per case: every shipped command config, then the
-    capacity modes, schedulers and verify branch the shipped configs do
-    not name, and a missing certificate."""
+    capacity modes and schedulers the shipped configs do not name, a
+    missing certificate, and a single-expert verify on short horizons."""
     out = {}
     for path in sorted(CONFIGS.glob("*.json")):
         command = path.stem.split("_")[0]
@@ -78,7 +77,6 @@ def cases() -> dict[str, tuple[str, dict]]:
         "verify",
         {
             "instance": single,
-            "geometric": {"trials": 1000},
             "drift": {"horizon": 2000},
             "misestimation": {"horizon": 2000},
             "seed": 3,
@@ -113,7 +111,7 @@ def golden():
 def test_fixture_covers_every_case(golden):
     assert sorted(golden) == sorted(cases())
     shipped = {p.stem for p in CONFIGS.glob("*.json") if p.stem.split("_")[0] in COMMANDS}
-    assert len(shipped) == 4 and shipped <= set(golden)
+    assert len(shipped) == 5 and shipped <= set(golden)
 
 
 @pytest.mark.parametrize("name", sorted(cases()))

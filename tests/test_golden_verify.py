@@ -2,8 +2,8 @@
 
 The fixture in ``golden/verify.json`` pins, for each case and seed, every
 check ``expertq verify`` reports: names, verdicts, measured values,
-tolerances, simulated loads and the routing-frequency margin
-``measured_worst_excess``. Refactors of the capacity routes, the
+tolerances, simulated loads and the routing-frequency and service-success
+margins ``measured_worst_excess``. Refactors of the capacity routes, the
 misestimation check or the routing checks must reproduce it exactly. To
 regenerate the fixture after a deliberate change of behaviour, run
 ``PYTHONPATH=src python tests/test_golden_verify.py``.
@@ -56,24 +56,13 @@ def mixed_instance():
     )
 
 
-GEOMETRIC = {"trials": 20_000, "q_values": [1.0, 0.5, 0.1]}
 CASES = {
     "single": (
         single_instance,
-        {
-            "geometric": GEOMETRIC,
-            "drift": {"horizon": 5_000},
-            "misestimation": {"gamma": 0.5, "horizon": 5_000},
-        },
+        {"drift": {"horizon": 5_000}, "misestimation": {"gamma": 0.5, "horizon": 5_000}},
     ),
-    "specialists": (
-        specialists_instance,
-        {"geometric": GEOMETRIC, "routing_check": {"horizon": 5_000}},
-    ),
-    "mixed": (
-        mixed_instance,
-        {"geometric": GEOMETRIC, "routing_check": {"horizon": 5_000}},
-    ),
+    "specialists": (specialists_instance, {"routing_check": {"horizon": 5_000}}),
+    "mixed": (mixed_instance, {"routing_check": {"horizon": 5_000}}),
 }
 
 

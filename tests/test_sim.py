@@ -11,7 +11,7 @@ from expertq.capacity import RoutingPolicy, multi_capacity_dual
 from expertq.model import ArrivalSpec, ExpertProfile, Instance, merged_pmf
 from expertq.rng import RngStreams, UniformBuffer
 from expertq.sched import offline_routing_scheduler, work_conserving_single
-from expertq.sim import SimConfig, geometric_service_check, run, steps, write_trace_csv
+from expertq.sim import SimConfig, run, steps, write_trace_csv
 from test_golden import CASES, build
 
 
@@ -87,6 +87,7 @@ class TestStep:
         assert np.array_equal(state.cum_arrivals, final.cum_arrivals)
         assert np.array_equal(state.cum_departures, final.cum_departures)
         assert np.array_equal(state.cum_losses, final.cum_losses)
+        assert np.array_equal(state.cum_attempts, final.cum_attempts)
 
     @pytest.mark.parametrize("case", CASES)
     def test_leaves_the_scheduler_unchanged(self, case):
@@ -96,6 +97,19 @@ class TestStep:
             pass
         assert pickle.dumps(vars(sched)) == before
         assert not {"admit", "route", "select"} & vars(sched).keys()
+
+    @pytest.mark.parametrize("case", ["work_conserving:longest_queue", "routing:request_weighted"])
+    def test_attempts_tally_the_assignments(self, case):
+        inst, sched = build(case)
+        config = SimConfig(instance=inst, scheduler=sched, horizon=400, seed=6)
+        tally = np.zeros((inst.n_topics, inst.n_experts), dtype=np.int64)
+        for state, events in steps(config):
+            for i, x in events.assignments.items():
+                if x is not None:
+                    tally[x, i] += 1
+            assert np.array_equal(state.cum_attempts, tally)
+        assert tally.sum() > 100 and (tally > 0).sum() > 1
+        assert np.array_equal(run(config).final_state.cum_attempts, tally)
 
     def test_one_replay_builds_one_engine(self, monkeypatch):
         built = []
@@ -480,63 +494,6 @@ class TestUniformBuffer:
         buffer.next()
         del buffer
         assert gc.collect() == 0
-
-
-class TestGeometricService:
-    def test_certain_success_is_exact(self):
-        rng = np.random.default_rng(0)
-        assert geometric_service_check(1.0, 1000, rng) == 1.0
-
-    @pytest.mark.parametrize("q_val", [0.5, 0.1])
-    def test_mean_matches_inverse_probability(self, q_val):
-        rng = np.random.default_rng(14)
-        trials = 1_000_000
-        mean = geometric_service_check(q_val, trials, rng)
-        tolerance = 4.0 * math.sqrt(1.0 - q_val) / q_val / math.sqrt(trials)
-        assert abs(mean - 1.0 / q_val) <= tolerance
-
-    def test_invalid_probability(self):
-        rng = np.random.default_rng(0)
-        for bad in (0.0, -0.2, 1.5):
-            with pytest.raises(ValueError):
-                geometric_service_check(bad, 10, rng)
-
-    @pytest.mark.parametrize("trials", [0, -5])
-    def test_trials_must_be_positive(self, trials):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError, match="trials must be at least 1"):
-            geometric_service_check(0.5, trials, rng)
-
-    @staticmethod
-    def one_shot(q_val, trials, rng):
-        # Each round's uniforms in one draw: the unblocked reference.
-        alive, slots_used = trials, 0
-        while alive:
-            slots_used += alive
-            alive = int(np.count_nonzero(rng.random(alive) >= q_val))
-        return slots_used / trials
-
-    @pytest.mark.parametrize("q_val", [0.5, 0.1])
-    def test_blocks_match_one_shot_draws(self, q_val):
-        # The first rounds span four blocks, the last ones part of one.
-        trials = 3 * (rng.DRAW_BLOCK_BYTES // 8) + 17
-        blocked = np.random.default_rng(21)
-        reference = np.random.default_rng(21)
-        mean = geometric_service_check(q_val, trials, blocked)
-        assert mean == self.one_shot(q_val, trials, reference)
-        assert blocked.random() == reference.random()
-
-    def test_peak_memory_is_bounded(self):
-        # 4 M trials: one draw per round held 36 MB of uniforms and mask.
-        rng = np.random.default_rng(3)
-        tracemalloc.start()
-        try:
-            mean = geometric_service_check(0.5, 4_000_000, rng)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert abs(mean - 2.0) < 0.01
-        assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 class TestTraceCsv:
