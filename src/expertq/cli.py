@@ -1,4 +1,4 @@
-"""Command-line entry point.
+"""Command-line entry point, on the standard library's ``argparse``.
 
 Four subcommands, each driven by a single JSON config file:
 
@@ -7,20 +7,21 @@ Four subcommands, each driven by a single JSON config file:
 * ``sweep``     -- stability verdicts over a load grid, CSV plus bracket JSON.
 * ``verify``    -- cross-checks between the analytic and simulated routes.
 
-Exit codes: 0 success, 1 verification failure, 2 config error, 3 required
-certificate missing and not computable. Existing output files are never
-overwritten without --force.
+:func:`run` returns the exit code: 0 success, 1 verification failure, 2
+config or usage error, 3 required certificate missing and not computable.
+Malformed input raises ``ValueError`` or ``TypeError``; any other error is a
+bug and keeps its traceback. Only --force overwrites an existing output.
 """
 
 from __future__ import annotations
 
+import argparse
 import csv
 import json
 import math
 import sys
 from pathlib import Path
 
-import click
 import numpy as np
 
 from . import analysis, capacity, model, sched, sim
@@ -70,61 +71,62 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-class _Main(click.Group):
-    """Maps every command's errors to the exit codes. Malformed input raises
-    ``ValueError`` or ``TypeError``; anything else is a bug and keeps its
-    traceback."""
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except (ValueError, TypeError) as exc:
-            click.echo(f"config error: {exc}", err=True)
-            sys.exit(2)
-        except sched.CertificateError as exc:
-            click.echo(f"missing certificate: {exc}", err=True)
-            sys.exit(3)
-
-
-@click.group(cls=_Main)
-def main() -> None:
-    """Capacity analysis and simulation for expert request queues."""
+_COMMANDS: dict = {}
 
 
 def _command(name: str, *outputs: str, seeded: bool = True):
-    """Register ``body(cfg, inst, seed_override, prepare)`` as the command
-    ``name`` over one config file. The paths of ``outputs`` in ``--out``
-    must be free, or ``--force`` given, before the body runs; ``prepare()``
-    makes ``--out`` and returns them, so a body calls it once its work is
-    done and a rejected command leaves no directory. The paths are echoed
-    after the body, and a non-zero code it returns becomes the exit code."""
-    seed_option = click.option("--seed-override", type=click.IntRange(min=0), default=None)
+    """Register ``body(cfg, inst, seed_override, prepare)`` as the command ``name``."""
 
     def register(body):
-        @main.command(name, help=body.__doc__)
-        @click.argument("config_path", type=click.Path(exists=False))
-        @click.option("--out", "out_dir", default=".", show_default=True)
-        @click.option("--force", is_flag=True, default=False)
-        @(seed_option if seeded else lambda command: command)
-        def command(config_path, out_dir, force, seed_override=None):
-            cfg, inst = _read_config(config_path)
-            targets = [Path(out_dir) / n for n in outputs]
-            for target in targets:
-                if target.exists() and not force:
-                    raise ValueError(f"{target} exists; pass --force to overwrite")
-
-            def prepare() -> list[Path]:
-                Path(out_dir).mkdir(parents=True, exist_ok=True)
-                return targets
-
-            code = body(cfg, inst, seed_override, prepare)
-            click.echo("wrote " + " and ".join(map(str, targets)))
-            if code:
-                sys.exit(code)
-
-        return command
+        _COMMANDS[name] = (body, outputs, seeded)
+        return body
 
     return register
+
+
+def run(argv: list[str] | None = None) -> int:
+    """Run the command line ``argv`` (default ``sys.argv[1:]``) and return
+    its exit code; the parser exits 2 itself on a usage error."""
+    parser = argparse.ArgumentParser("expertq", description=main.__doc__)
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+    for name, (body, _, seeded) in _COMMANDS.items():
+        command = commands.add_parser(name, help=body.__doc__, allow_abbrev=False)
+        command.add_argument("config_path")
+        command.add_argument("--out", default=".", help="default: %(default)s")
+        command.add_argument("--force", action="store_true")
+        if seeded:
+            command.add_argument("--seed-override", type=int, metavar="N")
+    args = parser.parse_args(argv)
+    seed_override = getattr(args, "seed_override", None)
+    if seed_override is not None and seed_override < 0:
+        parser.error(f"argument --seed-override: {seed_override} is negative")
+    body, outputs, _ = _COMMANDS[args.command]
+    targets = [Path(args.out) / n for n in outputs]
+
+    # A body calls this once its work is done, so a rejected command makes no --out.
+    def prepare() -> list[Path]:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+        return targets
+
+    try:
+        cfg, inst = _read_config(args.config_path)
+        for target in targets:
+            if target.exists() and not args.force:
+                raise ValueError(f"{target} exists; pass --force to overwrite")
+        code = body(cfg, inst, seed_override, prepare)
+    except (ValueError, TypeError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except sched.CertificateError as exc:
+        print(f"missing certificate: {exc}", file=sys.stderr)
+        return 3
+    print("wrote " + " and ".join(map(str, targets)))
+    return code or 0
+
+
+def main() -> None:
+    """Capacity analysis and simulation for expert request queues."""
+    sys.exit(run())
 
 
 @_command("capacity", "capacity.json", seeded=False)
@@ -213,9 +215,13 @@ def cmd_verify(cfg, inst, seed_override, prepare) -> int:
     (target,) = prepare()
     _write_json(target, {"all_passed": all_passed, "checks": checks})
     for c in checks:
-        click.echo(f"{'PASS' if c['passed'] else 'FAIL'} {c['name']}")
+        print(f"{'PASS' if c['passed'] else 'FAIL'} {c['name']}")
     return 0 if all_passed else 1
 
+
+# Not API: the benchmark launcher still calls the click-style
+# ``main.main(args=..., prog_name=..., standalone_mode=False)``.
+main.main = lambda args, **_: sys.exit(run(args))
 
 if __name__ == "__main__":
     main()

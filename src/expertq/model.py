@@ -177,45 +177,39 @@ def _validate_instance(inst: Instance) -> list[str]:
                 f"arrivals.pmf[expert {i}]: sums to {total!r}, expected 1 within {PMF_TOL}"
             )
 
-    for e in inst.experts:
-        if e.n_topics != n_topics or e.mean_time.shape[0] != n_topics:
+    # One mask per check in _ENTRY_CHECKS, over all experts; a wrong-width profile is a valid row.
+    fits = [e.n_topics == n_topics == e.mean_time.shape[0] for e in inst.experts]
+    valid = np.ones(n_topics)
+    t = np.array([e.mean_time if ok else valid for e, ok in zip(inst.experts, fits)])
+    q = np.array([e.success_prob if ok else valid for e, ok in zip(inst.experts, fits)])
+    with np.errstate(invalid="ignore", over="ignore"):
+        deviation = np.abs(q * t - 1.0)
+    nan, inf = np.isnan(t), t == np.inf
+    rest, in_range = ~(nan | inf), (q >= 0.0) & (q <= 1.0)
+    inconsistent = (t > 0) & (deviation > CONSISTENCY_TOL)
+    checks = [nan, inf & (q != 0.0), rest & (t < 1.0), rest & ~in_range, rest & inconsistent]
+    flags = np.stack(checks, axis=-1)
+    for i, e in enumerate(inst.experts):
+        if not fits[i]:
             violations.append(
                 f"expert {e.expert_id}: profile over {e.n_topics} topics, "
                 f"instance universe has {n_topics}"
             )
-            continue
-        for x in range(n_topics):
-            t = e.mean_time[x]
-            q = e.success_prob[x]
-            if np.isnan(t):
-                violations.append(
-                    f"expert {e.expert_id}.mean_time[topic {x}]: must be a time or "
-                    "null (cannot answer), got nan"
-                )
-                continue
-            if t == np.inf:
-                if q != 0.0:
-                    violations.append(
-                        f"expert {e.expert_id}.success_prob[topic {x}]: "
-                        f"must be 0 when mean_time is infinite, got {q}"
-                    )
-                continue
-            if t < 1.0:
-                violations.append(
-                    f"expert {e.expert_id}.mean_time[topic {x}]: T(x) >= 1 required, got {t}"
-                )
-            if not (0.0 <= q <= 1.0):
-                violations.append(
-                    f"expert {e.expert_id}.success_prob[topic {x}]: outside [0, 1], got {q}"
-                )
-            if t > 0 and abs(q * t - 1.0) > CONSISTENCY_TOL:
-                violations.append(
-                    f"expert {e.expert_id}[topic {x}]: success_prob {q} and "
-                    f"mean_time {t} inconsistent (q*T deviates from 1 by "
-                    f"{abs(q * t - 1.0):.3g})"
-                )
+        for x, check in np.argwhere(flags[i]):
+            entry = {"id": e.expert_id, "x": x, "t": t[i, x], "q": q[i, x], "d": deviation[i, x]}
+            violations.append(_ENTRY_CHECKS[check].format(**entry))
 
     return violations
+
+
+_ENTRY_CHECKS = (
+    "expert {id}.mean_time[topic {x}]: must be a time or null (cannot answer), got nan",
+    "expert {id}.success_prob[topic {x}]: must be 0 when mean_time is infinite, got {q}",
+    "expert {id}.mean_time[topic {x}]: T(x) >= 1 required, got {t}",
+    "expert {id}.success_prob[topic {x}]: outside [0, 1], got {q}",
+    "expert {id}[topic {x}]: success_prob {q} and mean_time {t} inconsistent "
+    "(q*T deviates from 1 by {d:.3g})",
+)
 
 
 def merged_pmf(inst: Instance) -> np.ndarray:

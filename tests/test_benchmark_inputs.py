@@ -12,10 +12,9 @@ import importlib
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 from expertq import analysis, sched, sim
-from expertq.cli import main
+from test_cli import invoke
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
@@ -40,6 +39,6 @@ def test_generated_config_is_accepted(tmp_path, monkeypatch, workload, seed):
                 monkeypatch.setattr(module, name, reached)
     cfg = gen_inputs.write(workload, seed, tmp_path / "inputs")
     out = tmp_path / "out"
-    result = CliRunner().invoke(main, [command, str(cfg), "--out", str(out)])
-    assert isinstance(result.exception, Reached), result.output
+    with pytest.raises(Reached):
+        invoke([command, str(cfg), "--out", str(out)])
     assert not out.exists()

@@ -1,18 +1,39 @@
 import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 from expertq import analysis, cli, model, sched, sim
-from expertq.cli import main
 from expertq.model import load_instance
+
+
+class Result(NamedTuple):
+    exit_code: int
+    stdout: str
+    stderr: str
+    output: str  # stdout, then stderr
+
+
+def invoke(argv: list[str]) -> Result:
+    """Run ``cli.run(argv)`` with stdout and stderr captured. A usage
+    error's ``SystemExit`` becomes the exit code; any other exception
+    propagates."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.run(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return Result(code, out.getvalue(), err.getvalue(), out.getvalue() + err.getvalue())
 
 
 def write_json(path, doc):
@@ -50,44 +71,39 @@ def generalist_doc(lam=0.25, n=3):
     }
 
 
-@pytest.fixture
-def runner():
-    return CliRunner()
-
-
 class TestCapacityCommand:
-    def test_single_mode(self, tmp_path, runner):
+    def test_single_mode(self, tmp_path):
         cfg = write_json(
             tmp_path / "cfg.json",
             {"instance": single_expert_doc(), "mode": "single"},
         )
-        result = runner.invoke(main, ["capacity", cfg, "--out", str(tmp_path / "out")])
+        result = invoke(["capacity", cfg, "--out", str(tmp_path / "out")])
         assert result.exit_code == 0, result.output
         payload = json.loads((tmp_path / "out" / "capacity.json").read_text())
         assert payload["lambda_star"] == pytest.approx(2 / 3, abs=1e-12)
 
-    def test_multi_dual_on_specialists(self, tmp_path, runner):
+    def test_multi_dual_on_specialists(self, tmp_path):
         cfg = write_json(
             tmp_path / "cfg.json",
             {"instance": specialist_doc(), "mode": "multi-dual"},
         )
-        result = runner.invoke(main, ["capacity", cfg, "--out", str(tmp_path / "out")])
+        result = invoke(["capacity", cfg, "--out", str(tmp_path / "out")])
         assert result.exit_code == 0, result.output
         payload = json.loads((tmp_path / "out" / "capacity.json").read_text())
         assert payload["lambda_star"] == pytest.approx(3.0, abs=1e-9)
         assert np.allclose(payload["certificate"]["s"], np.eye(3), atol=1e-9)
 
     @pytest.mark.parametrize("mode", ["multi-primal", "multi-dual"])
-    def test_unanswerable_mass_exits_2(self, tmp_path, runner, mode):
+    def test_unanswerable_mass_exits_2(self, tmp_path, mode):
         doc = specialist_doc()
         doc["experts"][2]["T"] = [None, None, None]
         cfg = write_json(tmp_path / "cfg.json", {"instance": doc, "mode": mode})
-        result = runner.invoke(main, ["capacity", cfg, "--out", str(tmp_path / "out")])
+        result = invoke(["capacity", cfg, "--out", str(tmp_path / "out")])
         assert result.exit_code == 2
         assert "topics [2] carry mass but no expert can answer them" in result.output
         assert not (tmp_path / "out" / "capacity.json").exists()
 
-    def test_zero_budget_loss_matches_single_exactly(self, tmp_path, runner):
+    def test_zero_budget_loss_matches_single_exactly(self, tmp_path):
         single_cfg = write_json(
             tmp_path / "single.json",
             {"instance": single_expert_doc(), "mode": "single"},
@@ -96,37 +112,37 @@ class TestCapacityCommand:
             tmp_path / "loss.json",
             {"instance": single_expert_doc(), "mode": "loss", "epsilon": 0.0},
         )
-        runner.invoke(main, ["capacity", single_cfg, "--out", str(tmp_path / "a")])
-        runner.invoke(main, ["capacity", loss_cfg, "--out", str(tmp_path / "b")])
+        invoke(["capacity", single_cfg, "--out", str(tmp_path / "a")])
+        invoke(["capacity", loss_cfg, "--out", str(tmp_path / "b")])
         a = json.loads((tmp_path / "a" / "capacity.json").read_text())
         b = json.loads((tmp_path / "b" / "capacity.json").read_text())
         assert a["lambda_star"] == b["lambda_star"]
 
-    def test_malformed_json_exits_2_without_output(self, tmp_path, runner):
+    def test_malformed_json_exits_2_without_output(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         out_dir = tmp_path / "out"
-        result = runner.invoke(main, ["capacity", str(bad), "--out", str(out_dir)])
+        result = invoke(["capacity", str(bad), "--out", str(out_dir)])
         assert result.exit_code == 2
         assert not (out_dir / "capacity.json").exists()
 
-    def test_invalid_instance_exits_2(self, tmp_path, runner):
+    def test_invalid_instance_exits_2(self, tmp_path):
         doc = single_expert_doc()
         doc["pmf"] = [[0.5, 0.4]]
         cfg = write_json(tmp_path / "cfg.json", {"instance": doc, "mode": "single"})
-        result = runner.invoke(main, ["capacity", cfg, "--out", str(tmp_path / "out")])
+        result = invoke(["capacity", cfg, "--out", str(tmp_path / "out")])
         assert result.exit_code == 2
 
-    def test_overwrite_needs_force(self, tmp_path, runner):
+    def test_overwrite_needs_force(self, tmp_path):
         cfg = write_json(
             tmp_path / "cfg.json",
             {"instance": single_expert_doc(), "mode": "single"},
         )
         out = str(tmp_path / "out")
-        assert runner.invoke(main, ["capacity", cfg, "--out", out]).exit_code == 0
-        assert runner.invoke(main, ["capacity", cfg, "--out", out]).exit_code == 2
+        assert invoke(["capacity", cfg, "--out", out]).exit_code == 0
+        assert invoke(["capacity", cfg, "--out", out]).exit_code == 2
         assert (
-            runner.invoke(main, ["capacity", cfg, "--out", out, "--force"]).exit_code
+            invoke(["capacity", cfg, "--out", out, "--force"]).exit_code
             == 0
         )
 
@@ -182,11 +198,11 @@ def nan_cases():
 
 
 @pytest.mark.parametrize("case", sorted(nan_cases()))
-def test_nan_input_exits_2(tmp_path, runner, case):
+def test_nan_input_exits_2(tmp_path, case):
     command, config, message = nan_cases()[case]
     cfg = write_json(tmp_path / "cfg.json", config)
     out = tmp_path / "out"
-    result = runner.invoke(main, [command, cfg, "--out", str(out)])
+    result = invoke([command, cfg, "--out", str(out)])
     assert result.exit_code == 2, result.output
     assert message in result.output
     assert not out.exists()
@@ -457,23 +473,22 @@ def malformed_cases():
 
 
 @pytest.mark.parametrize("case", sorted(malformed_cases()))
-def test_malformed_value_exits_2_without_traceback(tmp_path, runner, case):
+def test_malformed_value_exits_2_without_traceback(tmp_path, case):
     command, config, field = malformed_cases()[case]
     write_json(tmp_path / INVALID_INSTANCE_FILE, single_expert_doc(lam=1.5))
     cfg = write_json(tmp_path / "cfg.json", config)
     out = tmp_path / "out"
-    result = runner.invoke(main, [command, cfg, "--out", str(out)])
+    result = invoke([command, cfg, "--out", str(out)])
     assert result.exit_code == 2, result.output
     assert "config error:" in result.output
     assert f"field {field!r}" in result.output
-    assert isinstance(result.exception, SystemExit)
     assert not out.exists()
 
 
-def test_invalid_instance_file_is_named_with_its_violation(tmp_path, runner):
+def test_invalid_instance_file_is_named_with_its_violation(tmp_path):
     instance = write_json(tmp_path / INVALID_INSTANCE_FILE, single_expert_doc(lam=1.5))
     cfg = write_json(tmp_path / "cfg.json", {"instance_path": instance, "mode": "single"})
-    result = runner.invoke(main, ["capacity", cfg, "--out", str(tmp_path / "out")])
+    result = invoke(["capacity", cfg, "--out", str(tmp_path / "out")])
     assert result.exit_code == 2, result.output
     assert result.stderr == (
         f"config error: config field 'instance_path': cannot load {instance}: "
@@ -526,7 +541,7 @@ def rejected_before_running_cases():
 
 
 @pytest.mark.parametrize("case", sorted(rejected_before_running_cases()))
-def test_rejected_before_any_simulation_or_solve(tmp_path, runner, monkeypatch, case):
+def test_rejected_before_any_simulation_or_solve(tmp_path, monkeypatch, case):
     def forbidden(*args, **kwargs):
         raise AssertionError("ran before the bad value was rejected")
 
@@ -535,7 +550,7 @@ def test_rejected_before_any_simulation_or_solve(tmp_path, runner, monkeypatch, 
     command, config = rejected_before_running_cases()[case]
     cfg = write_json(tmp_path / "cfg.json", config)
     out = tmp_path / "out"
-    result = runner.invoke(main, [command, cfg, "--out", str(out)])
+    result = invoke([command, cfg, "--out", str(out)])
     assert result.exit_code == 2, result.output
     assert "config error:" in result.output
     assert not out.exists()
@@ -597,7 +612,7 @@ def test_rejected_before_any_simulation_or_solve(tmp_path, runner, monkeypatch, 
         "drift-lambda",
     ],
 )
-def test_out_of_range_value_is_named_with_its_range(tmp_path, runner, command, extra, stderr):
+def test_out_of_range_value_is_named_with_its_range(tmp_path, command, extra, stderr):
     config = {
         "instance": single_expert_doc(),
         "scheduler": {"kind": "work_conserving"},
@@ -607,7 +622,7 @@ def test_out_of_range_value_is_named_with_its_range(tmp_path, runner, command, e
         **extra,
     }
     cfg = write_json(tmp_path / "cfg.json", config)
-    result = runner.invoke(main, [command, cfg, "--out", str(tmp_path / "out")])
+    result = invoke([command, cfg, "--out", str(tmp_path / "out")])
     assert result.exit_code == 2, result.output
     assert result.stderr == f"config error: {stderr}\n"
 
@@ -629,7 +644,7 @@ def test_out_of_range_value_is_named_with_its_range(tmp_path, runner, command, e
     ids=["single", "routing"],
 )
 def test_verify_refuses_the_other_paths_block(
-    tmp_path, runner, monkeypatch, instance, block, stderr
+    tmp_path, monkeypatch, instance, block, stderr
 ):
     def forbidden(*args, **kwargs):
         raise AssertionError("ran before the unread block was refused")
@@ -638,14 +653,14 @@ def test_verify_refuses_the_other_paths_block(
         monkeypatch.setattr(analysis, name, forbidden)
     cfg = write_json(tmp_path / "cfg.json", {"instance": instance, **block})
     out = tmp_path / "out"
-    result = runner.invoke(main, ["verify", cfg, "--out", str(out)])
+    result = invoke(["verify", cfg, "--out", str(out)])
     assert result.exit_code == 2, result.output
     assert result.stderr == f"config error: {stderr}\n"
     assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep", "verify"])
-def test_negative_seed_override_is_refused(tmp_path, runner, monkeypatch, command):
+def test_negative_seed_override_is_refused(tmp_path, monkeypatch, command):
     def forbidden(*args, **kwargs):
         raise AssertionError("ran before the bad seed was refused")
 
@@ -661,14 +676,14 @@ def test_negative_seed_override_is_refused(tmp_path, runner, monkeypatch, comman
     }
     cfg = write_json(tmp_path / "cfg.json", config)
     out = tmp_path / "out"
-    result = runner.invoke(main, [command, cfg, "--out", str(out), "--seed-override", "-1"])
+    result = invoke([command, cfg, "--out", str(out), "--seed-override", "-1"])
     assert result.exit_code == 2, result.output
-    assert "Invalid value for '--seed-override': -1 is not in the range x>=0." in result.stderr
+    assert "argument --seed-override: -1 is negative" in result.stderr
     assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["sweep", "verify"])
-def test_existing_output_is_refused_before_any_simulation(tmp_path, runner, monkeypatch, command):
+def test_existing_output_is_refused_before_any_simulation(tmp_path, monkeypatch, command):
     def forbidden(*args, **kwargs):
         raise AssertionError("ran before the existing output was refused")
 
@@ -684,13 +699,13 @@ def test_existing_output_is_refused_before_any_simulation(tmp_path, runner, monk
     out = tmp_path / "out"
     out.mkdir()
     (out / ("sweep.csv" if command == "sweep" else "verify.json")).write_text("kept")
-    result = runner.invoke(main, [command, cfg, "--out", str(out)])
+    result = invoke([command, cfg, "--out", str(out)])
     assert result.exit_code == 2, result.output
     assert "pass --force to overwrite" in result.output
     assert [p.read_text() for p in out.iterdir()] == ["kept"]
 
 
-def test_integral_float_horizon_writes_the_same_bytes(tmp_path, runner):
+def test_integral_float_horizon_writes_the_same_bytes(tmp_path):
     base = {
         "instance": single_expert_doc(),
         "scheduler": {"kind": "work_conserving"},
@@ -700,39 +715,77 @@ def test_integral_float_horizon_writes_the_same_bytes(tmp_path, runner):
     for horizon in (2000, 2000.0):
         out = tmp_path / repr(horizon)
         cfg = write_json(tmp_path / f"{horizon!r}.json", {**base, "horizon": horizon})
-        result = runner.invoke(main, ["simulate", cfg, "--out", str(out)])
+        result = invoke(["simulate", cfg, "--out", str(out)])
         assert result.exit_code == 0, result.output
         outputs.append([(out / name).read_bytes() for name in ("trace.csv", "summary.json")])
     assert outputs[0] == outputs[1]
 
 
-def test_unexpected_error_keeps_its_traceback(tmp_path, runner, monkeypatch):
+def test_unexpected_error_keeps_its_traceback(tmp_path, monkeypatch):
     def broken(inst, cfg, seed):
         raise RuntimeError("not a config problem")
 
     monkeypatch.setattr(cli.analysis, "verify", broken)
     cfg = write_json(tmp_path / "cfg.json", {"instance": generalist_doc()})
-    result = runner.invoke(main, ["verify", cfg, "--out", str(tmp_path / "out")])
-    assert result.exit_code == 1
-    assert isinstance(result.exception, RuntimeError)
-    assert "config error" not in result.output
+    with pytest.raises(RuntimeError, match="not a config problem"):
+        invoke(["verify", cfg, "--out", str(tmp_path / "out")])
+
+
+def test_help_names_every_command_and_a_missing_command_exits_2():
+    result = invoke(["--help"])
+    assert result.exit_code == 0, result.output
+    assert all(name in result.stdout for name in ("capacity", "simulate", "sweep", "verify"))
+    assert invoke([]).exit_code == 2
+    assert invoke(["route"]).exit_code == 2
+
+
+@pytest.mark.parametrize("mode, code", [("single", 0), ("dual", 2)])
+def test_click_style_entry_exits_with_the_code_of_run(tmp_path, mode, code):
+    """``main.main`` is the entry the benchmark launcher calls."""
+    cfg = write_json(tmp_path / "cfg.json", {"instance": single_expert_doc(), "mode": mode})
+    args = ["capacity", cfg, "--out", str(tmp_path / "out")]
+    with pytest.raises(SystemExit) as info:
+        cli.main.main(args=args, prog_name="expertq", standalone_mode=False)
+    assert info.value.code == code
+
+
+def child_env() -> dict:
+    """The environment of a child interpreter that imports this ``expertq``."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
 
 
 def test_import_leaves_out_the_process_pool_and_scipy_sparse():
     """Loading the CLI imports neither the process pool (no command uses
     it) nor scipy.sparse (only an LP does)."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-    env = {**os.environ, "PYTHONPATH": path}
     code = (
         "import sys, expertq.cli; "
         "print([m for m in ('concurrent.futures.process', 'multiprocessing', "
         "'scipy.sparse') if m in sys.modules])"
     )
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_runs_with_click_unimportable(tmp_path):
+    """Loading the CLI imports no click module, and a command runs with
+    click blocked."""
+    cfg = write_json(tmp_path / "cfg.json", {"instance": single_expert_doc(), "mode": "single"})
+    code = (
+        "import sys; from expertq import cli; "
+        "print([m for m in sys.modules if m.partition('.')[0] == 'click']); "
+        "sys.modules['click'] = None; "
+        "sys.exit(cli.run(sys.argv[1:]))"
+    )
+    argv = ["capacity", cfg, "--out", str(tmp_path / "out")]
+    child = subprocess.run(
+        [sys.executable, "-c", code, *argv], env=child_env(), capture_output=True, text=True
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.splitlines()[0] == "[]"
+    assert (tmp_path / "out" / "capacity.json").exists()
 
 
 class TestSimulateCommand:
@@ -745,26 +798,26 @@ class TestSimulateCommand:
             "sample_interval": 100,
         }
 
-    def test_repeat_seed_identical_csv(self, tmp_path, runner):
+    def test_repeat_seed_identical_csv(self, tmp_path):
         cfg = write_json(tmp_path / "cfg.json", self.simulate_cfg())
-        first = runner.invoke(main, ["simulate", cfg, "--out", str(tmp_path / "a")])
-        second = runner.invoke(main, ["simulate", cfg, "--out", str(tmp_path / "b")])
+        first = invoke(["simulate", cfg, "--out", str(tmp_path / "a")])
+        second = invoke(["simulate", cfg, "--out", str(tmp_path / "b")])
         assert first.exit_code == 0 and second.exit_code == 0
         assert (tmp_path / "a" / "trace.csv").read_bytes() == (
             tmp_path / "b" / "trace.csv"
         ).read_bytes()
 
-    def test_zero_load_all_zero_series(self, tmp_path, runner):
+    def test_zero_load_all_zero_series(self, tmp_path):
         cfg = write_json(
             tmp_path / "cfg.json", self.simulate_cfg(doc=single_expert_doc(lam=0.0))
         )
-        result = runner.invoke(main, ["simulate", cfg, "--out", str(tmp_path / "out")])
+        result = invoke(["simulate", cfg, "--out", str(tmp_path / "out")])
         assert result.exit_code == 0
         with open(tmp_path / "out" / "trace.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert all(row["total_queue"] == "0" for row in rows)
 
-    def test_loss_run_respects_budget(self, tmp_path, runner):
+    def test_loss_run_respects_budget(self, tmp_path):
         doc = single_expert_doc(lam=0.95, p=(0.5, 0.5), times=(None, 2))
         cfg = write_json(
             tmp_path / "cfg.json",
@@ -772,20 +825,20 @@ class TestSimulateCommand:
                 horizon=50_000, scheduler={"kind": "loss", "epsilon": 0.5}, doc=doc
             ),
         )
-        result = runner.invoke(main, ["simulate", cfg, "--out", str(tmp_path / "out")])
+        result = invoke(["simulate", cfg, "--out", str(tmp_path / "out")])
         assert result.exit_code == 0
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["loss_rate"][0] <= 0.5 * 0.95 + 0.01
         assert summary["verdict"] == "stable"
 
-    def test_loss_without_certificate_exits_3(self, tmp_path, runner):
+    def test_loss_without_certificate_exits_3(self, tmp_path):
         cfg = write_json(
             tmp_path / "cfg.json", self.simulate_cfg(scheduler={"kind": "loss"})
         )
-        result = runner.invoke(main, ["simulate", cfg, "--out", str(tmp_path / "out")])
+        result = invoke(["simulate", cfg, "--out", str(tmp_path / "out")])
         assert result.exit_code == 3
 
-    def test_routing_without_computable_matrix_exits_3(self, tmp_path, runner):
+    def test_routing_without_computable_matrix_exits_3(self, tmp_path):
         doc = {
             "topics": 2,
             "lambda": 0.5,
@@ -798,22 +851,21 @@ class TestSimulateCommand:
         cfg = write_json(
             tmp_path / "cfg.json", self.simulate_cfg(scheduler={"kind": "routing"}, doc=doc)
         )
-        result = runner.invoke(main, ["simulate", cfg, "--out", str(tmp_path / "out")])
+        result = invoke(["simulate", cfg, "--out", str(tmp_path / "out")])
         assert result.exit_code == 3
 
-    def test_zero_horizon_creates_no_output_directory(self, tmp_path, runner):
+    def test_zero_horizon_creates_no_output_directory(self, tmp_path):
         cfg = write_json(tmp_path / "cfg.json", self.simulate_cfg(horizon=0))
-        result = runner.invoke(main, ["simulate", cfg, "--out", str(tmp_path / "out")])
+        result = invoke(["simulate", cfg, "--out", str(tmp_path / "out")])
         assert result.exit_code == 2
         assert result.stderr == (
             "config error: config field 'horizon': expected a positive integer, got 0\n"
         )
         assert not (tmp_path / "out").exists()
 
-    def test_seed_override(self, tmp_path, runner):
+    def test_seed_override(self, tmp_path):
         cfg = write_json(tmp_path / "cfg.json", self.simulate_cfg(seed=1))
-        result = runner.invoke(
-            main,
+        result = invoke(
             ["simulate", cfg, "--out", str(tmp_path / "out"), "--seed-override", "77"],
         )
         assert result.exit_code == 0
@@ -822,7 +874,7 @@ class TestSimulateCommand:
 
 
 class TestSweepCommand:
-    def test_single_point_grid_is_valid(self, tmp_path, runner):
+    def test_single_point_grid_is_valid(self, tmp_path):
         cfg = write_json(
             tmp_path / "cfg.json",
             {
@@ -833,7 +885,7 @@ class TestSweepCommand:
                 "seeds": [0],
             },
         )
-        result = runner.invoke(main, ["sweep", cfg, "--out", str(tmp_path / "out")])
+        result = invoke(["sweep", cfg, "--out", str(tmp_path / "out")])
         assert result.exit_code == 0, result.output
         with open(tmp_path / "out" / "sweep.csv") as fh:
             reader = csv.reader(fh)
@@ -844,7 +896,7 @@ class TestSweepCommand:
         bracket = json.loads((tmp_path / "out" / "bracket.json").read_text())
         assert bracket["analytic_lambda_star"] == pytest.approx(2 / 3, abs=1e-12)
 
-    def test_idempotent_with_force_and_fixed_seed(self, tmp_path, runner):
+    def test_idempotent_with_force_and_fixed_seed(self, tmp_path):
         cfg = write_json(
             tmp_path / "cfg.json",
             {
@@ -856,14 +908,14 @@ class TestSweepCommand:
             },
         )
         out = str(tmp_path / "out")
-        assert runner.invoke(main, ["sweep", cfg, "--out", out]).exit_code == 0
+        assert invoke(["sweep", cfg, "--out", out]).exit_code == 0
         first = (tmp_path / "out" / "sweep.csv").read_bytes()
         assert (
-            runner.invoke(main, ["sweep", cfg, "--out", out, "--force"]).exit_code == 0
+            invoke(["sweep", cfg, "--out", out, "--force"]).exit_code == 0
         )
         assert (tmp_path / "out" / "sweep.csv").read_bytes() == first
 
-    def test_two_sided_bracket(self, tmp_path, runner):
+    def test_two_sided_bracket(self, tmp_path):
         lam_star = 2 / 3
         cfg = write_json(
             tmp_path / "cfg.json",
@@ -875,14 +927,14 @@ class TestSweepCommand:
                 "seeds": [0, 1],
             },
         )
-        result = runner.invoke(main, ["sweep", cfg, "--out", str(tmp_path / "out")])
+        result = invoke(["sweep", cfg, "--out", str(tmp_path / "out")])
         assert result.exit_code == 0, result.output
         bracket = json.loads((tmp_path / "out" / "bracket.json").read_text())
         assert bracket["lambda_lo"] == 0.5
         assert bracket["lambda_hi"] == 0.8
         assert bracket["lambda_lo"] <= lam_star <= bracket["lambda_hi"]
 
-    def test_seed_override_numbers_the_seeds_from_it(self, tmp_path, runner):
+    def test_seed_override_numbers_the_seeds_from_it(self, tmp_path):
         cfg = write_json(
             tmp_path / "cfg.json",
             {
@@ -894,7 +946,7 @@ class TestSweepCommand:
             },
         )
         out = tmp_path / "out"
-        result = runner.invoke(main, ["sweep", cfg, "--out", str(out), "--seed-override", "5"])
+        result = invoke(["sweep", cfg, "--out", str(out), "--seed-override", "5"])
         assert result.exit_code == 0, result.output
         assert json.loads((out / "bracket.json").read_text())["seeds"] == [5, 6, 7]
         with open(out / "sweep.csv") as fh:
@@ -902,7 +954,7 @@ class TestSweepCommand:
 
 
 class TestVerifyCommand:
-    def test_specialist_instance_passes(self, tmp_path, runner):
+    def test_specialist_instance_passes(self, tmp_path):
         cfg = write_json(
             tmp_path / "cfg.json",
             {
@@ -911,14 +963,14 @@ class TestVerifyCommand:
                 "seed": 5,
             },
         )
-        result = runner.invoke(main, ["verify", cfg, "--out", str(tmp_path / "out")])
+        result = invoke(["verify", cfg, "--out", str(tmp_path / "out")])
         assert result.exit_code == 0, result.output
         report = json.loads((tmp_path / "out" / "verify.json").read_text())
         assert report["all_passed"] is True
         names = {c["name"] for c in report["checks"]}
         assert "duality_gap" in names and "routing_frequencies" in names
 
-    def test_single_expert_checks_pass(self, tmp_path, runner):
+    def test_single_expert_checks_pass(self, tmp_path):
         cfg = write_json(
             tmp_path / "cfg.json",
             {
@@ -928,13 +980,13 @@ class TestVerifyCommand:
                 "seed": 2,
             },
         )
-        result = runner.invoke(main, ["verify", cfg, "--out", str(tmp_path / "out")])
+        result = invoke(["verify", cfg, "--out", str(tmp_path / "out")])
         assert result.exit_code == 0, result.output
         report = json.loads((tmp_path / "out" / "verify.json").read_text())
         names = {c["name"] for c in report["checks"]}
         assert {"drift", "service_success", "misestimation_stability"} <= names
 
-    def test_corrupted_routing_matrix_fails_with_report(self, tmp_path, runner):
+    def test_corrupted_routing_matrix_fails_with_report(self, tmp_path):
         # suboptimal matrix: every topic to expert 0; columns are still
         # valid distributions so the failure comes from the load check
         bad_s = [[1.0, 1.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
@@ -946,7 +998,7 @@ class TestVerifyCommand:
                 "seed": 3,
             },
         )
-        result = runner.invoke(main, ["verify", cfg, "--out", str(tmp_path / "out")])
+        result = invoke(["verify", cfg, "--out", str(tmp_path / "out")])
         assert result.exit_code == 1
         report = json.loads((tmp_path / "out" / "verify.json").read_text())
         assert report["all_passed"] is False
@@ -955,7 +1007,7 @@ class TestVerifyCommand:
         # measured values are still reported on failure
         assert "measured" in by_name["routing_certificate_load"]
 
-    def test_six_experts_pass(self, tmp_path, runner):
+    def test_six_experts_pass(self, tmp_path):
         # More experts than any grid oracle could scan; the duality
         # certificate has no such limit.
         times = [
@@ -984,7 +1036,7 @@ class TestVerifyCommand:
                 "seed": 1,
             },
         )
-        result = runner.invoke(main, ["verify", cfg, "--out", str(tmp_path / "out")])
+        result = invoke(["verify", cfg, "--out", str(tmp_path / "out")])
         assert result.exit_code == 0, result.output
         report = json.loads((tmp_path / "out" / "verify.json").read_text())
         assert report["all_passed"] is True
@@ -994,7 +1046,7 @@ class TestVerifyCommand:
     @pytest.mark.parametrize(
         "geometric", [{"trials": 1_000_000}, {"q_values": []}, 5], ids=["trials", "empty", "number"]
     )
-    def test_geometric_block_is_ignored(self, tmp_path, runner, geometric):
+    def test_geometric_block_is_ignored(self, tmp_path, geometric):
         # Configs written for the retired geometric side check still run;
         # service is checked on the routing run instead.
         cfg = write_json(
@@ -1006,7 +1058,7 @@ class TestVerifyCommand:
                 "seed": 5,
             },
         )
-        result = runner.invoke(main, ["verify", cfg, "--out", str(tmp_path / "out")])
+        result = invoke(["verify", cfg, "--out", str(tmp_path / "out")])
         assert result.exit_code == 0, result.output
         report = json.loads((tmp_path / "out" / "verify.json").read_text())
         names = [c["name"] for c in report["checks"]]
@@ -1073,7 +1125,7 @@ class TestShippedConfigs:
             scheduler = sched.build_scheduler(inst, doc["scheduler"])
             assert scheduler.kind == doc["scheduler"]["kind"]
 
-    def shipped_run_checks(self, tmp_path, runner, monkeypatch, name):
+    def shipped_run_checks(self, tmp_path, monkeypatch, name):
         """How often the instance check runs in the shipped command config
         ``name``, shortened, and that config's document."""
         calls = []
@@ -1089,35 +1141,35 @@ class TestShippedConfigs:
         doc = shortened({**doc, "instance_path": str(path.parent / doc["instance_path"])})
         cfg = write_json(tmp_path / "cfg.json", doc)
         command = name.split("_")[0]
-        result = runner.invoke(main, [command, cfg, "--out", str(tmp_path / "out")])
+        result = invoke([command, cfg, "--out", str(tmp_path / "out")])
         assert result.exit_code == 0, result.output
         return len(calls), doc
 
-    def test_simulate_checks_its_instance_once(self, tmp_path, runner, monkeypatch):
-        checks, _ = self.shipped_run_checks(tmp_path, runner, monkeypatch, "simulate_routing.json")
+    def test_simulate_checks_its_instance_once(self, tmp_path, monkeypatch):
+        checks, _ = self.shipped_run_checks(tmp_path, monkeypatch, "simulate_routing.json")
         assert checks == 1
 
-    def test_sweep_checks_one_instance_per_load(self, tmp_path, runner, monkeypatch):
-        checks, doc = self.shipped_run_checks(tmp_path, runner, monkeypatch, "sweep_single.json")
+    def test_sweep_checks_one_instance_per_load(self, tmp_path, monkeypatch):
+        checks, doc = self.shipped_run_checks(tmp_path, monkeypatch, "sweep_single.json")
         assert len(doc["seeds"]) > 1
         assert checks == 1 + len(doc["lambdas"])
 
     @pytest.mark.parametrize("case", sorted(mistyped_shipped_configs()))
-    def test_mistyped_number_exits_2_without_output(self, tmp_path, runner, case):
+    def test_mistyped_number_exits_2_without_output(self, tmp_path, case):
         command, config = mistyped_shipped_configs()[case]
         cfg = write_json(tmp_path / "cfg.json", config)
         out = tmp_path / "out"
-        result = runner.invoke(main, [command, cfg, "--out", str(out)])
+        result = invoke([command, cfg, "--out", str(out)])
         assert result.exit_code == 2, result.output
         assert "config error:" in result.output
         assert not out.exists()
 
-    def test_capacity_multi_primal_on_shipped_specialists(self, tmp_path, runner):
+    def test_capacity_multi_primal_on_shipped_specialists(self, tmp_path):
         (path,) = [p for p in CONFIGS if p.name == "instance_specialists.json"]
         cfg = write_json(
             tmp_path / "cfg.json", {"instance_path": str(path), "mode": "multi-primal"}
         )
-        result = runner.invoke(main, ["capacity", cfg, "--out", str(tmp_path / "out")])
+        result = invoke(["capacity", cfg, "--out", str(tmp_path / "out")])
         assert result.exit_code == 0, result.output
         payload = json.loads((tmp_path / "out" / "capacity.json").read_text())
         assert payload["mode"] == "multi-primal"
@@ -1126,9 +1178,9 @@ class TestShippedConfigs:
         assert alpha.shape == (3,) and alpha.min() >= 0.0
         assert alpha.sum() == pytest.approx(1.0, abs=1e-12)
 
-    def test_capacity_multi_dual_runs(self, tmp_path, runner):
+    def test_capacity_multi_dual_runs(self, tmp_path):
         (path,) = [p for p in CONFIGS if p.name == "capacity_multi_dual.json"]
-        result = runner.invoke(main, ["capacity", str(path), "--out", str(tmp_path)])
+        result = invoke(["capacity", str(path), "--out", str(tmp_path)])
         assert result.exit_code == 0, result.output
         payload = json.loads((tmp_path / "capacity.json").read_text())
         assert payload["mode"] == "multi-dual"

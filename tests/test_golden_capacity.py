@@ -18,10 +18,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
-from expertq.cli import main
 from expertq.model import instance_to_dict
+from test_cli import invoke
 from test_golden import wide_instance
 
 GOLDEN = Path(__file__).parent / "golden" / "capacity.json"
@@ -70,7 +69,7 @@ def capacity_text(case: str, workdir: Path) -> str:
         cfg = workdir / f"{instance}-{mode}.json"
         cfg.write_text(json.dumps(config(instance, mode)), encoding="utf-8")
     out = workdir / f"out-{instance}-{mode}"
-    result = CliRunner().invoke(main, ["capacity", str(cfg), "--out", str(out)])
+    result = invoke(["capacity", str(cfg), "--out", str(out)])
     assert result.exit_code == 0, result.output
     return (out / "capacity.json").read_text(encoding="utf-8")
 

@@ -20,11 +20,9 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 import expertq
-from expertq.cli import main
-from test_cli import shortened
+from test_cli import invoke, shortened
 
 GOLDEN = Path(__file__).parent / "golden" / "cli.json"
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -90,8 +88,7 @@ def run_case(name: str, workdir: Path) -> dict:
     cfg = workdir / f"{name.replace(':', '-')}.json"
     cfg.write_text(json.dumps(config), encoding="utf-8")
     out = workdir / f"out-{name.replace(':', '-')}"
-    result = CliRunner().invoke(main, [command, str(cfg), "--out", str(out)])
-    assert result.exception is None or isinstance(result.exception, SystemExit), result.output
+    result = invoke([command, str(cfg), "--out", str(out)])
     return {
         "exit_code": result.exit_code,
         "stdout": result.stdout.replace(str(out), "<out>").splitlines(),

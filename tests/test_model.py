@@ -107,6 +107,29 @@ class TestValidation:
             "(q*T deviates from 1 by 0.2)"
         ]
 
+    def test_entry_violations_are_listed_by_expert_topic_then_check(self):
+        experts = (
+            ExpertProfile(4, mean_time=[math.nan, math.inf, 0.5], success_prob=[0.3, 0.5, 2.0]),
+            ExpertProfile(9, mean_time=[2.0, 0.5, 1.0], success_prob=[0.6, -1.0, 1.0]),
+        )
+        found = violations(
+            lambda: Instance(
+                experts=experts, arrivals=ArrivalSpec(lam=0.5, pmf=[[0.2, 0.3, 0.5]] * 2)
+            )
+        )
+        assert found == [
+            "expert 4.mean_time[topic 0]: must be a time or null (cannot answer), got nan",
+            "expert 4.success_prob[topic 1]: must be 0 when mean_time is infinite, got 0.5",
+            "expert 4.mean_time[topic 2]: T(x) >= 1 required, got 0.5",
+            "expert 4.success_prob[topic 2]: outside [0, 1], got 2.0",
+            "expert 9[topic 0]: success_prob 0.6 and mean_time 2.0 inconsistent "
+            "(q*T deviates from 1 by 0.2)",
+            "expert 9.mean_time[topic 1]: T(x) >= 1 required, got 0.5",
+            "expert 9.success_prob[topic 1]: outside [0, 1], got -1.0",
+            "expert 9[topic 1]: success_prob -1.0 and mean_time 0.5 inconsistent "
+            "(q*T deviates from 1 by 1.5)",
+        ]
+
     def test_topic_universe_mismatch(self):
         expert = ExpertProfile.from_success_probs(0, [1.0, 1.0])
         found = violations(
