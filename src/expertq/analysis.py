@@ -36,7 +36,6 @@ __all__ = [
     "StabilityVerdict",
     "SweepCell",
     "SweepResult",
-    "MisestimationRun",
     "MisestimationResult",
     "drift_check",
     "classify_stability",
@@ -182,6 +181,10 @@ def with_load(inst: Instance, lam: float) -> Instance:
 
 @dataclass(frozen=True)
 class SweepCell:
+    """One seeded run at one load: its stability verdict, fitted slope,
+    final-quarter mean queue and empty-system slot fraction. A sweep keeps
+    one per (load, seed); a misestimation check keeps one per seed."""
+
     lam: float
     seed: int
     verdict: str
@@ -296,21 +299,17 @@ def analytic_boundary(inst: Instance, sched: Scheduler) -> float:
 
 
 @dataclass(frozen=True)
-class MisestimationRun:
-    seed: int
-    estimated_capacity: float
-    lam: float
-    verdict: str
-    growth_slope: float
-
-
-@dataclass(frozen=True)
 class MisestimationResult:
-    runs: tuple[MisestimationRun, ...]
+    """One run per seed, in seed order: ``cells[k]`` ran at
+    ``LOAD_FRACTION`` of the degraded capacity of the k-th seed's
+    estimates, whose plain capacity is ``estimated_capacities[k]``."""
+
+    cells: tuple[SweepCell, ...]
+    estimated_capacities: tuple[float, ...]
 
     @property
     def all_stable(self) -> bool:
-        return all(r.verdict == "stable" for r in self.runs)
+        return all(c.verdict == "stable" for c in self.cells)
 
 
 def _default_inflate(mean_time: np.ndarray, gamma: float, rng) -> np.ndarray:
@@ -331,7 +330,8 @@ def misestimation_check(
     at ``LOAD_FRACTION`` of the :func:`degraded_capacity` of the
     estimates; every such load is guaranteed sustainable, so each run
     should classify stable. Every seed's estimate and run are built, and so
-    checked, before the first one runs.
+    checked, before the first one runs; each run is judged as a sweep cell
+    is, with the default slope threshold.
     """
     if inst.n_experts != 1:
         raise ValueError("misestimation check is defined for a single expert")
@@ -345,7 +345,7 @@ def misestimation_check(
     p = inst.arrivals.pmf[0]
     sched = work_conserving_single(inst)
 
-    planned = []
+    capacities, configs = [], []
     for seed in seeds:
         # Checks the seed and horizon before numpy's seeding would.
         config = SimConfig(instance=inst, scheduler=sched, horizon=horizon, seed=seed)
@@ -361,23 +361,12 @@ def misestimation_check(
                 "is below gamma times the true time"
             )
         q_hat = ExpertProfile.from_mean_times(0, estimated).success_prob
-        estimated_capacity = single_capacity(p, q_hat).lambda_star
+        capacities.append(single_capacity(p, q_hat).lambda_star)
         lam = LOAD_FRACTION * degraded_capacity(p, q_hat, gamma)
-        planned.append((estimated_capacity, replace(config, instance=with_load(inst, lam))))
+        configs.append(replace(config, instance=with_load(inst, lam)))
 
-    runs = []
-    for estimated_capacity, config in planned:
-        cell = _sweep_cell(config, None)
-        runs.append(
-            MisestimationRun(
-                seed=cell.seed,
-                estimated_capacity=estimated_capacity,
-                lam=cell.lam,
-                verdict=cell.verdict,
-                growth_slope=cell.growth_slope,
-            )
-        )
-    return MisestimationResult(runs=tuple(runs))
+    cells = tuple(_sweep_cell(config, None) for config in configs)
+    return MisestimationResult(cells=cells, estimated_capacities=tuple(capacities))
 
 
 def verify(inst: Instance, cfg: dict, seed: int) -> list[dict]:
@@ -476,7 +465,7 @@ def _drift(stats: TraceStats) -> dict:
 
 def _misestimation(inst: Instance, gamma: float, seeds: list[int], horizon: int) -> dict:
     result = misestimation_check(inst, gamma, seeds=seeds, horizon=horizon)
-    verdicts, loads = [r.verdict for r in result.runs], [r.lam for r in result.runs]
+    verdicts, loads = [c.verdict for c in result.cells], [c.lam for c in result.cells]
     return _row("misestimation_stability", result.all_stable, measured=verdicts, loads=loads)
 
 
@@ -511,7 +500,7 @@ def _service(stats: TraceStats) -> dict:
 
 def _binomial(name: str, hits, trials, p, floor: float) -> dict:
     """``hits/trials`` against ``p`` within four binomial standard errors,
-    the variance floored at ``floor``."""
+    the variance floored at ``floor``. A row that judged no pair fails."""
     variance = p * (1 - p)
     tol = 4.0 * np.sqrt(np.maximum(variance, floor) / trials)
     # excess > 0 exactly when deviation > tol: a > b iff fl(a - b) > 0.
@@ -520,4 +509,4 @@ def _binomial(name: str, hits, trials, p, floor: float) -> dict:
     # the floor alone would set their excess (near -4e-8 at 1e-12): left out.
     randomized = excess[variance > floor]
     worst = float(randomized.max()) if randomized.size else None
-    return _row(name, np.all(excess <= 0), measured_worst_excess=worst)
+    return _row(name, excess.size and np.all(excess <= 0), measured_worst_excess=worst)

@@ -315,10 +315,7 @@ def run(config: SimConfig) -> TraceStats:
     loss_at_quarter = [0] * n
     empty_slots = 0
     empty_per_expert = [0] * n
-    sample_times: list[int] = []
-    sample_queue: list[int] = []
-    sample_loss: list[int] = []
-    sample_dep: list[int] = []
+    samples: list[tuple[int, int, int, int]] = []  # (t, queue, cum loss, cum departures)
 
     n_topics = engine.n_topics
     record = config.record_lyapunov
@@ -329,10 +326,7 @@ def run(config: SimConfig) -> TraceStats:
     for t_abs, slot_arrivals in enumerate(engine.arrivals(horizon)):
         totals = engine.totals
         if t_abs % interval == 0:
-            sample_times.append(t_abs)
-            sample_queue.append(sum(totals))
-            sample_loss.append(engine.losses_total)
-            sample_dep.append(engine.deps_total)
+            samples.append((t_abs, sum(totals), engine.losses_total, engine.deps_total))
         # Slot-start totals here and the final ones after the loop: run
         # starts empty, so queue_sum is the sum of the slot-end totals.
         for i, total in enumerate(totals):
@@ -361,20 +355,18 @@ def run(config: SimConfig) -> TraceStats:
 
     for i, total in enumerate(engine.totals):
         queue_sum[i] += total
-    sample_times.append(horizon)
-    sample_queue.append(sum(engine.totals))
-    sample_loss.append(engine.losses_total)
-    sample_dep.append(engine.deps_total)
+    samples.append((horizon, sum(engine.totals), engine.losses_total, engine.deps_total))
+    times, queue, loss, deps = np.array(samples, dtype=np.int64).T
 
     loss_per_expert = np.array([sum(row) for row in engine.cum_loss], dtype=np.float64)
     loss_quarter = loss_per_expert - np.array(loss_at_quarter, dtype=np.float64)
 
     return TraceStats(
         config=config,
-        sample_times=np.array(sample_times, dtype=np.int64),
-        total_queue_series=np.array(sample_queue, dtype=np.int64),
-        cum_loss_series=np.array(sample_loss, dtype=np.int64),
-        cum_departure_series=np.array(sample_dep, dtype=np.int64),
+        sample_times=times,
+        total_queue_series=queue,
+        cum_loss_series=loss,
+        cum_departure_series=deps,
         mean_queue=np.array(queue_sum, dtype=np.float64) / horizon,
         mean_queue_final_quarter=np.array(
             [a - b for a, b in zip(queue_sum, queue_at_quarter)], dtype=np.float64

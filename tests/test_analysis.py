@@ -526,9 +526,9 @@ class TestMisestimation:
             inflate=lambda t, g, rng: t.copy(),
         )
         assert result.all_stable
-        for r in result.runs:
-            assert r.estimated_capacity == pytest.approx(2 / 3, abs=1e-12)
-            assert r.lam == pytest.approx(0.95 * 2 / 3, abs=1e-12)
+        assert result.estimated_capacities == pytest.approx([2 / 3] * 2, abs=1e-12)
+        for cell in result.cells:
+            assert cell.lam == pytest.approx(0.95 * 2 / 3, abs=1e-12)
 
     def test_conservative_overestimates_are_stable(self):
         inst = self.base_instance()
@@ -540,16 +540,15 @@ class TestMisestimation:
             inflate=lambda t, g, rng: 2.0 * t,
         )
         assert result.all_stable
-        for r in result.runs:
-            assert r.estimated_capacity == pytest.approx(1 / 3, abs=1e-12)
+        assert result.estimated_capacities == pytest.approx([1 / 3] * 2, abs=1e-12)
 
     def test_default_generator_within_bound_and_stable(self):
         result = misestimation_check(
             self.base_instance(), gamma=0.5, seeds=[0, 1, 2], horizon=30_000
         )
         assert result.all_stable
-        for r in result.runs:
-            assert r.lam <= 0.95 * (2 / 3) + 1e-12
+        for cell in result.cells:
+            assert cell.lam <= 0.95 * (2 / 3) + 1e-12
 
     def test_load_is_a_fraction_of_the_degraded_capacity(self):
         result = misestimation_check(
@@ -559,11 +558,13 @@ class TestMisestimation:
             horizon=1_000,
             inflate=lambda t, g, rng: t.copy(),
         )
-        (r,) = result.runs
+        (cell,) = result.cells
         # 0.95 * 0.55 * (2/3) rounds one ulp below 0.95 * (0.55 * (2/3))
         guaranteed = degraded_capacity([0.5, 0.5], [1.0, 0.5], 0.55)
-        assert r.lam == analysis.LOAD_FRACTION * guaranteed
-        assert r.estimated_capacity == single_capacity([0.5, 0.5], [1.0, 0.5]).lambda_star
+        assert cell.lam == analysis.LOAD_FRACTION * guaranteed
+        assert result.estimated_capacities == (
+            single_capacity([0.5, 0.5], [1.0, 0.5]).lambda_star,
+        )
 
     def test_estimates_below_one_slot_still_run(self):
         # gamma * T is 0.5 slots on topic 0: the estimate is a bare profile,
@@ -575,9 +576,23 @@ class TestMisestimation:
             horizon=1_000,
             inflate=lambda t, g, rng: g * t,
         )
-        (r,) = result.runs
-        assert r.estimated_capacity == pytest.approx(4 / 3, abs=1e-12)
-        assert r.lam == pytest.approx(0.95 * 0.5 * 4 / 3, abs=1e-12)
+        (cell,) = result.cells
+        assert result.estimated_capacities == pytest.approx([4 / 3], abs=1e-12)
+        assert cell.lam == pytest.approx(0.95 * 0.5 * 4 / 3, abs=1e-12)
+
+    def test_cells_are_the_sweep_cells_of_each_seed(self):
+        inst = self.base_instance()
+        seeds = [4, 1, 7]
+        result = misestimation_check(
+            inst, gamma=0.5, seeds=seeds, horizon=2_000, inflate=lambda t, g, rng: t.copy()
+        )
+        assert [cell.seed for cell in result.cells] == seeds
+        sched = work_conserving_single(inst)
+        for cell, seed in zip(result.cells, seeds):
+            config = SimConfig(with_load(inst, cell.lam), sched, horizon=2_000, seed=seed)
+            assert cell == analysis._sweep_cell(config, None)
+        p, q = inst.arrivals.pmf[0], inst.experts[0].success_prob
+        assert result.estimated_capacities == (single_capacity(p, q).lambda_star,) * 3
 
     def test_empty_seed_list_rejected(self):
         # No runs used to mean all_stable.
@@ -694,8 +709,9 @@ class TestVerify:
         assert check["measured_worst_excess"] is None
 
     def test_no_topic_with_enough_arrivals_reports_null(self):
+        # No topic reached 100 arrivals, so the row judged nothing: no evidence, no pass.
         check = self.checks(10)["routing_frequencies"]
-        assert check["passed"] is True
+        assert check["passed"] is False
         assert check["measured_worst_excess"] is None
 
     def test_routing_lp_is_solved_once(self, monkeypatch):
@@ -860,7 +876,8 @@ class TestServiceSuccess:
         stats = self.stats(inst, horizon=50)
         assert stats.final_state.cum_attempts.max() < 100
         check = analysis._service(stats)
-        assert check["passed"] is True and check["measured_worst_excess"] is None
+        # Every pair is left out, so the row judged nothing and fails.
+        assert check["passed"] is False and check["measured_worst_excess"] is None
 
     @pytest.mark.parametrize("path", ["single", "routing"])
     def test_verify_checks_the_run_it_already_makes(self, monkeypatch, path):
