@@ -1,4 +1,15 @@
-"""Capacity analysis and discrete-time simulation for expert request queues."""
+"""Capacity analysis and discrete-time simulation for expert request queues.
+
+Imported before numpy, it runs OpenBLAS on one thread unless a BLAS thread count is set.
+"""
+
+import os as _os
+import sys as _sys
+
+# OpenBLAS reads these, in this order, when it loads; no expertq work can use a second thread.
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+if "numpy" not in _sys.modules and _os.environ.keys().isdisjoint(_THREAD_VARS):
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from .analysis import (
     DriftReport,

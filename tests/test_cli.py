@@ -749,10 +749,61 @@ def test_click_style_entry_exits_with_the_code_of_run(tmp_path, mode, code):
     assert info.value.code == code
 
 
-def child_env() -> dict:
-    """The environment of a child interpreter that imports this ``expertq``."""
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def child_env(**blas_threads: str) -> dict:
+    """The environment of a child interpreter that imports this ``expertq``,
+    with no BLAS thread variable but those in ``blas_threads``."""
     src = str(Path(cli.__file__).resolve().parents[1])
-    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    pythonpath = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    return {**env, **blas_threads, "PYTHONPATH": pythonpath}
+
+
+def child_stdout(code: str, *argv: str, env: dict | None = None) -> str:
+    """The standard output, stripped, of ``python -c code *argv``, which must exit 0."""
+    child = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        env=env or child_env(),
+        capture_output=True,
+        text=True,
+    )
+    assert child.returncode == 0, child.stderr
+    return child.stdout.strip()
+
+
+def test_import_defaults_openblas_to_one_thread():
+    code = "import os, expertq; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    assert child_stdout(code) == "1"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_import_starts_no_blas_thread_pool():
+    """numpy's OpenBLAS starts a thread pool when it loads, and scipy's own
+    OpenBLAS another; with one BLAS thread neither starts."""
+    code = (
+        "import re\n"
+        "def threads():\n"
+        "    return re.search(r'Threads:\\s+(\\d+)', open('/proc/self/status').read())[1]\n"
+        "import expertq; print(threads())\n"
+        "import scipy.optimize; print(threads())\n"
+    )
+    assert child_stdout(code).split() == ["1", "1"]
+
+
+@pytest.mark.parametrize("var", BLAS_THREAD_VARS)
+def test_a_blas_thread_count_the_caller_set_is_kept(var):
+    code = "import json, os, sys, expertq; print(json.dumps([*map(os.environ.get, sys.argv[1:])]))"
+    out = child_stdout(code, *BLAS_THREAD_VARS, env=child_env(**{var: "2"}))
+    assert json.loads(out) == ["2" if k == var else None for k in BLAS_THREAD_VARS]
+
+
+def test_import_after_numpy_leaves_the_environment_alone():
+    """Once numpy has loaded OpenBLAS a thread count no longer takes effect,
+    and a host program's environment is not expertq's to change."""
+    code = "import os, numpy; env = {**os.environ}; import expertq; print({**os.environ} == env)"
+    assert child_stdout(code) == "True"
 
 
 def test_import_leaves_out_the_process_pool_and_scipy_sparse():
@@ -763,10 +814,22 @@ def test_import_leaves_out_the_process_pool_and_scipy_sparse():
         "print([m for m in ('concurrent.futures.process', 'multiprocessing', "
         "'scipy.sparse') if m in sys.modules])"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, check=True
+    assert child_stdout(code) == "[]"
+
+
+def test_sweep_imports_no_scipy(tmp_path):
+    """A sweep solves no LP, so it loads no scipy module at any point."""
+    (path,) = [p for p in CONFIGS if p.name == "sweep_single.json"]
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc = shortened({**doc, "instance_path": str(path.parent / doc["instance_path"])})
+    cfg = write_json(tmp_path / "cfg.json", doc)
+    code = (
+        "import sys; from expertq import cli; code = cli.run(sys.argv[1:]); "
+        "print(code, [m for m in sys.modules if m.partition('.')[0] == 'scipy'])"
     )
-    assert out.stdout.strip() == "[]"
+    out = child_stdout(code, "sweep", cfg, "--out", str(tmp_path / "out"))
+    assert out.splitlines()[-1] == "0 []"
+    assert (tmp_path / "out" / "sweep.csv").exists()
 
 
 def test_cli_runs_with_click_unimportable(tmp_path):
@@ -779,12 +842,8 @@ def test_cli_runs_with_click_unimportable(tmp_path):
         "sys.modules['click'] = None; "
         "sys.exit(cli.run(sys.argv[1:]))"
     )
-    argv = ["capacity", cfg, "--out", str(tmp_path / "out")]
-    child = subprocess.run(
-        [sys.executable, "-c", code, *argv], env=child_env(), capture_output=True, text=True
-    )
-    assert child.returncode == 0, child.stderr
-    assert child.stdout.splitlines()[0] == "[]"
+    out = child_stdout(code, "capacity", cfg, "--out", str(tmp_path / "out"))
+    assert out.splitlines()[0] == "[]"
     assert (tmp_path / "out" / "capacity.json").exists()
 
 
