@@ -98,8 +98,9 @@ def drift_check(stats: TraceStats, expert: int = 0) -> DriftReport:
     had fewer than two busy slots or if its policy sends the expert a topic
     it cannot answer (the weighted sum is undefined there). The load, the
     expert's flow and its success probabilities come from the run's config.
-    The mean and variance are formed exactly from ``busy_moments`` with the
-    float weights 1.0/q(x); the mean and standard error are rounded once.
+    The mean and variance are formed exactly from ``busy_moments``, whose
+    sums are scaled by 2**52 (see ``TraceStats``): that is, with the float
+    weights 1.0/q(x). The mean and standard error are rounded once.
     """
     if stats.busy_moments is None:
         raise ValueError("drift check needs a run with record_lyapunov enabled")
@@ -109,12 +110,10 @@ def drift_check(stats: TraceStats, expert: int = 0) -> DriftReport:
     if load == math.inf:
         raise ValueError("drift undefined: mass-bearing topic with zero success prob")
     delta = 1.0 - inst.arrivals.lam * load
-    (count, *first), *second = stats.busy_moments[expert].tolist()
+    count, first, second = stats.busy_moments[expert]
     if count < 2:
         raise ValueError("not enough busy slots to estimate drift")
-    w = [Fraction(1.0 / qx) if qx > 0.0 else Fraction(0) for qx in q.tolist()]
-    total = sum(map(operator.mul, w, first))
-    square = sum(wx * wy * s for wx, (_, *row) in zip(w, second) for wy, s in zip(w, row) if s)
+    total, square = Fraction(first, 2**52), Fraction(second, 2**104)
     variance = (square - total * total / count) / (count - 1)
     return DriftReport(
         empirical_drift=float(total / count),

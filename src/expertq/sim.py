@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 from collections.abc import Iterator
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -46,11 +47,10 @@ class SimConfig:
 
     ``sample_interval`` spaces the recorded time series; exact time
     averages are accumulated every slot regardless. ``record_lyapunov``
-    additionally keeps, per expert, the integer moments of the queue
-    changes over busy slots that drift checks need. The instance checked
-    itself when it was built; this raises ValueError on a scheduler built
-    for another shape, a negative seed, or a horizon or sample interval
-    below 1.
+    additionally keeps, per expert, the three integers over busy slots that
+    drift checks need. The instance checked itself when it was built; this
+    raises ValueError on a scheduler built for another shape, a negative
+    seed, or a horizon or sample interval below 1.
     """
 
     instance: Instance
@@ -122,10 +122,12 @@ class TraceStats:
     per expert; the ``*_final_quarter`` variants average the last quarter
     only, as a finite-run stand-in for the long-run limit. The sampled
     series record totals at slot starts every ``sample_interval`` slots
-    plus the final state. With ``record_lyapunov``, ``busy_moments[i]``
-    sums e e^T, e = (1, d_1, ..., d_T), over the slots that start with work
-    at expert i, d_x being queue x's change: the count N at [0, 0], S1_x at
-    [0, x] and S2_xy at [x, y]. Its size does not depend on the horizon.
+    plus the final state. With ``record_lyapunov``, ``busy_moments[i]`` is
+    (N, sum dL, sum dL^2) over the N slots that start with work at expert i,
+    where dL = sum_x W_x d_x, d_x is queue x's change over the slot and
+    W_x = fl(1/q_x) * 2**52 (0 where q_x = 0). Every double >= 1 is a
+    multiple of 2**-52, so each W_x, and the record, is an exact integer;
+    three per expert, whatever the horizon and the number of topics.
     """
 
     config: SimConfig
@@ -140,7 +142,7 @@ class TraceStats:
     throughput: float
     empty_fraction: float
     empty_fraction_per_expert: np.ndarray
-    busy_moments: np.ndarray | None
+    busy_moments: tuple[tuple[int, int, int], ...] | None
     final_state: QueueState
 
     def summary(self) -> dict:
@@ -317,11 +319,10 @@ def run(config: SimConfig) -> TraceStats:
     empty_per_expert = [0] * n
     samples: list[tuple[int, int, int, int]] = []  # (t, queue, cum loss, cum departures)
 
-    n_topics = engine.n_topics
     record = config.record_lyapunov
-    # Per expert, the sum over busy slots of e e^T with e = (1, d_1..d_T).
-    width = n_topics + 1
-    moments = [[[0] * width for _ in range(width)] for _ in range(n)] if record else None
+    if record:  # per expert, W and the record (N, sum dL, sum dL^2); see TraceStats
+        weights = [[int(Fraction(1.0 / qx) * 2**52) if qx else 0 for qx in q] for q in engine.qprob]
+        moments = [[0, 0, 0] for _ in range(n)]
     busy = ()
     for t_abs, slot_arrivals in enumerate(engine.arrivals(horizon)):
         totals = engine.totals
@@ -340,18 +341,16 @@ def run(config: SimConfig) -> TraceStats:
             queue_at_quarter = list(queue_sum)
             loss_at_quarter = [sum(row) for row in engine.cum_loss]
         if record:
-            # Busy experts' live queue rows, slot-start copies and moments.
-            busy = [(r, r[:], m) for r, m, v in zip(engine.queues, moments, totals) if v]
+            # Busy experts' live queue rows, slot-start copies, W and records.
+            rows = zip(engine.queues, weights, moments, totals)
+            busy = [(r, r[:], w, m) for r, w, m, v in rows if v]
         engine.advance(slot_arrivals)
-        for row, before, m in busy:
-            if row == before:  # nothing changed: e = (1, 0, ..., 0)
-                m[0][0] += 1
-                continue
-            e = [(0, 1)]
-            e += [(x, a - b) for x, (a, b) in enumerate(zip(row, before), 1) if a != b]
-            for a, da in e:
-                for b, db in e:
-                    m[a][b] += da * db
+        for row, before, w, m in busy:
+            m[0] += 1
+            if row != before:
+                d = sum(wx * (a - b) for wx, a, b in zip(w, row, before) if a != b)
+                m[1] += d
+                m[2] += d * d
 
     for i, total in enumerate(engine.totals):
         queue_sum[i] += total
@@ -378,7 +377,7 @@ def run(config: SimConfig) -> TraceStats:
         empty_fraction=empty_slots / horizon,
         empty_fraction_per_expert=np.array(empty_per_expert, dtype=np.float64)
         / horizon,
-        busy_moments=np.array(moments, dtype=np.int64) if record else None,
+        busy_moments=tuple(map(tuple, moments)) if record else None,
         final_state=engine.snapshot(),
     )
 

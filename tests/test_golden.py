@@ -1,8 +1,9 @@
 """Golden per-seed trajectories for every scheduler kind and selection rule.
 
 The fixture in ``golden/schedulers.json`` pins, for each case and seed, the
-run summary, the final queue state, a sha256 of every expert's busy-slot
-moments, the busy-slot count and the analytic boundary.
+run summary, the final queue state, every expert's drift record (three
+integers, see ``TraceStats.busy_moments``), the busy-slot count and the
+analytic boundary.
 ``golden/steps.json`` pins, for the same cases and seeds, the events
 :func:`expertq.sim.steps` reports over ``STEP_SLOTS`` slots (a sha256 of
 their canonical JSON plus per-field counts) and the state it ends in.
@@ -142,12 +143,8 @@ def snapshot(case: str, seed: int) -> dict:
     doc = {
         "summary": stats.summary(),
         "final_state": state_doc(stats.final_state),
-        # Every expert's (T + 1)^2 moments, as a digest: the wide cases alone
-        # would add 123,008 integers to the fixture.
-        "busy_moments_sha256": hashlib.sha256(
-            json.dumps(stats.busy_moments.tolist(), separators=(",", ":")).encode("utf-8")
-        ).hexdigest(),
-        "busy_slots": int(stats.busy_moments[:, 0, 0].sum()),
+        "busy_moments": stats.busy_moments,
+        "busy_slots": sum(count for count, _, _ in stats.busy_moments),
         "analytic_boundary": analytic_boundary(inst, sched),
     }
     # The stored form: floats survive the JSON round trip exactly.

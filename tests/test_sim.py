@@ -262,10 +262,12 @@ class TestRun:
                 record_lyapunov=True,
             )
         )
-        # One expert, one topic: (1, 1 + T, 1 + T) whatever the horizon.
-        assert stats.busy_moments.shape == (1, 2, 2)
-        assert stats.busy_moments.dtype == np.int64
-        assert 0 < stats.busy_moments[0, 0, 0] < 500
+        # Three Python ints per expert whatever the horizon and topics.
+        ((count, first, second),) = stats.busy_moments
+        assert all(type(v) is int for v in (count, first, second))
+        assert 0 < count < 500
+        # One topic at q = 1/2: W = 2 * 2**52, so each dL is a multiple of W.
+        assert first % 2**53 == 0 and second % 2**106 == 0 and second > 0
         plain = run(
             SimConfig(
                 instance=inst,
@@ -345,9 +347,9 @@ class TestArrivalBlocks:
                     stats.total_queue_series,
                     stats.cum_loss_series,
                     stats.cum_departure_series,
-                    stats.busy_moments,
                 )
             ],
+            stats.busy_moments,
         )
 
     @staticmethod
