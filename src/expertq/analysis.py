@@ -27,7 +27,7 @@ from .capacity import (
     service_load,
     single_capacity,
 )
-from .model import ArrivalSpec, ExpertProfile, Instance, config_field, merged_pmf
+from .model import ArrivalSpec, ExpertProfile, Instance, config_field, known_keys, merged_pmf
 from .sched import Scheduler, offline_routing_scheduler, work_conserving_single
 from .sim import SimConfig, TraceStats, run
 
@@ -376,10 +376,11 @@ def verify(inst: Instance, cfg: dict, seed: int) -> list[dict]:
     several. Service is checked on the run each path already makes.
 
     One expert's path reads ``drift`` and ``misestimation``, several
-    experts' path ``routing_check``; each rejects the other's blocks, and
-    other keys are ignored. So every field is read before the routing LP is
-    solved once, on the per-door pmf the routing simulation uses. The
-    routing run is built once its policy has passed its check."""
+    experts' path ``routing_check``; each rejects the other's blocks and a
+    key its own blocks do not take, and other top-level keys are ignored.
+    So every field is read before the routing LP is solved once, on the
+    per-door pmf the routing simulation uses. The routing run is built once
+    its policy has passed its check."""
     path_checks = (_single_checks if inst.n_experts == 1 else _routing_checks)(inst, cfg, seed)
     optimal = multi_capacity_dual(merged_pmf(inst), list(inst.experts))
     return [_duality_gap(inst, optimal), *path_checks(optimal)]
@@ -390,6 +391,8 @@ def _single_checks(inst: Instance, cfg: dict, seed: int):
     run; return the function from the LP result to their three rows."""
     if "routing_check" in cfg:
         raise ValueError("config field 'routing_check': only a multi-expert instance takes it")
+    known_keys(cfg, "drift", ("lambda", "horizon"))
+    known_keys(cfg, "misestimation", ("gamma", "seeds", "horizon"))
     p, q = inst.arrivals.pmf[0], inst.experts[0].success_prob
     lam = config_field(cfg, "drift.lambda", "rate", 0.75 * single_capacity(p, q).lambda_star)
     drift_horizon = config_field(cfg, "drift.horizon", "count", 100_000)
@@ -418,6 +421,7 @@ def _routing_checks(inst: Instance, cfg: dict, seed: int):
     for block in ("drift", "misestimation"):
         if block in cfg:
             raise ValueError(f"config field {block!r}: only a single-expert instance takes it")
+    known_keys(cfg, "routing_check", ("horizon", "s"))
     horizon = config_field(cfg, "routing_check.horizon", "count", 50_000)
     s = config_field(cfg, "routing_check.s", "rows", None)
 

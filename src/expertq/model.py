@@ -327,6 +327,17 @@ def config_field(doc: dict, path: str, kind: str, default=_REQUIRED):
     return value
 
 
+def known_keys(doc: dict, path: str, keys: tuple, owner: str | None = None) -> None:
+    """Raise ValueError naming the first key of the object at dotted ``path``
+    that ``keys`` does not list, e.g. ``config field 'drift.horizn': 'drift'
+    takes only ('lambda', 'horizon')``; ``owner`` replaces ``'drift'`` there.
+    A missing object has no keys."""
+    for key in config_field(doc, path, "object", {}):
+        if key not in keys:
+            owner = owner or repr(path)
+            raise ValueError(f"config field '{path}.{key}': {owner} takes only {keys}")
+
+
 def load_instance(path: str | Path) -> Instance:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)

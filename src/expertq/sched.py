@@ -18,7 +18,7 @@ import numpy as np
 
 from .capacity import LossPolicy, RoutingPolicy, loss_capacity, multi_capacity_dual
 from .capacity import routing_policy_violations
-from .model import Instance, config_field, merged_pmf
+from .model import Instance, config_field, known_keys, merged_pmf
 from .rng import RngStreams
 
 __all__ = [
@@ -200,10 +200,7 @@ def build_scheduler(inst: Instance, spec: dict) -> Scheduler:
     kind = config_field(root, "scheduler.kind", "string")
     if kind not in SCHEDULER_KEYS:
         raise ValueError(f"config field 'scheduler.kind': unknown kind {kind!r}")
-    for key in spec:
-        if key not in ("kind", *SCHEDULER_KEYS[kind]):
-            takes = SCHEDULER_KEYS[kind]
-            raise ValueError(f"config field 'scheduler.{key}': kind {kind!r} takes only {takes}")
+    known_keys(root, "scheduler", ("kind", *SCHEDULER_KEYS[kind]), f"kind {kind!r}")
     tie_break = config_field(root, "scheduler.tie_break", "string", "arbitrary")
     selection = config_field(root, "scheduler.selection", "string", "request_weighted")
     epsilon = config_field(root, "scheduler.epsilon", "number", None)

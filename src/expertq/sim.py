@@ -19,6 +19,7 @@ replays the trajectory of :func:`run` slot by slot, with every event.
 from __future__ import annotations
 
 import csv
+from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,16 +42,22 @@ __all__ = [
 ]
 
 
+# The sampled series hold 32 bytes a sample: 128 MiB at the cap.
+MAX_SAMPLES = 2**22
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Everything one run needs: instance, policy, horizon, seed.
 
     ``sample_interval`` spaces the recorded time series; exact time
-    averages are accumulated every slot regardless. ``record_lyapunov``
+    averages are accumulated every slot regardless. The series keep at most
+    ``horizon // sample_interval + 2`` samples, which may not exceed
+    ``MAX_SAMPLES``. ``record_lyapunov``
     additionally keeps, per expert, the three integers over busy slots that
     drift checks need. The instance checked itself when it was built; this
     raises ValueError on a scheduler built for another shape, a negative
-    seed, or a horizon or sample interval below 1.
+    seed, a horizon or sample interval below 1, or too many samples.
     """
 
     instance: Instance
@@ -67,6 +74,12 @@ class SimConfig:
             raise ValueError("sample_interval must be at least 1")
         if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
+        samples = self.horizon // self.sample_interval + 2
+        if samples > MAX_SAMPLES:
+            raise ValueError(
+                f"horizon {self.horizon} at sample_interval {self.sample_interval} keeps "
+                f"{samples} samples, over the cap of {MAX_SAMPLES}; raise sample_interval"
+            )
         inst, sched = self.instance, self.scheduler
         if (inst.n_experts, inst.n_topics) != (sched.n_experts, sched.n_topics):
             raise ValueError(
@@ -317,7 +330,7 @@ def run(config: SimConfig) -> TraceStats:
     loss_at_quarter = [0] * n
     empty_slots = 0
     empty_per_expert = [0] * n
-    samples: list[tuple[int, int, int, int]] = []  # (t, queue, cum loss, cum departures)
+    samples = array("q")  # (t, queue, cum loss, cum departures) per sample, flat
 
     record = config.record_lyapunov
     if record:  # per expert, W and the record (N, sum dL, sum dL^2); see TraceStats
@@ -327,7 +340,7 @@ def run(config: SimConfig) -> TraceStats:
     for t_abs, slot_arrivals in enumerate(engine.arrivals(horizon)):
         totals = engine.totals
         if t_abs % interval == 0:
-            samples.append((t_abs, sum(totals), engine.losses_total, engine.deps_total))
+            samples.extend((t_abs, sum(totals), engine.losses_total, engine.deps_total))
         # Slot-start totals here and the final ones after the loop: run
         # starts empty, so queue_sum is the sum of the slot-end totals.
         for i, total in enumerate(totals):
@@ -354,8 +367,8 @@ def run(config: SimConfig) -> TraceStats:
 
     for i, total in enumerate(engine.totals):
         queue_sum[i] += total
-    samples.append((horizon, sum(engine.totals), engine.losses_total, engine.deps_total))
-    times, queue, loss, deps = np.array(samples, dtype=np.int64).T
+    samples.extend((horizon, sum(engine.totals), engine.losses_total, engine.deps_total))
+    times, queue, loss, deps = np.frombuffer(samples, dtype=np.int64).reshape(-1, 4).T
 
     loss_per_expert = np.array([sum(row) for row in engine.cum_loss], dtype=np.float64)
     loss_quarter = loss_per_expert - np.array(loss_at_quarter, dtype=np.float64)

@@ -315,6 +315,22 @@ def malformed_cases():
         "simulate-instance-number": ("simulate", {**simulate, "instance": 5}, "instance"),
         "sweep-seeds-number": ("sweep", {**sweep, "seeds": 5}, "seeds"),
         "sweep-lambdas-null": ("sweep", {**sweep, "lambdas": None}, "lambdas"),
+        # A typo inside a verify block used to run the default silently.
+        "verify-drift-unknown-key": (
+            "verify",
+            {**single_verify, "drift": {"horizn": 10}},
+            "drift.horizn",
+        ),
+        "verify-misestimation-unknown-key": (
+            "verify",
+            {**single_verify, "misestimation": {"horizon": 2000, "seed": [1]}},
+            "misestimation.seed",
+        ),
+        "verify-routing-check-unknown-key": (
+            "verify",
+            {**routing_verify, "routing_check": {"horizon": 100, "S": bad_s}},
+            "routing_check.S",
+        ),
         "verify-misestimation-seed-fraction": (
             "verify",
             {**single_verify, "misestimation": {"seeds": [1.7]}},
@@ -625,6 +641,33 @@ def test_out_of_range_value_is_named_with_its_range(tmp_path, command, extra, st
     result = invoke([command, cfg, "--out", str(tmp_path / "out")])
     assert result.exit_code == 2, result.output
     assert result.stderr == f"config error: {stderr}\n"
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_sample_count_past_the_cap_exits_2(tmp_path, monkeypatch, command):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("ran before the sample count was refused")
+
+    for module in (analysis, sim):
+        monkeypatch.setattr(module, "run", forbidden)
+    config = {
+        "instance": single_expert_doc(),
+        "scheduler": {"kind": "work_conserving"},
+        "lambdas": [0.3],
+        "seeds": [1],
+        "horizon": sim.MAX_SAMPLES - 1,  # horizon // 1 + 2 samples: one past the cap
+        "sample_interval": 1,
+    }
+    cfg = write_json(tmp_path / "cfg.json", config)
+    out = tmp_path / "out"
+    result = invoke([command, cfg, "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert result.stderr == (
+        f"config error: horizon {sim.MAX_SAMPLES - 1} at sample_interval 1 keeps "
+        f"{sim.MAX_SAMPLES + 1} samples, over the cap of {sim.MAX_SAMPLES}; "
+        "raise sample_interval\n"
+    )
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -241,6 +241,18 @@ class TestRun:
         with pytest.raises(ValueError, match="lambda"):
             single_expert_instance(1.2, [1.0], [1.0])
 
+    @pytest.mark.parametrize("interval", [1, 1000])
+    def test_sample_count_is_capped(self, interval):
+        # horizon // sample_interval + 2 samples at most, 32 bytes each.
+        inst = single_expert_instance(0.5, [1.0], [1.0])
+        sched = work_conserving_single(inst)
+        at_cap = (sim.MAX_SAMPLES - 2) * interval + interval - 1
+        config = SimConfig(inst, sched, at_cap, 0, sample_interval=interval)
+        assert config.horizon // interval + 2 == sim.MAX_SAMPLES
+        message = f"horizon {at_cap + 1} at sample_interval {interval} keeps {sim.MAX_SAMPLES + 1}"
+        with pytest.raises(ValueError, match=message):
+            SimConfig(inst, sched, at_cap + 1, 0, sample_interval=interval)
+
     def test_time_average_is_exact(self):
         # replay the trajectory step by step and recompute the average
         inst = single_expert_instance(0.6, [0.5, 0.5], [1.0, 0.5])
@@ -447,6 +459,47 @@ class TestArrivalBlocks:
             tracemalloc.stop()
         assert stats.final_state.q.sum() > 0
         assert peak < 0.75 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+    def test_sampled_series_take_32_bytes_a_sample(self):
+        # A list of one Python tuple per sample peaked at 191 bytes a sample
+        # here; four int64 arrays take 32 and growth room, and numpy reads
+        # them in place.
+        inst = single_expert_instance(0.5, [1.0], [1.0])
+        config = SimConfig(inst, work_conserving_single(inst), 50_000, 2, sample_interval=1)
+        run(SimConfig(inst, config.scheduler, 10, 2))  # one-time allocations
+        tracemalloc.start()
+        try:
+            stats = run(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stats.sample_times.tolist() == list(range(50_001))
+        assert peak < 50 * 50_001, f"{peak / 50_001:.0f} bytes a sample"
+
+    def test_drift_record_does_not_grow_with_the_topics(self):
+        # The record is three integers per expert. A (T + 1) x (T + 1) matrix
+        # of moments held 128 MB of pointers alone at 4 000 topics.
+        def peak(topics):
+            inst = single_expert_instance(0.3, [1 / topics] * topics, [0.5] * topics)
+            config = SimConfig(
+                instance=inst,
+                scheduler=work_conserving_single(inst),
+                horizon=500,
+                seed=5,
+                sample_interval=500,
+                record_lyapunov=True,
+            )
+            tracemalloc.start()
+            try:
+                stats = run(config)
+                return tracemalloc.get_traced_memory()[1], stats.empty_fraction
+            finally:
+                tracemalloc.stop()
+
+        peak(10)  # one-time allocations
+        (narrow, _), (wide, empty_fraction) = peak(10), peak(4_000)
+        assert empty_fraction < 0.9  # the record saw work
+        assert wide - narrow < 2 * 10**6, f"{narrow / 1e6:.2f} MB vs {wide / 1e6:.2f} MB"
 
     def test_drift_record_does_not_grow_with_the_horizon(self):
         # A record_lyapunov run keeps fixed-size busy-slot moments; a per-slot
