@@ -53,11 +53,11 @@ class SimConfig:
     ``sample_interval`` spaces the recorded time series; exact time
     averages are accumulated every slot regardless. The series keep at most
     ``horizon // sample_interval + 2`` samples, which may not exceed
-    ``MAX_SAMPLES``. ``record_lyapunov``
-    additionally keeps, per expert, the three integers over busy slots that
-    drift checks need. The instance checked itself when it was built; this
-    raises ValueError on a scheduler built for another shape, a negative
-    seed, a horizon or sample interval below 1, or too many samples.
+    ``MAX_SAMPLES``. ``record_lyapunov`` additionally keeps, per expert, the
+    three integers over busy slots that drift checks need. The instance
+    checked itself when it was built; this raises ValueError on a scheduler
+    built for another shape, a negative seed, a horizon or sample interval
+    below 1, or too many samples.
     """
 
     instance: Instance

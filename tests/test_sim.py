@@ -461,9 +461,8 @@ class TestArrivalBlocks:
         assert peak < 0.75 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
     def test_sampled_series_take_32_bytes_a_sample(self):
-        # A list of one Python tuple per sample peaked at 191 bytes a sample
-        # here; four int64 arrays take 32 and growth room, and numpy reads
-        # them in place.
+        # Four int64s a sample plus the array's growth room stay under 50
+        # bytes; numpy reads them in place. A tuple per sample took 191.
         inst = single_expert_instance(0.5, [1.0], [1.0])
         config = SimConfig(inst, work_conserving_single(inst), 50_000, 2, sample_interval=1)
         run(SimConfig(inst, config.scheduler, 10, 2))  # one-time allocations
@@ -477,8 +476,8 @@ class TestArrivalBlocks:
         assert peak < 50 * 50_001, f"{peak / 50_001:.0f} bytes a sample"
 
     def test_drift_record_does_not_grow_with_the_topics(self):
-        # The record is three integers per expert. A (T + 1) x (T + 1) matrix
-        # of moments held 128 MB of pointers alone at 4 000 topics.
+        # The record is three integers per expert, so 4,000 topics add only
+        # the engine's per-topic lists, not a (T + 1)^2 matrix (257 MB).
         def peak(topics):
             inst = single_expert_instance(0.3, [1 / topics] * topics, [0.5] * topics)
             config = SimConfig(
