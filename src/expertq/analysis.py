@@ -29,7 +29,7 @@ from .capacity import (
 )
 from .model import ArrivalSpec, ExpertProfile, Instance, config_field, known_keys, merged_pmf
 from .sched import Scheduler, offline_routing_scheduler, work_conserving_single
-from .sim import SimConfig, TraceStats, run
+from .sim import MAX_SAMPLES, SimConfig, TraceStats, run
 
 __all__ = [
     "DriftReport",
@@ -51,6 +51,8 @@ GAMMA_DEFAULT = 0.5
 # The misestimation check drives the true system at this fraction of the
 # guaranteed load.
 LOAD_FRACTION = 0.95
+# Its runs sample every 100 slots, SimConfig's default, so the sample cap admits this horizon.
+MISESTIMATION_MAX_HORIZON = (MAX_SAMPLES - 1) * 100 - 1
 
 
 @dataclass(frozen=True)
@@ -244,13 +246,7 @@ def capacity_boundary_sweep(
         raise ValueError("a sweep needs at least one load and one seed")
     threshold = _given_threshold(slope_threshold)
     configs = [
-        SimConfig(
-            instance=loaded,
-            scheduler=sched,
-            horizon=horizon,
-            seed=seed,
-            sample_interval=sample_interval,
-        )
+        SimConfig(loaded, sched, horizon, seed, sample_interval=sample_interval)
         for loaded in [with_load(inst, lam) for lam in lambdas]
         for seed in seeds
     ]
@@ -334,6 +330,8 @@ def misestimation_check(
     """
     if inst.n_experts != 1:
         raise ValueError("misestimation check is defined for a single expert")
+    if horizon > MISESTIMATION_MAX_HORIZON:
+        raise ValueError(f"horizon must be at most {MISESTIMATION_MAX_HORIZON}, got {horizon}")
     if not (0.0 < gamma <= 1.0):
         raise ValueError("gamma must lie in (0, 1]")
     seeds = [int(seed) for seed in seeds]
@@ -407,6 +405,9 @@ def _single_checks(inst: Instance, cfg: dict, seed: int):
     gamma = config_field(cfg, "misestimation.gamma", "prob", GAMMA_DEFAULT)
     seeds = config_field(cfg, "misestimation.seeds", "seeds", [seed, seed + 1, seed + 2])
     mis_horizon = config_field(cfg, "misestimation.horizon", "count", 100_000)
+    if mis_horizon > MISESTIMATION_MAX_HORIZON:
+        cap = f"expected at most {MISESTIMATION_MAX_HORIZON}, got {mis_horizon}"
+        raise ValueError(f"config field 'misestimation.horizon': {cap}")
 
     def checks(optimal) -> list[dict]:
         stats = run(drift_run)

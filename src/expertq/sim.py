@@ -131,11 +131,13 @@ class SlotEvents:
 class TraceStats:
     """Metrics collected over one run of ``config``.
 
-    ``mean_queue`` and ``loss_rate`` are exact full-horizon time averages
-    per expert; the ``*_final_quarter`` variants average the last quarter
-    only, as a finite-run stand-in for the long-run limit. The sampled
-    series record totals at slot starts every ``sample_interval`` slots
-    plus the final state. With ``record_lyapunov``, ``busy_moments[i]`` is
+    Exact time averages per expert: ``mean_queue`` of the slot-end queue
+    totals, ``loss_rate`` of door rejections; the ``*_final_quarter``
+    variants average the last ``max(1, horizon // 4)`` slots only, as a
+    finite-run stand-in for the long-run limit. The empty fractions count
+    the slots that start empty; every run starts empty. The sampled series
+    record totals at slot starts every ``sample_interval`` slots plus the
+    final state. With ``record_lyapunov``, ``busy_moments[i]`` is
     (N, sum dL, sum dL^2) over the N slots that start with work at expert i,
     where dL = sum_x W_x d_x, d_x is queue x's change over the slot and
     W_x = fl(1/q_x) * 2**52 (0 where q_x = 0). Every double >= 1 is a
@@ -188,6 +190,9 @@ class _Engine:
         self.cum_loss = [[0] * n_topics for _ in range(n)]
         self.cum_att = [[0] * n_topics for _ in range(n)]
         self.totals = [0] * n
+        # Per expert, the sum of slot-end totals and the slot ends that left
+        # it empty; then the slot ends that left every expert empty.
+        self.area, self.idle, self.idle_slots = [0] * n, [0] * n, 0
         self.losses_total = 0
         self.deps_total = 0
 
@@ -224,17 +229,23 @@ class _Engine:
                 self.cum_loss[i][x] += 1
                 self.losses_total += 1
         service = self.streams.service
-        cum_att = self.cum_att
+        cum_att, area, idle = self.cum_att, self.area, self.idle
+        empty = 0
         for i in range(self.n):
-            if totals[i] == 0:
-                continue
-            x = sched.select(i, queues[i], totals[i], streams)
-            cum_att[i][x] += 1
-            if service.next() < self.qprob[i][x]:
-                queues[i][x] -= 1
-                totals[i] -= 1
-                self.cum_dep[i][x] += 1
-                self.deps_total += 1
+            total = totals[i]
+            if total:
+                x = sched.select(i, queues[i], total, streams)
+                cum_att[i][x] += 1
+                if service.next() < self.qprob[i][x]:
+                    queues[i][x] -= 1
+                    totals[i] = total = total - 1
+                    self.cum_dep[i][x] += 1
+                    self.deps_total += 1
+            area[i] += total
+            if not total:
+                idle[i] += 1
+                empty += 1
+        self.idle_slots += empty == self.n
         self.t += 1
 
     def arrivals(self, horizon: int) -> Iterator[list[tuple[int, int]]]:
@@ -319,43 +330,27 @@ def steps(config: SimConfig) -> Iterator[tuple[QueueState, SlotEvents]]:
 def run(config: SimConfig) -> TraceStats:
     """Simulate the configured horizon and collect metrics."""
     engine = _Engine(config.instance, config.scheduler, RngStreams.from_seed(config.seed))
-    n = engine.n
     horizon = config.horizon
     interval = config.sample_interval
 
     quarter_len = max(1, horizon // 4)
-    quarter_start = horizon - quarter_len
-    queue_sum = [0] * n
-    queue_at_quarter = [0] * n
-    loss_at_quarter = [0] * n
-    empty_slots = 0
-    empty_per_expert = [0] * n
+    quarter_start = horizon - quarter_len  # in [0, horizon), so the loop reaches it
     samples = array("q")  # (t, queue, cum loss, cum departures) per sample, flat
 
     record = config.record_lyapunov
     if record:  # per expert, W and the record (N, sum dL, sum dL^2); see TraceStats
         weights = [[int(Fraction(1.0 / qx) * 2**52) if qx else 0 for qx in q] for q in engine.qprob]
-        moments = [[0, 0, 0] for _ in range(n)]
+        moments = [[0, 0, 0] for _ in range(engine.n)]
     busy = ()
     for t_abs, slot_arrivals in enumerate(engine.arrivals(horizon)):
-        totals = engine.totals
         if t_abs % interval == 0:
-            samples.extend((t_abs, sum(totals), engine.losses_total, engine.deps_total))
-        # Slot-start totals here and the final ones after the loop: run
-        # starts empty, so queue_sum is the sum of the slot-end totals.
-        for i, total in enumerate(totals):
-            if total:
-                queue_sum[i] += total
-            else:
-                empty_per_expert[i] += 1
-        if not any(totals):
-            empty_slots += 1
+            samples.extend((t_abs, sum(engine.totals), engine.losses_total, engine.deps_total))
         if t_abs == quarter_start:
-            queue_at_quarter = list(queue_sum)
+            area_at_quarter = list(engine.area)
             loss_at_quarter = [sum(row) for row in engine.cum_loss]
         if record:
             # Busy experts' live queue rows, slot-start copies, W and records.
-            rows = zip(engine.queues, weights, moments, totals)
+            rows = zip(engine.queues, weights, moments, engine.totals)
             busy = [(r, r[:], w, m) for r, w, m, v in rows if v]
         engine.advance(slot_arrivals)
         for row, before, w, m in busy:
@@ -365,9 +360,8 @@ def run(config: SimConfig) -> TraceStats:
                 m[1] += d
                 m[2] += d * d
 
-    for i, total in enumerate(engine.totals):
-        queue_sum[i] += total
-    samples.extend((horizon, sum(engine.totals), engine.losses_total, engine.deps_total))
+    totals = engine.totals
+    samples.extend((horizon, sum(totals), engine.losses_total, engine.deps_total))
     times, queue, loss, deps = np.frombuffer(samples, dtype=np.int64).reshape(-1, 4).T
 
     loss_per_expert = np.array([sum(row) for row in engine.cum_loss], dtype=np.float64)
@@ -379,16 +373,20 @@ def run(config: SimConfig) -> TraceStats:
         total_queue_series=queue,
         cum_loss_series=loss,
         cum_departure_series=deps,
-        mean_queue=np.array(queue_sum, dtype=np.float64) / horizon,
+        mean_queue=np.array(engine.area, dtype=np.float64) / horizon,
         mean_queue_final_quarter=np.array(
-            [a - b for a, b in zip(queue_sum, queue_at_quarter)], dtype=np.float64
+            [a - b for a, b in zip(engine.area, area_at_quarter)], dtype=np.float64
         )
         / quarter_len,
         loss_rate=loss_per_expert / horizon,
         loss_rate_final_quarter=loss_quarter / quarter_len,
         throughput=engine.deps_total / horizon,
-        empty_fraction=empty_slots / horizon,
-        empty_fraction_per_expert=np.array(empty_per_expert, dtype=np.float64)
+        # Slot 0 starts empty and slot t as slot t - 1 ended, so the slots that
+        # start empty are slot 0 and those after an empty end but the last.
+        empty_fraction=(1 + engine.idle_slots - (not any(totals))) / horizon,
+        empty_fraction_per_expert=np.array(
+            [1 + idle - (not total) for idle, total in zip(engine.idle, totals)], dtype=np.float64
+        )
         / horizon,
         busy_moments=tuple(map(tuple, moments)) if record else None,
         final_state=engine.snapshot(),

@@ -631,6 +631,18 @@ class TestMisestimation:
         with pytest.raises(ValueError, match="got -2"):
             misestimation_check(self.base_instance(), gamma=0.5, seeds=[1, -2], horizon=200_000)
 
+    def test_horizon_past_the_sample_cap_is_named(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("reached a run")
+
+        monkeypatch.setattr(analysis, "run", forbidden)
+        cap = analysis.MISESTIMATION_MAX_HORIZON
+        with pytest.raises(ValueError, match=f"^horizon must be at most {cap}, got {cap + 1}$"):
+            misestimation_check(self.base_instance(), gamma=0.5, seeds=[0], horizon=cap + 1)
+        # At the cap every run is built, so the first one is reached.
+        with pytest.raises(AssertionError, match="reached a run"):
+            misestimation_check(self.base_instance(), gamma=0.5, seeds=[0], horizon=cap)
+
     def test_every_run_is_built_before_the_first_runs(self, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("ran before the bad estimate was rejected")

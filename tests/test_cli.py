@@ -670,6 +670,30 @@ def test_sample_count_past_the_cap_exits_2(tmp_path, monkeypatch, command):
     assert not out.exists()
 
 
+def test_misestimation_horizon_past_the_cap_exits_2_before_any_run(tmp_path, monkeypatch):
+    # Misestimation runs sample every 100 slots: 419,430,299 is the longest
+    # horizon whose samples fit the cap.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("ran before the misestimation horizon was refused")
+
+    for module in (analysis, sim):
+        monkeypatch.setattr(module, "run", forbidden)
+    (path,) = [p for p in CONFIGS if p.name == "verify_single.json"]
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["instance_path"] = str(path.parent / doc["instance_path"])
+    doc.update({"drift": {"horizon": 1000}, "misestimation": {"horizon": 500_000_000}})
+    cfg = write_json(tmp_path / "cfg.json", doc)
+    out = tmp_path / "out"
+    result = invoke(["verify", cfg, "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert result.stderr == (
+        "config error: config field 'misestimation.horizon': "
+        "expected at most 419430299, got 500000000\n"
+    )
+    assert analysis.MISESTIMATION_MAX_HORIZON // 100 + 2 == sim.MAX_SAMPLES
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "instance, block, stderr",
     [

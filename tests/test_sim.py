@@ -7,10 +7,14 @@ import numpy as np
 import pytest
 
 from expertq import rng, sim
-from expertq.capacity import RoutingPolicy, multi_capacity_dual
+from expertq.capacity import LossPolicy, RoutingPolicy, multi_capacity_dual
 from expertq.model import ArrivalSpec, ExpertProfile, Instance, merged_pmf
 from expertq.rng import RngStreams, UniformBuffer
-from expertq.sched import offline_routing_scheduler, work_conserving_single
+from expertq.sched import (
+    offline_loss_scheduler,
+    offline_routing_scheduler,
+    work_conserving_single,
+)
 from expertq.sim import SimConfig, run, steps, write_trace_csv
 from test_golden import CASES, build
 
@@ -124,6 +128,26 @@ class TestStep:
         config = SimConfig(instance=inst, scheduler=sched, horizon=300, seed=2)
         assert sum(1 for _ in steps(config)) == 300
         assert len(built) == 1
+
+
+def short_run_config(name, horizon):
+    """One expert work-conserving, one expert with a loss scheduler
+    (mu < 1), or three routed experts of which the third gets no route and
+    idles every slot. Seed 170 leaves work queued at the ends of slots 0
+    and 1 in all three, and the loss scheduler rejects one of the first
+    three arrivals."""
+    if name == "work_conserving":
+        inst = single_expert_instance(0.6, [0.5, 0.5], [1.0, 0.5])
+        sched = work_conserving_single(inst)
+    elif name == "loss":
+        inst = single_expert_instance(0.8, [0.5, 0.5], [1.0, 0.5])
+        sched = offline_loss_scheduler(inst, LossPolicy(mu=[1.0, 0.4], epsilon=0.0))
+    else:
+        experts = tuple(ExpertProfile.from_success_probs(i, [0.7, 0.6]) for i in range(3))
+        inst = Instance(experts=experts, arrivals=ArrivalSpec(lam=0.3, pmf=[[0.5, 0.5]] * 3))
+        policy = RoutingPolicy(s=[[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+        sched = offline_routing_scheduler(inst, policy)
+    return SimConfig(instance=inst, scheduler=sched, horizon=horizon, seed=170)
 
 
 class TestFlowConservation:
@@ -253,15 +277,32 @@ class TestRun:
         with pytest.raises(ValueError, match=message):
             SimConfig(inst, sched, at_cap + 1, 0, sample_interval=interval)
 
-    def test_time_average_is_exact(self):
-        # replay the trajectory step by step and recompute the average
-        inst = single_expert_instance(0.6, [0.5, 0.5], [1.0, 0.5])
-        sched = work_conserving_single(inst)
-        horizon = 400
-        config = SimConfig(instance=inst, scheduler=sched, horizon=horizon, seed=8)
+    @pytest.mark.parametrize("horizon", [1, 2, 3, 5, 400])
+    @pytest.mark.parametrize("name", ["work_conserving", "loss", "routing"])
+    def test_time_average_is_exact(self, name, horizon):
+        # Replay the trajectory slot by slot and recompute every statistic.
+        # Horizons 1-3 start the final quarter at slot 0.
+        config = short_run_config(name, horizon)
         stats = run(config)
-        total = sum(int(state.q.sum()) for state, _ in steps(config))
-        assert stats.mean_queue[0] == pytest.approx(total / horizon, abs=1e-12)
+        states = [state for state, _ in steps(config)]
+        ends = [state.q.sum(axis=0).tolist() for state in states]  # slot-end totals
+        starts = [[0] * len(ends[0])] + ends[:-1]  # every run starts empty
+        quarter = max(1, horizon // 4)
+        losses = [state.cum_losses.sum(axis=0) for state in states]
+        before_quarter = losses[-quarter - 1] if quarter < horizon else 0
+        assert stats.mean_queue.tolist() == [sum(col) / horizon for col in zip(*ends)]
+        assert stats.mean_queue_final_quarter.tolist() == [
+            sum(col) / quarter for col in zip(*ends[-quarter:])
+        ]
+        assert stats.loss_rate.tolist() == (losses[-1] / horizon).tolist()
+        assert stats.loss_rate_final_quarter.tolist() == (
+            (losses[-1] - before_quarter) / quarter
+        ).tolist()
+        assert stats.throughput == int(states[-1].cum_departures.sum()) / horizon
+        assert stats.empty_fraction == sum(not any(row) for row in starts) / horizon
+        assert stats.empty_fraction_per_expert.tolist() == [
+            sum(not v for v in col) / horizon for col in zip(*starts)
+        ]
 
     def test_lyapunov_recording_shapes(self):
         inst = single_expert_instance(0.4, [1.0], [0.5])
