@@ -406,8 +406,8 @@ def _single_checks(inst: Instance, cfg: dict, seed: int):
     seeds = config_field(cfg, "misestimation.seeds", "seeds", [seed, seed + 1, seed + 2])
     mis_horizon = config_field(cfg, "misestimation.horizon", "count", 100_000)
     if mis_horizon > MISESTIMATION_MAX_HORIZON:
-        cap = f"expected at most {MISESTIMATION_MAX_HORIZON}, got {mis_horizon}"
-        raise ValueError(f"config field 'misestimation.horizon': {cap}")
+        detail = f"expected at most {MISESTIMATION_MAX_HORIZON}, got {mis_horizon}"
+        raise ValueError(f"config field 'misestimation.horizon': {detail}")
 
     def checks(optimal) -> list[dict]:
         stats = run(drift_run)
