@@ -29,12 +29,11 @@ from .capacity import (
 )
 from .model import ArrivalSpec, ExpertProfile, Instance, config_field, known_keys, merged_pmf
 from .sched import Scheduler, offline_routing_scheduler, work_conserving_single
-from .sim import MAX_SAMPLES, SimConfig, TraceStats, run
+from .sim import MAX_SAMPLES, SAMPLE_INTERVAL, SimConfig, TraceStats, run
 
 __all__ = [
     "DriftReport",
     "StabilityVerdict",
-    "SweepCell",
     "SweepResult",
     "MisestimationResult",
     "drift_check",
@@ -51,8 +50,8 @@ GAMMA_DEFAULT = 0.5
 # The misestimation check drives the true system at this fraction of the
 # guaranteed load.
 LOAD_FRACTION = 0.95
-# Its runs sample every 100 slots, SimConfig's default, so the sample cap admits this horizon.
-MISESTIMATION_MAX_HORIZON = (MAX_SAMPLES - 1) * 100 - 1
+# Its runs sample at SimConfig's default interval, so the sample cap admits this horizon.
+MISESTIMATION_MAX_HORIZON = (MAX_SAMPLES - 1) * SAMPLE_INTERVAL - 1
 
 
 @dataclass(frozen=True)
@@ -79,18 +78,16 @@ class DriftReport:
 
 @dataclass(frozen=True)
 class StabilityVerdict:
-    """Empirical proxy for long-run queue stability.
+    """One judged run, as :func:`classify_stability` returns it: the run's
+    load and seed, its verdict, fitted growth slope, final-quarter mean
+    queue and empty-system slot fraction."""
 
-    ``stable`` requires the fitted growth slope of the total queue over
-    the final half to stay at or below the threshold; ``unstable``
-    requires ten times the threshold; anything between, or too short a
-    trace, is ``inconclusive``.
-    """
-
+    lam: float
+    seed: int
     verdict: str
     growth_slope: float
     final_quarter_mean: float
-    slope_threshold: float
+    empty_fraction: float
 
 
 def drift_check(stats: TraceStats, expert: int = 0) -> DriftReport:
@@ -144,32 +141,37 @@ def _given_threshold(slope_threshold: float | None) -> float | None:
 def classify_stability(
     stats: TraceStats, *, slope_threshold: float | None = None
 ) -> StabilityVerdict:
-    """Classify a finished run as stable, unstable, or inconclusive.
+    """Judge a finished run: ``stable`` if the fitted growth slope of the
+    total queue over the final half is at most the threshold, ``unstable``
+    if it is at least ten times the threshold, else, or on too short a
+    trace, ``inconclusive``.
 
     The default threshold is 0.01 * lam requests per slot at the run's load;
     a given one must be finite and positive. The slope is a least-squares
-    fit of the sampled total queue against time over the final half,
-    formed exactly in integers and rounded once, so no BLAS call is made.
+    fit of the samples against time, formed exactly in integers and rounded
+    once, so no BLAS call is made.
     """
-    threshold = _given_threshold(slope_threshold) or 0.01 * stats.config.instance.arrivals.lam
-    mask = stats.sample_times >= stats.config.horizon / 2
+    config = stats.config
+    lam = config.instance.arrivals.lam
+    threshold = _given_threshold(slope_threshold) or 0.01 * lam
+    mask = stats.sample_times >= config.horizon / 2
     # Python ints, so the sums below are exact and cannot overflow.
     t = stats.sample_times[mask].tolist()
     y = stats.total_queue_series[mask].tolist()
     n = len(t)
-    final_quarter_mean = float(stats.mean_queue_final_quarter.sum())
-    if n < 2:
-        return StabilityVerdict("inconclusive", math.nan, final_quarter_mean, threshold)
-    # Distinct sample times make the denominator positive; int / int rounds once.
-    numerator = n * sum(map(operator.mul, t, y)) - sum(t) * sum(y)
-    slope = numerator / (n * sum(map(operator.mul, t, t)) - sum(t) ** 2)
+    slope = math.nan  # too short a trace: NaN compares false, so inconclusive
+    if n >= 2:
+        # Distinct sample times make the denominator positive; int / int rounds once.
+        numerator = n * sum(map(operator.mul, t, y)) - sum(t) * sum(y)
+        slope = numerator / (n * sum(map(operator.mul, t, t)) - sum(t) ** 2)
     if slope <= threshold:
         verdict = "stable"
     elif slope >= 10.0 * threshold:
         verdict = "unstable"
     else:
         verdict = "inconclusive"
-    return StabilityVerdict(verdict, slope, final_quarter_mean, threshold)
+    final_quarter = float(stats.mean_queue_final_quarter.sum())
+    return StabilityVerdict(lam, config.seed, verdict, slope, final_quarter, stats.empty_fraction)
 
 
 def with_load(inst: Instance, lam: float) -> Instance:
@@ -178,20 +180,6 @@ def with_load(inst: Instance, lam: float) -> Instance:
         experts=inst.experts,
         arrivals=ArrivalSpec(lam=lam, pmf=inst.arrivals.pmf),
     )
-
-
-@dataclass(frozen=True)
-class SweepCell:
-    """One seeded run at one load: its stability verdict, fitted slope,
-    final-quarter mean queue and empty-system slot fraction. A sweep keeps
-    one per (load, seed); a misestimation check keeps one per seed."""
-
-    lam: float
-    seed: int
-    verdict: str
-    growth_slope: float
-    final_quarter_mean: float
-    empty_fraction: float
 
 
 @dataclass(frozen=True)
@@ -204,24 +192,11 @@ class SweepResult:
     lie within the bracket widened by one grid step.
     """
 
-    cells: tuple[SweepCell, ...]
+    cells: tuple[StabilityVerdict, ...]
     lambdas: tuple[float, ...]
     seeds: tuple[int, ...]
     lambda_lo: float | None
     lambda_hi: float | None
-
-
-def _sweep_cell(config: SimConfig, slope_threshold: float | None) -> SweepCell:
-    stats = run(config)
-    verdict = classify_stability(stats, slope_threshold=slope_threshold)
-    return SweepCell(
-        lam=config.instance.arrivals.lam,
-        seed=config.seed,
-        verdict=verdict.verdict,
-        growth_slope=verdict.growth_slope,
-        final_quarter_mean=verdict.final_quarter_mean,
-        empty_fraction=stats.empty_fraction,
-    )
 
 
 def capacity_boundary_sweep(
@@ -231,7 +206,7 @@ def capacity_boundary_sweep(
     horizon: int,
     seeds,
     slope_threshold: float | None = None,
-    sample_interval: int = 100,
+    sample_interval: int = SAMPLE_INTERVAL,
 ) -> SweepResult:
     """Simulate a sorted load grid across seeds and bracket the boundary.
 
@@ -240,7 +215,7 @@ def capacity_boundary_sweep(
     """
     lambdas = tuple(float(v) for v in lambdas)
     if list(lambdas) != sorted(lambdas):
-        raise ValueError("load grid must be sorted ascending")
+        raise ValueError(f"field 'lambdas' must be sorted ascending, got {list(lambdas)}")
     seeds = tuple(int(s) for s in seeds)
     if not (lambdas and seeds):
         raise ValueError("a sweep needs at least one load and one seed")
@@ -250,7 +225,7 @@ def capacity_boundary_sweep(
         for loaded in [with_load(inst, lam) for lam in lambdas]
         for seed in seeds
     ]
-    cells = tuple(_sweep_cell(config, threshold) for config in configs)
+    cells = tuple(classify_stability(run(c), slope_threshold=threshold) for c in configs)
 
     verdicts = {lam: {c.verdict for c in cells if c.lam == lam} for lam in lambdas}
     stable = [lam for lam, seen in verdicts.items() if seen == {"stable"}]
@@ -299,7 +274,7 @@ class MisestimationResult:
     ``LOAD_FRACTION`` of the degraded capacity of the k-th seed's
     estimates, whose plain capacity is ``estimated_capacities[k]``."""
 
-    cells: tuple[SweepCell, ...]
+    cells: tuple[StabilityVerdict, ...]
     estimated_capacities: tuple[float, ...]
 
     @property
@@ -362,7 +337,7 @@ def misestimation_check(
         lam = LOAD_FRACTION * degraded_capacity(p, q_hat, gamma)
         configs.append(replace(config, instance=with_load(inst, lam)))
 
-    cells = tuple(_sweep_cell(config, None) for config in configs)
+    cells = tuple(classify_stability(run(config)) for config in configs)
     return MisestimationResult(cells=cells, estimated_capacities=tuple(capacities))
 
 
@@ -457,6 +432,10 @@ def _duality_gap(inst: Instance, optimal) -> dict:
 
 
 def _drift(stats: TraceStats) -> dict:
+    """The busy-slot drift against its prediction. A run with fewer than two
+    busy slots judges nothing, so its row fails with every value null."""
+    if stats.busy_moments[0][0] < 2:
+        return _row("drift", False, measured=None, expected=None, tolerance=None)
     report = drift_check(stats)
     return _row(
         "drift",

@@ -369,7 +369,7 @@ def capacity_report(inst: Instance, cfg: dict) -> dict:
         p, q = inst.arrivals.pmf[0], inst.experts[0].success_prob
         if mode == "single":
             return {"mode": mode, "lambda_star": single_capacity(p, q).lambda_star}
-        result = loss_capacity(p, q, config_field(cfg, "epsilon", "number"))
+        result = loss_capacity(p, q, config_field(cfg, "epsilon", "budget"))
         certificate = {"mu": result.certificate.mu, "epsilon": result.certificate.epsilon}
         return {"mode": mode, "certificate": certificate, "lambda_star": result.lambda_star}
     p_system = merged_pmf(inst) / inst.n_experts

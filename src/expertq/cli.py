@@ -148,7 +148,7 @@ def cmd_simulate(cfg, inst, seed_override, prepare) -> None:
         scheduler=scheduler,
         horizon=config_field(cfg, "horizon", "count"),
         seed=seed,
-        sample_interval=config_field(cfg, "sample_interval", "count", 100),
+        sample_interval=config_field(cfg, "sample_interval", "count", sim.SAMPLE_INTERVAL),
     )
     stats = sim.run(config)
     verdict = analysis.classify_stability(stats)
@@ -177,11 +177,11 @@ def cmd_sweep(cfg, inst, seed_override, prepare) -> None:
     result = analysis.capacity_boundary_sweep(
         inst,
         scheduler,
-        lambdas=config_field(cfg, "lambdas", "numbers"),
+        lambdas=config_field(cfg, "lambdas", "loads"),
         horizon=config_field(cfg, "horizon", "count"),
         seeds=seeds,
         slope_threshold=config_field(cfg, "slope_threshold", "number", None),
-        sample_interval=config_field(cfg, "sample_interval", "count", 100),
+        sample_interval=config_field(cfg, "sample_interval", "count", sim.SAMPLE_INTERVAL),
     )
     boundary = analysis.analytic_boundary(inst, scheduler)
     sweep_target, bracket_target = prepare()

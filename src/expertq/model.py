@@ -269,10 +269,12 @@ _KINDS = {
     "number": "a number",
     "prob": "a number in (0, 1]",
     "rate": "a number in (0, 1)",
+    "budget": "a non-negative number",
     "string": "a string",
     "object": "a JSON object",
     "seeds": "a non-empty list of non-negative integers",
     "numbers": "a non-empty list of numbers",
+    "loads": "a non-empty list of numbers in [0, 1)",
     "times": "a non-empty list of numbers or nulls",
     "objects": "a non-empty list of JSON objects",
     "rows": "a non-empty list of equal-length non-empty lists of numbers",
@@ -284,8 +286,9 @@ def _as_kind(value, kind: str):
     kind is non-empty, with items of the kind without its final s; those of
     ``rows`` are equal-length ``numbers``, and a ``time`` is a number or None.
     A ``seed`` is an integer from 0, a ``count`` one from 1, a ``prob`` a
-    number in (0, 1] and a ``rate`` one in (0, 1)."""
-    if kind in ("seeds", "numbers", "times", "objects", "rows"):
+    number in (0, 1], a ``rate`` one in (0, 1), a ``load`` one in [0, 1)
+    and a ``budget`` one from 0; NaN lies in no range."""
+    if kind in ("seeds", "numbers", "loads", "times", "objects", "rows"):
         ok = isinstance(value, (list, tuple)) and len(value) > 0
         item = "numbers" if kind == "rows" else kind[:-1]
         items = [_as_kind(v, item) for v in value] if ok else [_FAIL]
@@ -301,7 +304,13 @@ def _as_kind(value, kind: str):
         integral = isinstance(value, numbers.Integral) or float(value).is_integer()
         lowest = {"seed": 0, "count": 1}.get(kind)
         return int(value) if integral and (lowest is None or value >= lowest) else _FAIL
-    if kind == "prob" and not 0.0 < value <= 1.0 or kind == "rate" and not 0.0 < value < 1.0:
+    in_range = {
+        "prob": 0.0 < value <= 1.0,
+        "rate": 0.0 < value < 1.0,
+        "load": 0.0 <= value < 1.0,
+        "budget": value >= 0.0,
+    }
+    if not in_range.get(kind, True):
         return _FAIL
     return float(value)
 

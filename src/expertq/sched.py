@@ -203,7 +203,7 @@ def build_scheduler(inst: Instance, spec: dict) -> Scheduler:
     known_keys(root, "scheduler", ("kind", *SCHEDULER_KEYS[kind]), f"kind {kind!r}")
     tie_break = config_field(root, "scheduler.tie_break", "string", "arbitrary")
     selection = config_field(root, "scheduler.selection", "string", "request_weighted")
-    epsilon = config_field(root, "scheduler.epsilon", "number", None)
+    epsilon = config_field(root, "scheduler.epsilon", "budget", None)
     mu = config_field(root, "scheduler.mu", "numbers", None)
     s = config_field(root, "scheduler.s", "rows", None)
     try:

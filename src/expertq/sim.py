@@ -44,6 +44,8 @@ __all__ = [
 
 # The sampled series hold 32 bytes a sample: 128 MiB at the cap.
 MAX_SAMPLES = 2**22
+# Slots between samples unless a run says otherwise.
+SAMPLE_INTERVAL = 100
 
 
 @dataclass(frozen=True)
@@ -64,7 +66,7 @@ class SimConfig:
     scheduler: Scheduler
     horizon: int
     seed: int
-    sample_interval: int = 100
+    sample_interval: int = SAMPLE_INTERVAL
     record_lyapunov: bool = False
 
     def __post_init__(self) -> None:

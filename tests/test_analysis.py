@@ -215,17 +215,20 @@ class TestClassifyStability:
         assert verdict.growth_slope > 0
 
     def test_threshold_override(self):
-        inst = single_expert_instance(0.5, [1.0], [1.0])
-        stats = run(
-            SimConfig(
-                instance=inst,
-                scheduler=work_conserving_single(inst),
-                horizon=20_000,
-                seed=4,
-            )
-        )
-        strict = classify_stability(stats, slope_threshold=1e-12)
-        assert strict.slope_threshold == 1e-12
+        # A slope of 0.001: below the default 0.01 * lam = 0.005, and at
+        # least ten times 1e-12.
+        stats = with_series([5, 1_005], [0, 1])
+        assert classify_stability(stats).verdict == "stable"
+        assert classify_stability(stats, slope_threshold=1e-12).verdict == "unstable"
+
+    def test_run_fields_come_from_the_run(self):
+        inst = single_expert_instance(0.3, [0.5, 0.5], [1.0, 0.5])
+        config = SimConfig(instance=inst, scheduler=work_conserving_single(inst), horizon=500, seed=9)
+        stats = run(config)
+        verdict = classify_stability(stats)
+        assert (verdict.lam, verdict.seed) == (0.3, 9)
+        assert verdict.empty_fraction == stats.empty_fraction
+        assert verdict.final_quarter_mean == float(stats.mean_queue_final_quarter.sum())
 
     def test_threshold_is_keyword_only(self):
         # A positional load would otherwise be read as the threshold.
@@ -590,7 +593,7 @@ class TestMisestimation:
         sched = work_conserving_single(inst)
         for cell, seed in zip(result.cells, seeds):
             config = SimConfig(with_load(inst, cell.lam), sched, horizon=2_000, seed=seed)
-            assert cell == analysis._sweep_cell(config, None)
+            assert cell == classify_stability(run(config))
         p, q = inst.arrivals.pmf[0], inst.experts[0].success_prob
         assert result.estimated_capacities == (single_capacity(p, q).lambda_star,) * 3
 

@@ -439,6 +439,24 @@ def malformed_cases():
             {**single_verify, "misestimation": {"seeds": []}},
             "misestimation.seeds",
         ),
+        # Out of range: the instance, the sort check or the loss budget named no field.
+        "sweep-lambdas-over-1": ("sweep", {**sweep, "lambdas": [0.5, 1.2]}, "lambdas"),
+        "sweep-lambdas-unsorted": ("sweep", {**sweep, "lambdas": [0.5, 0.3]}, "lambdas"),
+        "capacity-loss-epsilon-negative": (
+            "capacity",
+            {"instance": single_expert_doc(), "mode": "loss", "epsilon": -1},
+            "epsilon",
+        ),
+        "simulate-loss-epsilon-negative": (
+            "simulate",
+            {**simulate, "scheduler": {"kind": "loss", "epsilon": -1}},
+            "scheduler.epsilon",
+        ),
+        "simulate-loss-epsilon-nan": (
+            "simulate",
+            {**simulate, "scheduler": {"kind": "loss", "epsilon": math.nan}},
+            "scheduler.epsilon",
+        ),
         # Out of range: numpy's seed error named no field.
         "simulate-seed-negative": ("simulate", {**simulate, "seed": -1}, "seed"),
         "sweep-seeds-negative": ("sweep", {**sweep, "seeds": [0, 1, -1]}, "seeds"),
@@ -616,6 +634,22 @@ def test_rejected_before_any_simulation_or_solve(tmp_path, monkeypatch, case):
             {"drift": {"lambda": 1}},
             "config field 'drift.lambda': expected a number in (0, 1), got 1",
         ),
+        (
+            "sweep",
+            {"lambdas": [0.5, 1.2]},
+            "config field 'lambdas': expected a non-empty list of numbers in [0, 1), "
+            "got [0.5, 1.2]",
+        ),
+        (
+            "sweep",
+            {"lambdas": [0.5, 0.3]},
+            "field 'lambdas' must be sorted ascending, got [0.5, 0.3]",
+        ),
+        (
+            "simulate",
+            {"scheduler": {"kind": "loss", "epsilon": -1}},
+            "config field 'scheduler.epsilon': expected a non-negative number, got -1",
+        ),
     ],
     ids=[
         "seeds",
@@ -626,6 +660,9 @@ def test_rejected_before_any_simulation_or_solve(tmp_path, monkeypatch, case):
         "misestimation-gamma",
         "routing-check-horizon",
         "drift-lambda",
+        "lambdas",
+        "lambdas-unsorted",
+        "scheduler-epsilon",
     ],
 )
 def test_out_of_range_value_is_named_with_its_range(tmp_path, command, extra, stderr):
@@ -1111,6 +1148,33 @@ class TestVerifyCommand:
         report = json.loads((tmp_path / "out" / "verify.json").read_text())
         names = {c["name"] for c in report["checks"]}
         assert {"drift", "service_success", "misestimation_stability"} <= names
+
+    def test_drift_run_with_no_busy_slots_fails_its_row(self, tmp_path):
+        # One slot gives fewer than two busy slots: the drift row judged
+        # nothing, so it fails and verify.json is still written.
+        cfg = write_json(
+            tmp_path / "cfg.json",
+            {
+                "instance": single_expert_doc(),
+                "drift": {"horizon": 1},
+                "misestimation": {"horizon": 1_000},
+                "seed": 7,
+            },
+        )
+        result = invoke(["verify", cfg, "--out", str(tmp_path / "out")])
+        assert result.exit_code == 1, result.output
+        report = json.loads((tmp_path / "out" / "verify.json").read_text())
+        by_name = {c["name"]: c for c in report["checks"]}
+        assert by_name["drift"] == {
+            "name": "drift",
+            "passed": False,
+            "measured": None,
+            "expected": None,
+            "tolerance": None,
+        }
+        assert by_name["service_success"]["passed"] is False
+        assert by_name["misestimation_stability"]["passed"] is True
+        assert "FAIL drift\n" in result.stdout
 
     def test_corrupted_routing_matrix_fails_with_report(self, tmp_path):
         # suboptimal matrix: every topic to expert 0; columns are still
