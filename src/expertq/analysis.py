@@ -27,7 +27,7 @@ from .capacity import (
     service_load,
     single_capacity,
 )
-from .model import ArrivalSpec, ExpertProfile, Instance, config_field, known_keys, merged_pmf
+from .model import ArrivalSpec, ExpertProfile, Instance, config_block, merged_pmf
 from .sched import Scheduler, offline_routing_scheduler, work_conserving_single
 from .sim import MAX_SAMPLES, SAMPLE_INTERVAL, SimConfig, TraceStats, run
 
@@ -364,11 +364,9 @@ def _single_checks(inst: Instance, cfg: dict, seed: int):
     run; return the function from the LP result to their three rows."""
     if "routing_check" in cfg:
         raise ValueError("config field 'routing_check': only a multi-expert instance takes it")
-    known_keys(cfg, "drift", ("lambda", "horizon"))
-    known_keys(cfg, "misestimation", ("gamma", "seeds", "horizon"))
-    p, q = inst.arrivals.pmf[0], inst.experts[0].success_prob
-    lam = config_field(cfg, "drift.lambda", "rate", 0.75 * single_capacity(p, q).lambda_star)
-    drift_horizon = config_field(cfg, "drift.horizon", "count", 100_000)
+    lam_star = single_capacity(inst.arrivals.pmf[0], inst.experts[0].success_prob).lambda_star
+    drift = {"lambda": ("rate", 0.75 * lam_star), "horizon": ("count", 100_000)}
+    lam, drift_horizon = config_block(cfg, "drift", drift)
     drift_run = SimConfig(
         instance=with_load(inst, lam),
         scheduler=work_conserving_single(inst),
@@ -377,9 +375,12 @@ def _single_checks(inst: Instance, cfg: dict, seed: int):
         record_lyapunov=True,
         sample_interval=drift_horizon,  # the rows read only its final moments and counts
     )
-    gamma = config_field(cfg, "misestimation.gamma", "prob", GAMMA_DEFAULT)
-    seeds = config_field(cfg, "misestimation.seeds", "seeds", [seed, seed + 1, seed + 2])
-    mis_horizon = config_field(cfg, "misestimation.horizon", "count", 100_000)
+    misestimation = {
+        "gamma": ("prob", GAMMA_DEFAULT),
+        "seeds": ("seeds", [seed, seed + 1, seed + 2]),
+        "horizon": ("count", 100_000),
+    }
+    gamma, seeds, mis_horizon = config_block(cfg, "misestimation", misestimation)
     if mis_horizon > MISESTIMATION_MAX_HORIZON:
         detail = f"expected at most {MISESTIMATION_MAX_HORIZON}, got {mis_horizon}"
         raise ValueError(f"config field 'misestimation.horizon': {detail}")
@@ -397,9 +398,8 @@ def _routing_checks(inst: Instance, cfg: dict, seed: int):
     for block in ("drift", "misestimation"):
         if block in cfg:
             raise ValueError(f"config field {block!r}: only a single-expert instance takes it")
-    known_keys(cfg, "routing_check", ("horizon", "s"))
-    horizon = config_field(cfg, "routing_check.horizon", "count", 50_000)
-    s = config_field(cfg, "routing_check.s", "rows", None)
+    routing_check = {"horizon": ("count", 50_000), "s": ("rows", None)}
+    horizon, s = config_block(cfg, "routing_check", routing_check)
 
     def checks(optimal) -> list[dict]:
         policy = optimal.certificate if s is None else RoutingPolicy(s=s)

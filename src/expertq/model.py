@@ -336,15 +336,16 @@ def config_field(doc: dict, path: str, kind: str, default=_REQUIRED):
     return value
 
 
-def known_keys(doc: dict, path: str, keys: tuple, owner: str | None = None) -> None:
-    """Raise ValueError naming the first key of the object at dotted ``path``
-    that ``keys`` does not list, e.g. ``config field 'drift.horizn': 'drift'
-    takes only ('lambda', 'horizon')``; ``owner`` replaces ``'drift'`` there.
-    A missing object has no keys."""
+def config_block(doc: dict, path: str, fields: dict, owner: str | None = None) -> list:
+    """The object at dotted ``path``, missing or not, read by ``fields`` in its
+    order: each key maps to ``(kind, default)``, or ``(kind,)`` if required. A
+    key the table lacks raises ValueError, e.g. ``config field 'drift.horizn':
+    'drift' takes only ('lambda', 'horizon')``; ``owner`` replaces ``'drift'``."""
     for key in config_field(doc, path, "object", {}):
-        if key not in keys:
+        if key not in fields:
             owner = owner or repr(path)
-            raise ValueError(f"config field '{path}.{key}': {owner} takes only {keys}")
+            raise ValueError(f"config field '{path}.{key}': {owner} takes only {tuple(fields)}")
+    return [config_field(doc, f"{path}.{key}", *spec) for key, spec in fields.items()]
 
 
 def load_instance(path: str | Path) -> Instance:

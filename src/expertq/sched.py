@@ -18,7 +18,7 @@ import numpy as np
 
 from .capacity import LossPolicy, RoutingPolicy, loss_capacity, multi_capacity_dual
 from .capacity import routing_policy_violations
-from .model import Instance, config_field, known_keys, merged_pmf
+from .model import Instance, config_block, config_field, merged_pmf
 from .rng import RngStreams
 
 __all__ = [
@@ -36,12 +36,13 @@ __all__ = [
 TIE_BREAKS = {"arbitrary": "first", "uniform_random": "uniform", "longest_queue": "longest"}
 SELECTION_MODES = {"request_weighted": "weighted", "topic_uniform": "uniform"}
 RULES = ("first", "longest", "uniform", "weighted")
-# The keys a config's scheduler object may hold besides "kind", per kind.
-SCHEDULER_KEYS = {
-    "work_conserving": ("tie_break",),
-    "loss": ("tie_break", "mu", "epsilon"),
-    "routing": ("s", "selection"),
-    "baseline": ("selection",),
+# Per scheduler kind, the (_KINDS kind, default) of each field it takes besides "kind".
+_TIE_BREAK, _SELECTION = ("string", "arbitrary"), ("string", "request_weighted")
+SCHEDULER_FIELDS = {
+    "work_conserving": {"tie_break": _TIE_BREAK},
+    "loss": {"tie_break": _TIE_BREAK, "mu": ("numbers", None), "epsilon": ("budget", None)},
+    "routing": {"s": ("rows", None), "selection": _SELECTION},
+    "baseline": {"selection": _SELECTION},
 }
 
 
@@ -191,25 +192,24 @@ def mismatch_baseline(inst: Instance, selection: str = "request_weighted") -> Sc
 
 def build_scheduler(inst: Instance, spec: dict) -> Scheduler:
     """The scheduler a config's ``scheduler`` object names by ``kind``,
-    with only the keys ``SCHEDULER_KEYS`` lists for that kind. A loss
+    with only the fields ``SCHEDULER_FIELDS`` lists for that kind. A loss
     policy missing ``mu`` is computed from ``epsilon``, a routing policy
     missing ``s`` by the load-balancing LP. Raises ValueError naming a
     malformed or unused field, and CertificateError when the policy
     can be neither read nor computed."""
     root = {"scheduler": spec}  # so that errors name 'scheduler.<field>'
     kind = config_field(root, "scheduler.kind", "string")
-    if kind not in SCHEDULER_KEYS:
+    fields = SCHEDULER_FIELDS.get(kind)
+    if fields is None:
         raise ValueError(f"config field 'scheduler.kind': unknown kind {kind!r}")
-    known_keys(root, "scheduler", ("kind", *SCHEDULER_KEYS[kind]), f"kind {kind!r}")
-    tie_break = config_field(root, "scheduler.tie_break", "string", "arbitrary")
-    selection = config_field(root, "scheduler.selection", "string", "request_weighted")
-    epsilon = config_field(root, "scheduler.epsilon", "budget", None)
-    mu = config_field(root, "scheduler.mu", "numbers", None)
-    s = config_field(root, "scheduler.s", "rows", None)
+    _, *values = config_block(root, "scheduler", {"kind": ("string",), **fields}, f"kind {kind!r}")
     try:
         if kind == "work_conserving":
-            return work_conserving_single(inst, tie_break=tie_break)
+            return work_conserving_single(inst, *values)
+        if kind == "baseline":
+            return mismatch_baseline(inst, *values)
         if kind == "loss":
+            tie_break, mu, epsilon = values
             if mu is not None:
                 policy = LossPolicy(mu, 0.0 if epsilon is None else epsilon)
             elif epsilon is None:
@@ -219,8 +219,7 @@ def build_scheduler(inst: Instance, spec: dict) -> Scheduler:
                 p, q = inst.arrivals.pmf[0], inst.experts[0].success_prob
                 policy = loss_capacity(p, q, epsilon).certificate
             return offline_loss_scheduler(inst, policy, tie_break=tie_break)
-        if kind == "baseline":
-            return mismatch_baseline(inst, selection=selection)
+        s, selection = values
         if s is not None:
             policy = RoutingPolicy(s=s)
         else:
