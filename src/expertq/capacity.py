@@ -67,8 +67,8 @@ class LossPolicy:
             raise ValueError(f"admission probabilities must be finite, got {mu.tolist()}")
         if mu.size and (mu.min() < -1e-12 or mu.max() > 1.0 + 1e-12):
             raise ValueError("admission probabilities must lie in [0, 1]")
-        if not self.epsilon >= 0:  # also rejects NaN
-            raise ValueError(f"loss budget must be non-negative, got {self.epsilon}")
+        if not 0 <= self.epsilon < math.inf:  # also rejects NaN
+            raise ValueError(f"loss budget must be finite and non-negative, got {self.epsilon}")
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "epsilon", float(self.epsilon))
 
@@ -201,8 +201,8 @@ def loss_capacity(p, q, epsilon: float) -> CapacityResult:
     q = np.asarray(q, dtype=np.float64)
     if p.shape != q.shape:
         raise ValueError("topic mass and success vectors differ in length")
-    if not epsilon >= 0:  # also rejects NaN
-        raise ValueError(f"loss budget must be non-negative, got {epsilon}")
+    if not 0 <= epsilon < math.inf:  # also rejects NaN
+        raise ValueError(f"loss budget must be finite and non-negative, got {epsilon}")
     epsilon = float(epsilon)
 
     mu = np.where(q > 0, 1.0, 0.0)

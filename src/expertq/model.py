@@ -269,12 +269,13 @@ _KINDS = {
     "number": "a number",
     "prob": "a number in (0, 1]",
     "rate": "a number in (0, 1)",
-    "budget": "a non-negative number",
+    "budget": "a finite non-negative number",
     "string": "a string",
     "object": "a JSON object",
     "seeds": "a non-empty list of non-negative integers",
     "numbers": "a non-empty list of numbers",
     "loads": "a non-empty list of numbers in [0, 1)",
+    "fractions": "a non-empty list of numbers in [0, 1]",
     "times": "a non-empty list of numbers or nulls",
     "objects": "a non-empty list of JSON objects",
     "rows": "a non-empty list of equal-length non-empty lists of numbers",
@@ -286,9 +287,10 @@ def _as_kind(value, kind: str):
     kind is non-empty, with items of the kind without its final s; those of
     ``rows`` are equal-length ``numbers``, and a ``time`` is a number or None.
     A ``seed`` is an integer from 0, a ``count`` one from 1, a ``prob`` a
-    number in (0, 1], a ``rate`` one in (0, 1), a ``load`` one in [0, 1)
-    and a ``budget`` one from 0; NaN lies in no range."""
-    if kind in ("seeds", "numbers", "loads", "times", "objects", "rows"):
+    number in (0, 1], a ``rate`` one in (0, 1), a ``load`` one in [0, 1), a
+    ``fraction`` one in [0, 1] and a ``budget`` a finite one from 0; NaN lies
+    in no range."""
+    if kind in ("seeds", "numbers", "loads", "fractions", "times", "objects", "rows"):
         ok = isinstance(value, (list, tuple)) and len(value) > 0
         item = "numbers" if kind == "rows" else kind[:-1]
         items = [_as_kind(v, item) for v in value] if ok else [_FAIL]
@@ -308,7 +310,8 @@ def _as_kind(value, kind: str):
         "prob": 0.0 < value <= 1.0,
         "rate": 0.0 < value < 1.0,
         "load": 0.0 <= value < 1.0,
-        "budget": value >= 0.0,
+        "fraction": 0.0 <= value <= 1.0,
+        "budget": 0.0 <= value < np.inf,
     }
     if not in_range.get(kind, True):
         return _FAIL

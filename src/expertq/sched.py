@@ -36,11 +36,16 @@ __all__ = [
 TIE_BREAKS = {"arbitrary": "first", "uniform_random": "uniform", "longest_queue": "longest"}
 SELECTION_MODES = {"request_weighted": "weighted", "topic_uniform": "uniform"}
 RULES = ("first", "longest", "uniform", "weighted")
+# The scheduler config fields that give those names, and what each name is called.
+_NAME_FIELDS = {
+    "tie_break": (TIE_BREAKS, "tie break"),
+    "selection": (SELECTION_MODES, "selection mode"),
+}
 # Per scheduler kind, the (_KINDS kind, default) of each field it takes besides "kind".
 _TIE_BREAK, _SELECTION = ("string", "arbitrary"), ("string", "request_weighted")
 SCHEDULER_FIELDS = {
     "work_conserving": {"tie_break": _TIE_BREAK},
-    "loss": {"tie_break": _TIE_BREAK, "mu": ("numbers", None), "epsilon": ("budget", None)},
+    "loss": {"tie_break": _TIE_BREAK, "mu": ("fractions", None), "epsilon": ("budget", None)},
     "routing": {"s": ("rows", None), "selection": _SELECTION},
     "baseline": {"selection": _SELECTION},
 }
@@ -203,6 +208,15 @@ def build_scheduler(inst: Instance, spec: dict) -> Scheduler:
     if fields is None:
         raise ValueError(f"config field 'scheduler.kind': unknown kind {kind!r}")
     _, *values = config_block(root, "scheduler", {"kind": ("string",), **fields}, f"kind {kind!r}")
+    for key, value in zip(fields, values):  # the checks that need the names or the instance
+        try:
+            if key in _NAME_FIELDS:
+                _rule(value, *_NAME_FIELDS[key])
+            elif key == "mu" and value is not None and len(value) != inst.n_topics:
+                detail = f"{len(value)} topics, instance has {inst.n_topics}"
+                raise ValueError(f"admission policy covers {detail}")
+        except ValueError as exc:
+            raise ValueError(f"config field 'scheduler.{key}': {exc}") from exc
     try:
         if kind == "work_conserving":
             return work_conserving_single(inst, *values)

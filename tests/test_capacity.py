@@ -283,6 +283,9 @@ class TestLossCapacity:
     def test_nan_budget_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
             loss_capacity([1.0], [1.0], math.nan)
+        # An infinite budget used to shed every topic and report a null capacity.
+        with pytest.raises(ValueError, match="finite and non-negative, got inf"):
+            loss_capacity([1.0], [1.0], math.inf)
 
 
 class TestLossPolicyValidation:
@@ -294,6 +297,7 @@ class TestLossPolicyValidation:
             ([0.5, 1.5], 0.1, r"\[0, 1\]"),
             ([0.5, 1.0], math.nan, "non-negative"),
             ([0.5, 1.0], -0.1, "non-negative"),
+            ([0.5, 1.0], math.inf, "finite and non-negative, got inf"),
         ],
     )
     def test_bad_policy_rejected(self, mu, epsilon, message):

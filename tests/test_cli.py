@@ -8,6 +8,7 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from typing import NamedTuple
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -183,7 +184,7 @@ def nan_cases():
                 "scheduler": {"kind": "loss", "mu": [NAN, 1.0]},
                 "horizon": 10,
             },
-            "finite",
+            "config field 'scheduler.mu': expected a non-empty list of numbers in [0, 1]",
         ),
         "routing-s": (
             "simulate",
@@ -648,7 +649,41 @@ def test_rejected_before_any_simulation_or_solve(tmp_path, monkeypatch, case):
         (
             "simulate",
             {"scheduler": {"kind": "loss", "epsilon": -1}},
-            "config field 'scheduler.epsilon': expected a non-negative number, got -1",
+            "config field 'scheduler.epsilon': expected a finite non-negative number, got -1",
+        ),
+        (
+            "capacity",
+            {"mode": "loss", "epsilon": math.inf},
+            "config field 'epsilon': expected a finite non-negative number, got Infinity",
+        ),
+        (
+            "simulate",
+            {"scheduler": {"kind": "loss", "epsilon": math.inf}},
+            "config field 'scheduler.epsilon': expected a finite non-negative number, "
+            "got Infinity",
+        ),
+        (
+            "simulate",
+            {"scheduler": {"kind": "loss", "mu": [1.5, 0.5]}},
+            "config field 'scheduler.mu': expected a non-empty list of numbers in [0, 1], "
+            "got [1.5, 0.5]",
+        ),
+        (
+            "simulate",
+            {"scheduler": {"kind": "loss", "mu": [1.0]}},
+            "config field 'scheduler.mu': admission policy covers 1 topics, instance has 2",
+        ),
+        (
+            "simulate",
+            {"scheduler": {"kind": "work_conserving", "tie_break": "nope"}},
+            "config field 'scheduler.tie_break': unknown tie break 'nope'; "
+            "expected one of ('arbitrary', 'uniform_random', 'longest_queue')",
+        ),
+        (
+            "simulate",
+            {"scheduler": {"kind": "baseline", "selection": "nope"}},
+            "config field 'scheduler.selection': unknown selection mode 'nope'; "
+            "expected one of ('request_weighted', 'topic_uniform')",
         ),
     ],
     ids=[
@@ -663,6 +698,12 @@ def test_rejected_before_any_simulation_or_solve(tmp_path, monkeypatch, case):
         "lambdas",
         "lambdas-unsorted",
         "scheduler-epsilon",
+        "capacity-epsilon-infinite",
+        "scheduler-epsilon-infinite",
+        "scheduler-mu-range",
+        "scheduler-mu-length",
+        "scheduler-tie-break",
+        "scheduler-selection",
     ],
 )
 def test_out_of_range_value_is_named_with_its_range(tmp_path, command, extra, stderr):
@@ -675,9 +716,83 @@ def test_out_of_range_value_is_named_with_its_range(tmp_path, command, extra, st
         **extra,
     }
     cfg = write_json(tmp_path / "cfg.json", config)
-    result = invoke([command, cfg, "--out", str(tmp_path / "out")])
+    out = tmp_path / "out"
+    result = invoke([command, cfg, "--out", str(out)])
     assert result.exit_code == 2, result.output
     assert result.stderr == f"config error: {stderr}\n"
+    assert not out.exists()
+
+
+def verify_tables():
+    """The field table each verify block's reader hands ``config_block``."""
+    tables, read = {}, model.config_block
+
+    def spy(doc, path, fields, owner=None):
+        tables[path] = fields
+        return read(doc, path, fields, owner)
+
+    with mock.patch.object(analysis, "config_block", spy):
+        analysis._single_checks(model.instance_from_dict(single_expert_doc()), {}, 0)
+        analysis._routing_checks(model.instance_from_dict(generalist_doc()), {}, 0)
+    return tables
+
+
+def block_table_cases():
+    """(command, config, block, owner, table) per config block and scheduler
+    kind, each table the one its reader reads that block by."""
+    simulate = {"instance": single_expert_doc(), "horizon": 100}
+    cases = {
+        f"scheduler-{kind}": (
+            "simulate",
+            {**simulate, "scheduler": {"kind": kind}},
+            "scheduler",
+            f"kind {kind!r}",
+            {"kind": ("string",), **fields},
+        )
+        for kind, fields in sched.SCHEDULER_FIELDS.items()
+    }
+    tables = verify_tables()
+    for block in ("drift", "misestimation", "routing_check"):
+        instance = generalist_doc() if block == "routing_check" else single_expert_doc()
+        cases[block] = ("verify", {"instance": instance}, block, repr(block), tables[block])
+    return cases
+
+
+@pytest.mark.parametrize("case", sorted(block_table_cases()))
+def test_each_block_is_refused_and_read_by_its_table(tmp_path, case):
+    command, config, block, owner, table = block_table_cases()[case]
+
+    def refusal(extra: dict) -> str:
+        doc = {**config, block: {**config.get(block, {}), **extra}}
+        out = tmp_path / "out"
+        result = invoke([command, write_json(tmp_path / "cfg.json", doc), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert not out.exists()
+        return result.stderr
+
+    assert refusal({"nope": 1}) == (
+        f"config error: config field '{block}.nope': {owner} takes only {tuple(table)}\n"
+    )
+    for key in table:
+        stderr = refusal({key: True})
+        assert stderr.startswith(f"config error: config field '{block}.{key}': expected "), key
+
+
+def test_a_block_is_read_whole_before_the_next(tmp_path):
+    # drift is checked and read before misestimation, so its bad value is
+    # the fault reported, not the later block's unknown key.
+    config = {
+        "instance": single_expert_doc(),
+        "drift": {"lambda": 1.5},
+        "misestimation": {"seed": [1]},
+    }
+    out = tmp_path / "out"
+    result = invoke(["verify", write_json(tmp_path / "cfg.json", config), "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert result.stderr == (
+        "config error: config field 'drift.lambda': expected a number in (0, 1), got 1.5\n"
+    )
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
