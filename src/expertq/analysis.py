@@ -154,10 +154,9 @@ def classify_stability(
     config = stats.config
     lam = config.instance.arrivals.lam
     threshold = _given_threshold(slope_threshold) or 0.01 * lam
-    mask = stats.sample_times >= config.horizon / 2
+    final_half = stats.samples[stats.samples[:, 0] >= config.horizon / 2]
     # Python ints, so the sums below are exact and cannot overflow.
-    t = stats.sample_times[mask].tolist()
-    y = stats.total_queue_series[mask].tolist()
+    t, y = final_half[:, 0].tolist(), final_half[:, 1].tolist()
     n = len(t)
     slope = math.nan  # too short a trace: NaN compares false, so inconclusive
     if n >= 2:

@@ -100,12 +100,16 @@ def run(argv: list[str] | None = None) -> int:
     seed_override = getattr(args, "seed_override", None)
     if seed_override is not None and seed_override < 0:
         parser.error(f"argument --seed-override: {seed_override} is negative")
+    out = Path(args.out)
+    existing = next(path for path in (out, *out.parents) if path.exists() or path.is_symlink())
+    if not existing.is_dir():
+        parser.error(f"argument --out: {existing} is not a directory")
     body, outputs, _ = _COMMANDS[args.command]
-    targets = [Path(args.out) / n for n in outputs]
+    targets = [out / n for n in outputs]
 
     # A body calls this once its work is done, so a rejected command makes no --out.
     def prepare() -> list[Path]:
-        Path(args.out).mkdir(parents=True, exist_ok=True)
+        out.mkdir(parents=True, exist_ok=True)
         return targets
 
     try:

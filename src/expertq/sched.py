@@ -198,16 +198,19 @@ def mismatch_baseline(inst: Instance, selection: str = "request_weighted") -> Sc
 def build_scheduler(inst: Instance, spec: dict) -> Scheduler:
     """The scheduler a config's ``scheduler`` object names by ``kind``,
     with only the fields ``SCHEDULER_FIELDS`` lists for that kind. A loss
-    policy missing ``mu`` is computed from ``epsilon``, a routing policy
-    missing ``s`` by the load-balancing LP. Raises ValueError naming a
-    malformed or unused field, and CertificateError when the policy
-    can be neither read nor computed."""
+    policy takes ``mu`` or computes it from ``epsilon``, not both; a
+    routing policy missing ``s`` is computed by the load-balancing LP.
+    Raises ValueError naming a malformed or unused field, and
+    CertificateError when the policy can be neither read nor computed."""
     root = {"scheduler": spec}  # so that errors name 'scheduler.<field>'
     kind = config_field(root, "scheduler.kind", "string")
     fields = SCHEDULER_FIELDS.get(kind)
     if fields is None:
         raise ValueError(f"config field 'scheduler.kind': unknown kind {kind!r}")
     _, *values = config_block(root, "scheduler", {"kind": ("string",), **fields}, f"kind {kind!r}")
+    if kind == "loss" and values[1] is not None and values[2] is not None:
+        message = "kind 'loss' takes 'mu' or 'epsilon', not both"
+        raise ValueError(f"config field 'scheduler.epsilon': {message}")
     for key, value in zip(fields, values):  # the checks that need the names or the instance
         try:
             if key in _NAME_FIELDS:
@@ -225,7 +228,7 @@ def build_scheduler(inst: Instance, spec: dict) -> Scheduler:
         if kind == "loss":
             tie_break, mu, epsilon = values
             if mu is not None:
-                policy = LossPolicy(mu, 0.0 if epsilon is None else epsilon)
+                policy = LossPolicy(mu, 0.0)
             elif epsilon is None:
                 message = "loss scheduler needs 'mu' or an 'epsilon' to compute it from"
                 raise CertificateError(message)

@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 
-# The sampled series hold 32 bytes a sample: 128 MiB at the cap.
+# The samples table holds 32 bytes a sample: 128 MiB at the cap.
 MAX_SAMPLES = 2**22
 # Slots between samples unless a run says otherwise.
 SAMPLE_INTERVAL = 100
@@ -52,8 +52,8 @@ SAMPLE_INTERVAL = 100
 class SimConfig:
     """Everything one run needs: instance, policy, horizon, seed.
 
-    ``sample_interval`` spaces the recorded time series; exact time
-    averages are accumulated every slot regardless. The series keep at most
+    ``sample_interval`` spaces the recorded samples; exact time averages
+    are accumulated every slot regardless. The samples table keeps at most
     ``horizon // sample_interval + 2`` samples, which may not exceed
     ``MAX_SAMPLES``. ``record_lyapunov`` additionally keeps, per expert, the
     three integers over busy slots that drift checks need. The instance
@@ -137,21 +137,20 @@ class TraceStats:
     totals, ``loss_rate`` of door rejections; the ``*_final_quarter``
     variants average the last ``max(1, horizon // 4)`` slots only, as a
     finite-run stand-in for the long-run limit. The empty fractions count
-    the slots that start empty; every run starts empty. The sampled series
-    record totals at slot starts every ``sample_interval`` slots plus the
-    final state. With ``record_lyapunov``, ``busy_moments[i]`` is
-    (N, sum dL, sum dL^2) over the N slots that start with work at expert i,
-    where dL = sum_x W_x d_x, d_x is queue x's change over the slot and
-    W_x = fl(1/q_x) * 2**52 (0 where q_x = 0). Every double >= 1 is a
-    multiple of 2**-52, so each W_x, and the record, is an exact integer;
-    three per expert, whatever the horizon and the number of topics.
+    the slots that start empty; every run starts empty. ``samples`` is an
+    int64 table of shape (k, 4), the rows ``trace.csv`` writes: (t,
+    total_queue, cum_loss, cum_departures) at slot starts every
+    ``sample_interval`` slots, then at the final state. With
+    ``record_lyapunov``, ``busy_moments[i]`` is (N, sum dL, sum dL^2) over
+    the N slots that start with work at expert i, where dL = sum_x W_x d_x,
+    d_x is queue x's change over the slot and W_x = fl(1/q_x) * 2**52 (0
+    where q_x = 0). Every double >= 1 is a multiple of 2**-52, so each W_x,
+    and the record, is an exact integer; three per expert, whatever the
+    horizon and the number of topics.
     """
 
     config: SimConfig
-    sample_times: np.ndarray
-    total_queue_series: np.ndarray
-    cum_loss_series: np.ndarray
-    cum_departure_series: np.ndarray
+    samples: np.ndarray
     mean_queue: np.ndarray
     mean_queue_final_quarter: np.ndarray
     loss_rate: np.ndarray
@@ -364,17 +363,13 @@ def run(config: SimConfig) -> TraceStats:
 
     totals = engine.totals
     samples.extend((horizon, sum(totals), engine.losses_total, engine.deps_total))
-    times, queue, loss, deps = np.frombuffer(samples, dtype=np.int64).reshape(-1, 4).T
 
     loss_per_expert = np.array([sum(row) for row in engine.cum_loss], dtype=np.float64)
     loss_quarter = loss_per_expert - np.array(loss_at_quarter, dtype=np.float64)
 
     return TraceStats(
         config=config,
-        sample_times=times,
-        total_queue_series=queue,
-        cum_loss_series=loss,
-        cum_departure_series=deps,
+        samples=np.frombuffer(samples, dtype=np.int64).reshape(-1, 4),
         mean_queue=np.array(engine.area, dtype=np.float64) / horizon,
         mean_queue_final_quarter=np.array(
             [a - b for a, b in zip(engine.area, area_at_quarter)], dtype=np.float64
@@ -396,18 +391,12 @@ def run(config: SimConfig) -> TraceStats:
 
 
 def write_trace_csv(stats: TraceStats, path: str | Path) -> None:
-    """Sampled series as CSV with columns t, total_queue, cum_loss,
-    cum_departures."""
+    """``stats.samples`` as CSV under its column names, one row at a time:
+    a whole-table ``tolist()`` would take 224 bytes a sample."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "total_queue", "cum_loss", "cum_departures"])
-        for row in zip(
-            stats.sample_times,
-            stats.total_queue_series,
-            stats.cum_loss_series,
-            stats.cum_departure_series,
-        ):
-            writer.writerow([int(v) for v in row])
+        writer.writerows(row.tolist() for row in stats.samples)
 
 
 # Not API: the benchmark launcher still looks this name up to mark where

@@ -256,14 +256,14 @@ class TestClassifyStability:
 
 
 def with_series(times, totals):
-    """A finished 10-slot run whose samples are replaced by ``times`` and
-    ``totals``; times of at least 5 all fall in the fitted final half."""
+    """A finished 10-slot run whose samples table is replaced by the rows
+    (times, totals, 0, 0); times of at least 5 all fall in the fitted
+    final half."""
     inst = single_expert_instance(0.5, [1.0], [1.0])
     config = SimConfig(instance=inst, scheduler=work_conserving_single(inst), horizon=10, seed=0)
     return dataclasses.replace(
         run(config),
-        sample_times=np.array(times, dtype=np.int64),
-        total_queue_series=np.array(totals, dtype=np.int64),
+        samples=np.array([(t, y, 0, 0) for t, y in zip(times, totals)], dtype=np.int64),
     )
 
 
@@ -286,6 +286,13 @@ integer_series = st.lists(
 
 
 class TestGrowthSlope:
+    def test_final_half_starts_at_half_the_horizon(self):
+        # At horizon 10 the fit takes t = 5 and 10 (slope 2), not t = 4 (its
+        # total of 100 would turn the slope negative); a mask on the totals
+        # would keep t = 4 and drop t = 5.
+        verdict = classify_stability(with_series([4, 5, 10], [100, 0, 10]))
+        assert verdict.growth_slope == 2.0
+
     @given(integer_series)
     @example([(2**62, 2**62), (2**62 - 1, 0), (5, 2**61)])
     @settings(max_examples=200, deadline=None)
@@ -762,7 +769,7 @@ class TestVerify:
         checks = analysis.verify(inst, cfg, 4)
         assert "drift" in [c["name"] for c in checks]
         assert len(drift_runs) == 1
-        assert drift_runs[0].sample_times.tolist() == [0, 3_000]
+        assert drift_runs[0].samples[:, 0].tolist() == [0, 3_000]
 
     def test_routing_run_samples_only_its_ends(self, monkeypatch):
         # The routing rows read only the final counts.

@@ -256,6 +256,12 @@ def malformed_cases():
             {**simulate, "scheduler": {"kind": "loss", "mu": [True, "0.5"]}},
             "scheduler.mu",
         ),
+        # The run used only mu and dropped the given budget.
+        "simulate-loss-mu-and-epsilon": (
+            "simulate",
+            {**simulate, "scheduler": {"kind": "loss", "mu": [0.0, 0.0], "epsilon": 0.0}},
+            "scheduler.epsilon",
+        ),
         "simulate-loss-mu-null": (
             "simulate",
             {**simulate, "scheduler": {"kind": "loss", "mu": None, "epsilon": 0.1}},
@@ -675,6 +681,11 @@ def test_rejected_before_any_simulation_or_solve(tmp_path, monkeypatch, case):
         ),
         (
             "simulate",
+            {"scheduler": {"kind": "loss", "mu": [0.0, 0.0], "epsilon": 0.0}},
+            "config field 'scheduler.epsilon': kind 'loss' takes 'mu' or 'epsilon', not both",
+        ),
+        (
+            "simulate",
             {"scheduler": {"kind": "work_conserving", "tie_break": "nope"}},
             "config field 'scheduler.tie_break': unknown tie break 'nope'; "
             "expected one of ('arbitrary', 'uniform_random', 'longest_queue')",
@@ -702,6 +713,7 @@ def test_rejected_before_any_simulation_or_solve(tmp_path, monkeypatch, case):
         "scheduler-epsilon-infinite",
         "scheduler-mu-range",
         "scheduler-mu-length",
+        "scheduler-mu-and-epsilon",
         "scheduler-tie-break",
         "scheduler-selection",
     ],
@@ -899,6 +911,31 @@ def test_negative_seed_override_is_refused(tmp_path, monkeypatch, command):
     assert result.exit_code == 2, result.output
     assert "argument --seed-override: -1 is negative" in result.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["capacity", "simulate", "sweep", "verify"])
+@pytest.mark.parametrize("case", ["file", "below-file", "dangling-link"])
+def test_out_naming_a_file_is_refused_before_the_config_is_read(
+    tmp_path, monkeypatch, command, case
+):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("read the config before --out was refused")
+
+    monkeypatch.setattr(cli, "_read_config", forbidden)
+    afile, link = tmp_path / "afile", tmp_path / "link"
+    afile.write_text("kept")
+    link.symlink_to(tmp_path / "nowhere")
+    refused, out = {
+        "file": (afile, afile),
+        "below-file": (afile, afile / "sub"),
+        "dangling-link": (link, link),
+    }[case]
+    result = invoke([command, "cfg.json", "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert result.stderr.endswith(f"expertq: error: argument --out: {refused} is not a directory\n")
+    assert "Traceback" not in result.output
+    assert afile.read_text() == "kept"
+    assert not link.exists()
 
 
 @pytest.mark.parametrize("command", ["sweep", "verify"])

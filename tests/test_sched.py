@@ -127,9 +127,7 @@ class TestOfflineLossScheduler:
             )
         )
         assert np.array_equal(base.final_state.q, lossy.final_state.q)
-        assert np.array_equal(
-            base.total_queue_series, lossy.total_queue_series
-        )
+        assert np.array_equal(base.samples, lossy.samples)
         assert lossy.loss_rate[0] == 0.0
 
     def test_loss_rate_matches_drop_formula(self):

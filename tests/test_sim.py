@@ -1,3 +1,5 @@
+import csv
+import dataclasses
 import gc
 import math
 import pickle
@@ -227,7 +229,7 @@ class TestRun:
                 seed=6,
             )
         )
-        final_total = stats.total_queue_series[-1]
+        final_total = stats.samples[-1, 1]
         assert final_total >= 0.3 * (0.99 - 0.5) * horizon
 
     def test_seed_determinism(self):
@@ -238,7 +240,7 @@ class TestRun:
         a = run(config)
         b = run(config)
         assert a.config is config
-        assert np.array_equal(a.total_queue_series, b.total_queue_series)
+        assert np.array_equal(a.samples, b.samples)
         assert np.array_equal(a.final_state.q, b.final_state.q)
         assert a.throughput == b.throughput
 
@@ -342,7 +344,7 @@ class TestRun:
                 sample_interval=250,
             )
         )
-        assert stats.sample_times.tolist() == [0, 250, 500, 750, 1000]
+        assert stats.samples[:, 0].tolist() == [0, 250, 500, 750, 1000]
 
 
 def generalist_instance(lam, n, n_topics, q=0.5):
@@ -396,10 +398,7 @@ class TestArrivalBlocks:
                     state.cum_arrivals,
                     state.cum_departures,
                     state.cum_losses,
-                    stats.sample_times,
-                    stats.total_queue_series,
-                    stats.cum_loss_series,
-                    stats.cum_departure_series,
+                    stats.samples,
                 )
             ],
             stats.busy_moments,
@@ -513,7 +512,8 @@ class TestArrivalBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert stats.sample_times.tolist() == list(range(50_001))
+        assert stats.samples[:, 0].tolist() == list(range(50_001))
+        assert stats.samples.nbytes == 32 * 50_001
         assert peak < 50 * 50_001, f"{peak / 50_001:.0f} bytes a sample"
 
     def test_drift_record_does_not_grow_with_the_topics(self):
@@ -607,4 +607,22 @@ class TestTraceCsv:
         write_trace_csv(stats, path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "t,total_queue,cum_loss,cum_departures"
-        assert len(lines) == 1 + len(stats.sample_times)
+        assert len(lines) == 1 + len(stats.samples)
+
+    def test_rows_are_written_one_at_a_time(self, tmp_path):
+        # A whole-table tolist() of 2**18 rows takes about 56 MB.
+        inst = single_expert_instance(0.5, [1.0], [1.0])
+        stats = run(SimConfig(inst, work_conserving_single(inst), horizon=10, seed=1))
+        samples = np.arange(4 * 2**18, dtype=np.int64).reshape(-1, 4)
+        stats = dataclasses.replace(stats, samples=samples)
+        path = tmp_path / "trace.csv"
+        tracemalloc.start()
+        try:
+            write_trace_csv(stats, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+        with open(path, newline="") as fh:
+            rows = [[int(v) for v in row] for row in list(csv.reader(fh))[1:]]
+        assert rows == samples.tolist()
