@@ -1,18 +1,19 @@
 """Drift estimation, stability classification, and boundary sweeps.
 
 These are the harnesses that tie simulation output back to the analytic
-capacity values: a one-slot drift estimator for the service-weighted
-queue sum, an empirical stable/unstable verdict with an explicit
-inconclusive band, a load sweep that brackets the capacity boundary, and
-a stability check under certified misestimation of research times, and
-the cross-checks that ``expertq verify`` reports.
+capacity values: a one-slot drift estimator for any expert's
+service-weighted queue sum, an empirical stable/unstable verdict with an
+explicit inconclusive band, a load sweep that brackets the capacity
+boundary, a stability check under certified misestimation of research
+times for any number of experts, and the cross-checks that ``expertq
+verify`` reports, on one path whatever the expert count.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -20,15 +21,13 @@ import numpy as np
 from .capacity import (
     RoutingPolicy,
     capacity_of,
-    degraded_capacity,
     max_min_load,
     multi_capacity_dual,
     routing_policy_violations,
     service_load,
-    single_capacity,
 )
 from .model import ArrivalSpec, ExpertProfile, Instance, config_block, merged_pmf
-from .sched import Scheduler, offline_routing_scheduler, work_conserving_single
+from .sched import Scheduler, offline_routing_scheduler
 from .sim import MAX_SAMPLES, SAMPLE_INTERVAL, SimConfig, TraceStats, run
 
 __all__ = [
@@ -90,13 +89,14 @@ class StabilityVerdict:
     empty_fraction: float
 
 
-def drift_check(stats: TraceStats, expert: int = 0) -> DriftReport:
+def drift_check(stats: TraceStats, expert: int = 0, sched: Scheduler | None = None) -> DriftReport:
     """Compare the simulated busy-slot drift against its analytic value.
 
     Requires a run recorded with ``record_lyapunov``; raises if the run
-    had fewer than two busy slots or if its policy sends the expert a topic
-    it cannot answer (the weighted sum is undefined there). The load, the
-    expert's flow and its success probabilities come from the run's config.
+    had fewer than two busy slots or if the policy sends the expert a topic
+    it cannot answer (the weighted sum is undefined there). The load and the
+    expert's success probabilities come from the run's config, the expert's
+    flow from ``sched``, by default the run's own policy.
     The mean and variance are formed exactly from ``busy_moments``, whose
     sums are scaled by 2**52 (see ``TraceStats``): that is, with the float
     weights 1.0/q(x). The mean and standard error are rounded once.
@@ -105,7 +105,7 @@ def drift_check(stats: TraceStats, expert: int = 0) -> DriftReport:
         raise ValueError("drift check needs a run with record_lyapunov enabled")
     inst = stats.config.instance
     q = inst.success_matrix()[expert]
-    load = service_load(_flow(inst, stats.config.scheduler)[expert], q)
+    load = service_load(_flow(inst, sched or stats.config.scheduler)[expert], q)
     if load == math.inf:
         raise ValueError("drift undefined: mass-bearing topic with zero success prob")
     delta = 1.0 - inst.arrivals.lam * load
@@ -269,9 +269,9 @@ def analytic_boundary(inst: Instance, sched: Scheduler) -> float:
 
 @dataclass(frozen=True)
 class MisestimationResult:
-    """One run per seed, in seed order: ``cells[k]`` ran at
-    ``LOAD_FRACTION`` of the degraded capacity of the k-th seed's
-    estimates, whose plain capacity is ``estimated_capacities[k]``."""
+    """One run per seed, in seed order: ``cells[k]`` ran at ``LOAD_FRACTION``
+    of ``gamma`` times ``estimated_capacities[k]``, the capacity of the
+    k-th seed's estimates."""
 
     cells: tuple[StabilityVerdict, ...]
     estimated_capacities: tuple[float, ...]
@@ -294,16 +294,18 @@ def misestimation_check(
 ) -> MisestimationResult:
     """Stability under capacity computed from misestimated research times.
 
-    For each seed, an estimate generator produces per-topic times bounded
-    below by ``gamma`` times the truth. The run then drives the true system
-    at ``LOAD_FRACTION`` of the :func:`degraded_capacity` of the
-    estimates; every such load is guaranteed sustainable, so each run
-    should classify stable. Every seed's estimate and run are built, and so
-    checked, before the first one runs; each run is judged as a sweep cell
-    is, with the default slope threshold.
+    For each seed, an estimate generator produces an (experts, topics) time
+    matrix bounded below by ``gamma`` times the truth. The routing LP on the
+    estimates gives a routing matrix and a capacity, and the run drives the
+    true system under that matrix at ``LOAD_FRACTION`` of ``gamma`` times
+    that capacity. The estimates are at least ``gamma`` times the truth pair
+    by pair, so no expert's true load under the matrix exceeds the estimated
+    optimum over ``gamma``: every such load is sustainable, and each run
+    should classify stable. For one expert the load is ``LOAD_FRACTION``
+    times :func:`degraded_capacity` of the estimates. Every seed's estimate
+    and run are built, and so checked, before the first one runs; each run
+    is judged as a sweep cell is, with the default slope threshold.
     """
-    if inst.n_experts != 1:
-        raise ValueError("misestimation check is defined for a single expert")
     if horizon > MISESTIMATION_MAX_HORIZON:
         raise ValueError(f"horizon must be at most {MISESTIMATION_MAX_HORIZON}, got {horizon}")
     if not (0.0 < gamma <= 1.0):
@@ -311,15 +313,13 @@ def misestimation_check(
     seeds = [int(seed) for seed in seeds]
     if not seeds:
         raise ValueError("misestimation check needs at least one seed")
+    if min(seeds) < 0:
+        raise ValueError(f"seeds must be non-negative, got {min(seeds)}")
     generator = _default_inflate if inflate is None else inflate
-    true_times = inst.experts[0].mean_time
-    p = inst.arrivals.pmf[0]
-    sched = work_conserving_single(inst)
+    true_times = np.vstack([e.mean_time for e in inst.experts])
 
     capacities, configs = [], []
     for seed in seeds:
-        # Checks the seed and horizon before numpy's seeding would.
-        config = SimConfig(instance=inst, scheduler=sched, horizon=horizon, seed=seed)
         rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence([seed, 0x7E57]))
         )
@@ -331,10 +331,12 @@ def misestimation_check(
                 "estimate generator violated its bound: some estimated time "
                 "is below gamma times the true time"
             )
-        q_hat = ExpertProfile.from_mean_times(0, estimated).success_prob
-        capacities.append(single_capacity(p, q_hat).lambda_star)
-        lam = LOAD_FRACTION * degraded_capacity(p, q_hat, gamma)
-        configs.append(replace(config, instance=with_load(inst, lam)))
+        experts = [ExpertProfile.from_mean_times(i, row) for i, row in enumerate(estimated)]
+        optimal = multi_capacity_dual(merged_pmf(inst), experts)
+        capacities.append(optimal.lambda_star)
+        loaded = with_load(inst, LOAD_FRACTION * (gamma * optimal.lambda_star))
+        sched = offline_routing_scheduler(loaded, optimal.certificate)
+        configs.append(SimConfig(instance=loaded, scheduler=sched, horizon=horizon, seed=seed))
 
     cells = tuple(classify_stability(run(config)) for config in configs)
     return MisestimationResult(cells=cells, estimated_capacities=tuple(capacities))
@@ -342,38 +344,22 @@ def misestimation_check(
 
 def verify(inst: Instance, cfg: dict, seed: int) -> list[dict]:
     """The checks of ``expertq verify``, one dict with ``name`` and
-    ``passed`` each: the duality gap, then drift, service success and
-    misestimation stability for one expert, or the validity, load,
-    simulated frequencies and service success of a routing matrix for
-    several. Service is checked on the run each path already makes.
+    ``passed`` each, for any number of experts: the duality gap, the
+    validity of the routing matrix, then its load against the LP's optimum,
+    every busy expert's drift, the simulated routing frequencies and
+    service success of one recorded run under it at the instance's load,
+    and misestimation stability.
 
-    One expert's path reads ``drift`` and ``misestimation``, several
-    experts' path ``routing_check``; each rejects the other's blocks and a
-    key its own blocks do not take, and other top-level keys are ignored.
-    So every field is read before the routing LP is solved once, on the
-    per-door pmf the routing simulation uses. The routing run is built once
-    its policy has passed its check."""
-    path_checks = (_single_checks if inst.n_experts == 1 else _routing_checks)(inst, cfg, seed)
-    optimal = multi_capacity_dual(merged_pmf(inst), list(inst.experts))
-    return [_duality_gap(inst, optimal), *path_checks(optimal)]
-
-
-def _single_checks(inst: Instance, cfg: dict, seed: int):
-    """Read the ``drift`` and ``misestimation`` blocks and build the drift
-    run; return the function from the LP result to their three rows."""
-    if "routing_check" in cfg:
-        raise ValueError("config field 'routing_check': only a multi-expert instance takes it")
-    lam_star = single_capacity(inst.arrivals.pmf[0], inst.experts[0].success_prob).lambda_star
-    drift = {"lambda": ("rate", 0.75 * lam_star), "horizon": ("count", 100_000)}
-    lam, drift_horizon = config_block(cfg, "drift", drift)
-    drift_run = SimConfig(
-        instance=with_load(inst, lam),
-        scheduler=work_conserving_single(inst),
-        horizon=drift_horizon,
-        seed=seed,
-        record_lyapunov=True,
-        sample_interval=drift_horizon,  # the rows read only its final moments and counts
-    )
+    ``routing_check`` sets that run and ``misestimation`` its check; a key
+    those blocks do not take exits 2, and so does a ``drift`` block, whose
+    run ``routing_check`` now sets. Other top-level keys are ignored. Every
+    field is read before the routing LP is solved once, on the per-door pmf
+    the routing run uses. The run is built once its matrix has passed its
+    check."""
+    if "drift" in cfg:
+        raise ValueError("config field 'drift': verify reads 'routing_check' instead")
+    routing_check = {"horizon": ("count", 50_000), "s": ("rows", None)}
+    horizon, s = config_block(cfg, "routing_check", routing_check)
     misestimation = {
         "gamma": ("prob", GAMMA_DEFAULT),
         "seeds": ("seeds", [seed, seed + 1, seed + 2]),
@@ -384,34 +370,23 @@ def _single_checks(inst: Instance, cfg: dict, seed: int):
         detail = f"expected at most {MISESTIMATION_MAX_HORIZON}, got {mis_horizon}"
         raise ValueError(f"config field 'misestimation.horizon': {detail}")
 
-    def checks(optimal) -> list[dict]:
-        stats = run(drift_run)
-        return [_drift(stats), _service(stats), _misestimation(inst, gamma, seeds, mis_horizon)]
-
-    return checks
-
-
-def _routing_checks(inst: Instance, cfg: dict, seed: int):
-    """Read the ``routing_check`` block; return the function from the LP
-    result to the rows of the matrix it gives, or of the LP's certificate."""
-    for block in ("drift", "misestimation"):
-        if block in cfg:
-            raise ValueError(f"config field {block!r}: only a single-expert instance takes it")
-    routing_check = {"horizon": ("count", 50_000), "s": ("rows", None)}
-    horizon, s = config_block(cfg, "routing_check", routing_check)
-
-    def checks(optimal) -> list[dict]:
-        policy = optimal.certificate if s is None else RoutingPolicy(s=s)
-        valid = _routing_policy_valid(inst, policy)
-        if not valid["passed"]:
-            return [valid]
-        sched = offline_routing_scheduler(inst, policy)
-        load = _certificate_load(inst, sched, optimal)
-        # The rows read only the final counts, so one sample is kept.
-        stats = run(SimConfig(inst, sched, horizon, seed, sample_interval=horizon))
-        return [valid, load, _frequencies(stats, policy), _service(stats)]
-
-    return checks
+    optimal = multi_capacity_dual(merged_pmf(inst), list(inst.experts))
+    policy = optimal.certificate if s is None else RoutingPolicy(s=s)
+    checked = [_duality_gap(inst, optimal), _routing_policy_valid(inst, policy)]
+    if not checked[-1]["passed"]:
+        return checked
+    sched = offline_routing_scheduler(inst, policy)
+    # The rows read only the final counts and drift record: one sample at each end.
+    config = SimConfig(inst, sched, horizon, seed, sample_interval=horizon, record_lyapunov=True)
+    stats = run(config)
+    return [
+        *checked,
+        _certificate_load(inst, sched, optimal),
+        _drift(stats, sched),
+        _frequencies(stats, policy),
+        _service(stats),
+        _misestimation(inst, gamma, seeds, mis_horizon),
+    ]
 
 
 def _row(name: str, passed, **values) -> dict:
@@ -430,19 +405,16 @@ def _duality_gap(inst: Instance, optimal) -> dict:
     return _row("duality_gap", gap <= tol, measured=gap, tolerance=tol)
 
 
-def _drift(stats: TraceStats) -> dict:
-    """The busy-slot drift against its prediction. A run with fewer than two
-    busy slots judges nothing, so its row fails with every value null."""
-    if stats.busy_moments[0][0] < 2:
-        return _row("drift", False, measured=None, expected=None, tolerance=None)
-    report = drift_check(stats)
-    return _row(
-        "drift",
-        report.within(4.0),
-        measured=report.empirical_drift,
-        expected=report.predicted_drift,
-        tolerance=4.0 * report.std_error,
-    )
+def _drift(stats: TraceStats, sched: Scheduler) -> dict:
+    """Each expert's busy-slot drift against the one ``sched`` predicts,
+    over the experts with at least two busy slots, as ``_binomial`` judges
+    pairs: the signed worst excess over four standard errors. A row that
+    judged no expert fails."""
+    judged = [i for i, (count, _, _) in enumerate(stats.busy_moments) if count >= 2]
+    reports = [drift_check(stats, i, sched) for i in judged]
+    excess = [abs(r.empirical_drift - r.predicted_drift) - 4.0 * r.std_error for r in reports]
+    worst = max(excess, default=None)
+    return _row("drift", excess and worst <= 0, measured_worst_excess=worst)
 
 
 def _misestimation(inst: Instance, gamma: float, seeds: list[int], horizon: int) -> dict:

@@ -269,9 +269,16 @@ def routing_lp(
     topic, expert = np.nonzero(answerable.T)
     n_pairs = topic.shape[0]
     col = np.arange(1, n_pairs + 1)
-    coef = np.concatenate([np.full(n, -1.0), p[topic] / qmat[expert, topic]])
+    load = p[topic] / qmat[expert, topic]
+    # HiGHS reads a coefficient of 1e-9 or less as 0. If a load is that small, one power
+    # of two scales every load row, mu's -1 too, so that it rises above 1e-9 while the
+    # largest stays below 1e12; mu and the normalised duals are unchanged. Else scale is 1.
+    low, high = math.log2(load[load > 0].min(initial=1.0)), math.log2(load.max(initial=1.0))
+    lift = min(math.ceil(math.log2(2e-9) - low), math.floor(math.log2(1e12) - high))
+    scale = 2.0 ** max(0, lift)
+    coef = np.concatenate([np.full(n, -scale), scale * load])
     ij = (np.concatenate([np.arange(n), expert]), np.concatenate([np.zeros(n, int), col]))
-    ub = csr_array((coef, ij), shape=(n, 1 + n_pairs))  # sum_x load_ix s_ix - mu <= 0
+    ub = csr_array((coef, ij), shape=(n, 1 + n_pairs))  # (sum_x load_ix s_ix - mu) scale <= 0
     ub.eliminate_zeros()  # a mass-free topic adds no load: store no zero
     included, row = np.unique(topic, return_inverse=True)
     eq = csr_array((np.ones(n_pairs), (row, col)), shape=(included.shape[0], 1 + n_pairs))

@@ -597,9 +597,12 @@ class TestMisestimation:
             inst, gamma=0.5, seeds=seeds, horizon=2_000, inflate=lambda t, g, rng: t.copy()
         )
         assert [cell.seed for cell in result.cells] == seeds
-        sched = work_conserving_single(inst)
+        # Exact estimates: each run routes by the instance's own certificate.
+        policy = multi_capacity_dual(merged_pmf(inst), list(inst.experts)).certificate
         for cell, seed in zip(result.cells, seeds):
-            config = SimConfig(with_load(inst, cell.lam), sched, horizon=2_000, seed=seed)
+            loaded = with_load(inst, cell.lam)
+            sched = offline_routing_scheduler(loaded, policy, selection="request_weighted")
+            config = SimConfig(loaded, sched, horizon=2_000, seed=seed)
             assert cell == classify_stability(run(config))
         p, q = inst.arrivals.pmf[0], inst.experts[0].success_prob
         assert result.estimated_capacities == (single_capacity(p, q).lambda_star,) * 3
@@ -619,15 +622,58 @@ class TestMisestimation:
                 inflate=lambda t, g, rng: 0.4 * t,
             )
 
-    def test_requires_single_expert(self):
-        experts = tuple(
-            ExpertProfile.from_success_probs(i, [1.0, 1.0]) for i in range(2)
+    def test_several_experts_run_under_the_routing_of_the_estimates(self, monkeypatch):
+        # Estimates of 1/gamma times the truth: the LP on them gives gamma
+        # times the true capacity, and each run routes by their certificate.
+        inst, gamma = TestVerify().mixed_instance(), 0.5
+        configs, simulate = [], analysis.run
+
+        def recorded(config):
+            configs.append(config)
+            return simulate(config)
+
+        monkeypatch.setattr(analysis, "run", recorded)
+        result = misestimation_check(
+            inst, gamma, seeds=[0, 1], horizon=20_000, inflate=lambda t, g, rng: t / g
         )
+        assert result.all_stable
+        times = [e.mean_time / gamma for e in inst.experts]
+        estimates = [ExpertProfile.from_mean_times(i, row) for i, row in enumerate(times)]
+        optimal = multi_capacity_dual(merged_pmf(inst), estimates)
+        true_capacity = multi_capacity_dual(merged_pmf(inst), list(inst.experts)).lambda_star
+        assert optimal.lambda_star == pytest.approx(gamma * true_capacity, rel=1e-12)
+        assert result.estimated_capacities == (optimal.lambda_star,) * 2
+        for cell, config in zip(result.cells, configs):
+            assert cell.lam == analysis.LOAD_FRACTION * (gamma * optimal.lambda_star)
+            assert config.instance.arrivals.lam == cell.lam
+            assert np.array_equal(config.scheduler.s, optimal.certificate.s)
+            assert config.scheduler.rule == "weighted"
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        weights=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6).filter(
+            lambda w: sum(w) > 0.01
+        ),
+        times=st.lists(st.floats(1.0, 100.0), min_size=6, max_size=6),
+        gamma=st.floats(0.01, 1.0),
+    )
+    def test_one_expert_load_is_that_of_the_degraded_capacity(self, weights, times, gamma):
+        # For one expert the LP on the estimates reduces to the closed form.
+        p = np.array(weights) / sum(weights)
         inst = Instance(
-            experts=experts, arrivals=ArrivalSpec(lam=0.5, pmf=[[0.5, 0.5]] * 2)
+            experts=(ExpertProfile.from_mean_times(0, times[: len(p)]),),
+            arrivals=ArrivalSpec(lam=0.1, pmf=[p]),
         )
-        with pytest.raises(ValueError):
-            misestimation_check(inst, gamma=0.5, seeds=[0])
+        estimates = []
+
+        def inflate(t, g, rng):
+            estimates.append(analysis._default_inflate(t, g, rng))
+            return estimates[-1]
+
+        result = misestimation_check(inst, gamma, seeds=[3], horizon=1, inflate=inflate)
+        q_hat = ExpertProfile.from_mean_times(0, estimates[0][0]).success_prob
+        expected = analysis.LOAD_FRACTION * degraded_capacity(inst.arrivals.pmf[0], q_hat, gamma)
+        assert result.cells[0].lam == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_gamma_validated(self):
         with pytest.raises(ValueError):
@@ -682,7 +728,9 @@ class TestVerify:
         )
 
     def config(self, horizon):
-        return {"routing_check": {"horizon": horizon}}
+        # A short misestimation check, which the other rows do not read.
+        misestimation = {"horizon": 200, "seeds": [0]}
+        return {"routing_check": {"horizon": horizon}, "misestimation": misestimation}
 
     def checks(self, horizon, seed=4):
         checks = analysis.verify(self.mixed_instance(), self.config(horizon), seed)
@@ -737,20 +785,32 @@ class TestVerify:
         assert check["measured_worst_excess"] is None
 
     def test_routing_lp_is_solved_once(self, monkeypatch):
-        calls = []
+        # Once on the instance, then once on each misestimation seed's
+        # estimates; every solve goes through multi_capacity_dual.
+        solves, experts_seen = [], []
+        solve, dual = capacity.solve_lp, analysis.multi_capacity_dual
 
         def counted(lp):
-            calls.append(lp)
+            solves.append(lp)
             return solve(lp)
 
-        solve = capacity.solve_lp
+        def recorded(p, experts):
+            experts_seen.append(experts)
+            return dual(p, experts)
+
         monkeypatch.setattr(capacity, "solve_lp", counted)
-        self.checks(10)
-        assert len(calls) == 1
+        monkeypatch.setattr(analysis, "multi_capacity_dual", recorded)
+        inst = self.mixed_instance()
+        cfg = {"routing_check": {"horizon": 10}, "misestimation": {"horizon": 10, "seeds": [0, 1]}}
+        analysis.verify(inst, cfg, 4)
+        own = [all(map(operator.is_, experts, inst.experts)) for experts in experts_seen]
+        assert own == [True, False, False]
+        assert len(solves) == 3
 
     def test_drift_run_samples_only_its_ends(self, monkeypatch):
-        # drift_check reads only busy_moments, so the drift run keeps one
-        # sample at each end, not a series that grows with the horizon.
+        # drift_check reads only busy_moments, so the one recorded run, on one
+        # expert too, keeps one sample at each end, not a series that grows
+        # with the horizon.
         drift_runs = []
         simulate = analysis.run
 
@@ -762,7 +822,7 @@ class TestVerify:
 
         monkeypatch.setattr(analysis, "run", recorded)
         cfg = {
-            "drift": {"horizon": 3_000},
+            "routing_check": {"horizon": 3_000},
             "misestimation": {"horizon": 200, "seeds": [0]},
         }
         inst = single_expert_instance(0.5, [0.5, 0.5], [1.0, 0.5])
@@ -782,13 +842,16 @@ class TestVerify:
 
         monkeypatch.setattr(analysis, "run", recorded)
         checks = self.checks(3_000)
-        assert list(checks)[-2:] == ["routing_frequencies", "service_success"]
-        assert [(c.horizon, c.sample_interval) for c in configs] == [(3_000, 3_000)]
+        rows = ["routing_frequencies", "service_success", "misestimation_stability"]
+        assert list(checks)[-3:] == rows
+        # Then the misestimation run, at SimConfig's default interval.
+        assert [(c.horizon, c.sample_interval) for c in configs] == [(3_000, 3_000), (200, 100)]
 
     @pytest.mark.parametrize("path", ["single", "routing"])
     def test_lp_is_the_first_heavy_call(self, monkeypatch, path):
         # Every field is read, and every bad one rejected, before the LP is
         # solved; set-up timings cut at the first of these calls rely on it.
+        # The misestimation seed's estimate LP and run come last.
         calls = []
         for name in ("multi_capacity_dual", "max_min_load", "run"):
 
@@ -799,13 +862,53 @@ class TestVerify:
             monkeypatch.setattr(analysis, name, recorded)
         if path == "single":
             inst = single_expert_instance(0.5, [0.5, 0.5], [1.0, 0.5])
-            cfg = {"drift": {"horizon": 200}, "misestimation": {"horizon": 200, "seeds": [0]}}
         else:
-            inst, cfg = self.mixed_instance(), self.config(10)
-        analysis.verify(inst, cfg, 4)
-        assert calls[0] == "multi_capacity_dual"
-        assert calls.count("multi_capacity_dual") == 1
-        assert {"max_min_load", "run"} <= set(calls)
+            inst = self.mixed_instance()
+        analysis.verify(inst, self.config(10), 4)
+        heavy = ["multi_capacity_dual", "max_min_load", "run", "multi_capacity_dual", "run"]
+        assert calls == heavy
+
+    def test_drift_row_leaves_out_an_expert_with_no_flow(self, monkeypatch):
+        # Expert 2 answers only topic 2, which carries no mass: no request
+        # reaches it, so it has no busy slot to judge and the row is that of
+        # experts 0 and 1, as _binomial reports pairs.
+        experts = tuple(
+            ExpertProfile.from_success_probs(i, row)
+            for i, row in enumerate([[0.9, 0.4, 0.0], [0.3, 0.8, 0.0], [0.0, 0.0, 1.0]])
+        )
+        pmf = [[0.6, 0.4, 0.0], [0.3, 0.7, 0.0], [0.5, 0.5, 0.0]]
+        inst = Instance(experts=experts, arrivals=ArrivalSpec(lam=0.4, pmf=pmf))
+        runs, simulate = [], analysis.run
+
+        def recorded(config):
+            runs.append(simulate(config))
+            return runs[-1]
+
+        monkeypatch.setattr(analysis, "run", recorded)
+        cfg = {"routing_check": {"horizon": 20_000}, "misestimation": {"horizon": 20_000}}
+        checks = {c["name"]: c for c in analysis.verify(inst, cfg, 4)}
+        assert all(c["passed"] for c in checks.values()), checks
+        stats = runs[0]
+        assert stats.busy_moments[2][0] == 0
+        reports = [drift_check(stats, i) for i in (0, 1)]
+        worst = max(abs(r.empirical_drift - r.predicted_drift) - 4.0 * r.std_error for r in reports)
+        assert checks["drift"]["measured_worst_excess"] == worst < 0.0
+
+    def test_drift_row_fails_a_run_not_under_the_certificate(self, monkeypatch):
+        # The recorded run routes by the anti-optimal baseline, so its drift is
+        # not the one the certificate predicts, and the row catches it.
+        simulate = analysis.run
+
+        def mismatched(config):
+            if config.record_lyapunov:
+                baseline = mismatch_baseline(config.instance)
+                config = dataclasses.replace(config, scheduler=baseline)
+            return simulate(config)
+
+        monkeypatch.setattr(analysis, "run", mismatched)
+        check = self.checks(5_000)["drift"]
+        assert check["passed"] is False
+        assert check["measured_worst_excess"] > 0.0
 
     def test_duality_gap_is_exact(self):
         check = self.checks(10)["duality_gap"]
@@ -913,11 +1016,10 @@ class TestServiceSuccess:
         monkeypatch.setattr(analysis, "run", recorded)
         if path == "single":
             inst = single_expert_instance(0.5, [0.5, 0.5], [1.0, 0.5])
-            cfg = {"drift": {"horizon": 3_000}, "misestimation": {"horizon": 200, "seeds": [0]}}
         else:
-            inst, cfg = TestVerify().mixed_instance(), {"routing_check": {"horizon": 3_000}}
-        checks = {c["name"]: c for c in analysis.verify(inst, cfg, 4)}
-        checked = runs[0]  # the drift run, or the routing run
+            inst = TestVerify().mixed_instance()
+        checks = {c["name"]: c for c in analysis.verify(inst, TestVerify().config(3_000), 4)}
+        checked = runs[0]  # the recorded routing run, for one expert too
         assert checks["service_success"] == analysis._service(checked)
         assert checks["service_success"]["passed"] is True
         assert checks["service_success"]["measured_worst_excess"] is not None

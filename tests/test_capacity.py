@@ -15,6 +15,7 @@ from expertq.capacity import (
     max_min_load,
     multi_capacity_dual,
     routing_policy_violations,
+    service_load,
     single_capacity,
 )
 from expertq.lp import LinearProgram, solve_lp
@@ -497,6 +498,19 @@ class TestMultiCapacity:
         dual = multi_capacity_dual(p, expert)
         assert dual.lambda_star == pytest.approx(closed, abs=1e-9)
         assert np.allclose(dual.certificate.s, [[1.0, 1.0]])
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_a_load_below_highs_drop_threshold_still_counts(self, n):
+        # HiGHS reads a coefficient of 1e-9 or less as 0: unscaled, topic 1's
+        # load of 1e-10 was dropped and mu* read 2 - 2e-10, not 2 - 1e-10.
+        p = np.array([1.0 - 1e-10, 1e-10]) * n
+        experts = [ExpertProfile.from_success_probs(i, [0.5, 1.0]) for i in range(n)]
+        result = multi_capacity_dual(p, experts)
+        load = service_load(p / n, experts[0].success_prob)
+        assert result.certificate.dual_mu == pytest.approx(load, rel=1e-12, abs=0.0)
+        assert max_min_load(p, experts, result.certificate.alpha) == pytest.approx(
+            load, rel=1e-12, abs=0.0
+        )
 
     def test_unanswerable_mass(self):
         experts = [ExpertProfile.from_success_probs(0, [1.0, 0.0])]

@@ -5,7 +5,7 @@ import math
 import os
 import subprocess
 import sys
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout, suppress
 from pathlib import Path
 from typing import NamedTuple
 from unittest import mock
@@ -322,11 +322,11 @@ def malformed_cases():
         "simulate-instance-number": ("simulate", {**simulate, "instance": 5}, "instance"),
         "sweep-seeds-number": ("sweep", {**sweep, "seeds": 5}, "seeds"),
         "sweep-lambdas-null": ("sweep", {**sweep, "lambdas": None}, "lambdas"),
-        # A typo inside a verify block used to run the default silently.
-        "verify-drift-unknown-key": (
+        # The retired drift block used to set verify's one-expert run.
+        "verify-drift-block": (
             "verify",
-            {**single_verify, "drift": {"horizn": 10}},
-            "drift.horizn",
+            {**single_verify, "drift": {"horizon": 10}},
+            "drift",
         ),
         "verify-misestimation-unknown-key": (
             "verify",
@@ -553,10 +553,16 @@ def rejected_before_running_cases():
         "sweep-horizon-0": ("sweep", {**sweep, "horizon": 0}),
         "sweep-sample-interval-0": ("sweep", {**sweep, "sample_interval": 0}),
         "sweep-slope-threshold-nan": ("sweep", {**sweep, "slope_threshold": math.nan}),
-        "verify-drift-lambda-1.5": ("verify", {**verify, "drift": {"lambda": 1.5}}),
-        "verify-drift-lambda-0": ("verify", {**verify, "drift": {"lambda": 0}}),
-        "verify-drift-lambda-1": ("verify", {**verify, "drift": {"lambda": 1}}),
-        "verify-drift-horizon-0": ("verify", {**verify, "drift": {"horizon": 0}}),
+        "verify-drift-block": ("verify", {**verify, "drift": {"horizon": 1_000}}),
+        "verify-drift-lambda": ("verify", {**verify, "drift": {"lambda": 0.25}}),
+        "verify-routing-check-horizon-0-one-expert": (
+            "verify",
+            {**verify, "routing_check": {"horizon": 0}},
+        ),
+        "verify-misestimation-horizon-past-the-cap": (
+            "verify",
+            {**verify, "misestimation": {"horizon": 500_000_000}},
+        ),
         "verify-misestimation-gamma-string": (
             "verify",
             {**verify, "misestimation": {"gamma": "x"}},
@@ -618,8 +624,8 @@ def test_rejected_before_any_simulation_or_solve(tmp_path, monkeypatch, case):
         ),
         (
             "verify",
-            {"drift": {"horizon": 0}},
-            "config field 'drift.horizon': expected a positive integer, got 0",
+            {"routing_check": {"horizon": 0}},
+            "config field 'routing_check.horizon': expected a positive integer, got 0",
         ),
         (
             "verify",
@@ -638,8 +644,8 @@ def test_rejected_before_any_simulation_or_solve(tmp_path, monkeypatch, case):
         ),
         (
             "verify",
-            {"drift": {"lambda": 1}},
-            "config field 'drift.lambda': expected a number in (0, 1), got 1",
+            {"drift": {"lambda": 0.25}},
+            "config field 'drift': verify reads 'routing_check' instead",
         ),
         (
             "sweep",
@@ -701,11 +707,11 @@ def test_rejected_before_any_simulation_or_solve(tmp_path, monkeypatch, case):
         "seeds",
         "horizon",
         "sample-interval",
-        "drift-horizon",
+        "routing-check-horizon-one-expert",
         "misestimation-horizon",
         "misestimation-gamma",
         "routing-check-horizon",
-        "drift-lambda",
+        "drift-block",
         "lambdas",
         "lambdas-unsorted",
         "scheduler-epsilon",
@@ -743,9 +749,16 @@ def verify_tables():
         tables[path] = fields
         return read(doc, path, fields, owner)
 
-    with mock.patch.object(analysis, "config_block", spy):
-        analysis._single_checks(model.instance_from_dict(single_expert_doc()), {}, 0)
-        analysis._routing_checks(model.instance_from_dict(generalist_doc()), {}, 0)
+    class Read(Exception):
+        """Raised at the first solve, once every block has been read."""
+
+    def solved(*args):
+        raise Read
+
+    with mock.patch.object(analysis, "config_block", spy), mock.patch.object(
+        analysis, "multi_capacity_dual", solved
+    ), suppress(Read):
+        analysis.verify(model.instance_from_dict(single_expert_doc()), {}, 0)
     return tables
 
 
@@ -764,8 +777,8 @@ def block_table_cases():
         for kind, fields in sched.SCHEDULER_FIELDS.items()
     }
     tables = verify_tables()
-    for block in ("drift", "misestimation", "routing_check"):
-        instance = generalist_doc() if block == "routing_check" else single_expert_doc()
+    for block in ("routing_check", "misestimation"):
+        instance = single_expert_doc()
         cases[block] = ("verify", {"instance": instance}, block, repr(block), tables[block])
     return cases
 
@@ -791,18 +804,18 @@ def test_each_block_is_refused_and_read_by_its_table(tmp_path, case):
 
 
 def test_a_block_is_read_whole_before_the_next(tmp_path):
-    # drift is checked and read before misestimation, so its bad value is
-    # the fault reported, not the later block's unknown key.
+    # routing_check is checked and read before misestimation, so its bad
+    # value is the fault reported, not the later block's unknown key.
     config = {
         "instance": single_expert_doc(),
-        "drift": {"lambda": 1.5},
+        "routing_check": {"horizon": 0},
         "misestimation": {"seed": [1]},
     }
     out = tmp_path / "out"
     result = invoke(["verify", write_json(tmp_path / "cfg.json", config), "--out", str(out)])
     assert result.exit_code == 2, result.output
     assert result.stderr == (
-        "config error: config field 'drift.lambda': expected a number in (0, 1), got 1.5\n"
+        "config error: config field 'routing_check.horizon': expected a positive integer, got 0\n"
     )
     assert not out.exists()
 
@@ -845,7 +858,7 @@ def test_misestimation_horizon_past_the_cap_exits_2_before_any_run(tmp_path, mon
     (path,) = [p for p in CONFIGS if p.name == "verify_single.json"]
     doc = json.loads(path.read_text(encoding="utf-8"))
     doc["instance_path"] = str(path.parent / doc["instance_path"])
-    doc.update({"drift": {"horizon": 1000}, "misestimation": {"horizon": 500_000_000}})
+    doc.update({"routing_check": {"horizon": 1000}, "misestimation": {"horizon": 500_000_000}})
     cfg = write_json(tmp_path / "cfg.json", doc)
     out = tmp_path / "out"
     result = invoke(["verify", cfg, "--out", str(out)])
@@ -859,34 +872,28 @@ def test_misestimation_horizon_past_the_cap_exits_2_before_any_run(tmp_path, mon
 
 
 @pytest.mark.parametrize(
-    "instance, block, stderr",
-    [
-        (
-            single_expert_doc(),
-            {"routing_check": {"horizon": 0}},
-            "config field 'routing_check': only a multi-expert instance takes it",
-        ),
-        (
-            generalist_doc(),
-            {"misestimation": {"gamma": 0.5}},
-            "config field 'misestimation': only a single-expert instance takes it",
-        ),
-    ],
-    ids=["single", "routing"],
+    "instance", [single_expert_doc(), generalist_doc()], ids=["single", "routing"]
 )
-def test_verify_refuses_the_other_paths_block(
-    tmp_path, monkeypatch, instance, block, stderr
-):
+def test_verify_refuses_the_drift_block(tmp_path, monkeypatch, instance):
+    # One path reads routing_check and misestimation for any expert count;
+    # the retired drift block exits 2 naming its replacement.
     def forbidden(*args, **kwargs):
-        raise AssertionError("ran before the unread block was refused")
+        raise AssertionError("ran before the retired block was refused")
 
     for name in ("run", "multi_capacity_dual"):
         monkeypatch.setattr(analysis, name, forbidden)
-    cfg = write_json(tmp_path / "cfg.json", {"instance": instance, **block})
+    config = {
+        "instance": instance,
+        "routing_check": {"horizon": 1_000},
+        "misestimation": {"gamma": 0.5},
+        "drift": {"horizon": 1_000},
+    }
+    cfg = write_json(tmp_path / "cfg.json", config)
     out = tmp_path / "out"
     result = invoke(["verify", cfg, "--out", str(out)])
     assert result.exit_code == 2, result.output
-    assert result.stderr == f"config error: {stderr}\n"
+    stderr = "config error: config field 'drift': verify reads 'routing_check' instead\n"
+    assert result.stderr == stderr
     assert not out.exists()
 
 
@@ -1289,8 +1296,8 @@ class TestVerifyCommand:
         cfg = write_json(
             tmp_path / "cfg.json",
             {
-                "instance": single_expert_doc(lam=0.5, p=(1.0,), times=(2,)),
-                "drift": {"lambda": 0.25, "horizon": 40_000},
+                "instance": single_expert_doc(lam=0.25, p=(1.0,), times=(2,)),
+                "routing_check": {"horizon": 40_000},
                 "misestimation": {"gamma": 0.5, "horizon": 30_000},
                 "seed": 2,
             },
@@ -1308,7 +1315,7 @@ class TestVerifyCommand:
             tmp_path / "cfg.json",
             {
                 "instance": single_expert_doc(),
-                "drift": {"horizon": 1},
+                "routing_check": {"horizon": 1},
                 "misestimation": {"horizon": 1_000},
                 "seed": 7,
             },
@@ -1320,9 +1327,7 @@ class TestVerifyCommand:
         assert by_name["drift"] == {
             "name": "drift",
             "passed": False,
-            "measured": None,
-            "expected": None,
-            "tolerance": None,
+            "measured_worst_excess": None,
         }
         assert by_name["service_success"]["passed"] is False
         assert by_name["misestimation_stability"]["passed"] is True
@@ -1404,7 +1409,7 @@ class TestVerifyCommand:
         assert result.exit_code == 0, result.output
         report = json.loads((tmp_path / "out" / "verify.json").read_text())
         names = [c["name"] for c in report["checks"]]
-        assert names[-1] == "service_success"
+        assert "service_success" in names
         assert not [name for name in names if name.startswith("geometric")]
 
 

@@ -75,7 +75,7 @@ def cases() -> dict[str, tuple[str, dict]]:
         "verify",
         {
             "instance": single,
-            "drift": {"horizon": 2000},
+            "routing_check": {"horizon": 2000},
             "misestimation": {"horizon": 2000},
             "seed": 3,
         },

@@ -2,11 +2,12 @@
 
 The fixture in ``golden/verify.json`` pins, for each case and seed, every
 check ``expertq verify`` reports: names, verdicts, measured values,
-tolerances, simulated loads and the routing-frequency and service-success
-margins ``measured_worst_excess``. Refactors of the capacity routes, the
-misestimation check or the routing checks must reproduce it exactly. To
-regenerate the fixture after a deliberate change of behaviour, run
-``PYTHONPATH=src python tests/test_golden_verify.py``.
+tolerances, simulated loads and the drift, routing-frequency and
+service-success margins ``measured_worst_excess``. Every case runs the one
+path ``verify`` takes for any expert count. Refactors of the capacity
+routes, the misestimation check or the routing checks must reproduce it
+exactly. To regenerate the fixture after a deliberate change of behaviour,
+run ``PYTHONPATH=src python tests/test_golden_verify.py``.
 """
 
 import json
@@ -56,13 +57,11 @@ def mixed_instance():
     )
 
 
+CONFIG = {"routing_check": {"horizon": 5_000}, "misestimation": {"gamma": 0.5, "horizon": 5_000}}
 CASES = {
-    "single": (
-        single_instance,
-        {"drift": {"horizon": 5_000}, "misestimation": {"gamma": 0.5, "horizon": 5_000}},
-    ),
-    "specialists": (specialists_instance, {"routing_check": {"horizon": 5_000}}),
-    "mixed": (mixed_instance, {"routing_check": {"horizon": 5_000}}),
+    "single": (single_instance, CONFIG),
+    "specialists": (specialists_instance, CONFIG),
+    "mixed": (mixed_instance, CONFIG),
 }
 
 
