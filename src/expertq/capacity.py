@@ -270,8 +270,8 @@ def routing_lp(
     n_pairs = topic.shape[0]
     col = np.arange(1, n_pairs + 1)
     load = p[topic] / qmat[expert, topic]
-    # HiGHS reads a coefficient of 1e-9 or less as 0. If a load is that small, one power
-    # of two scales every load row, mu's -1 too, so that it rises above 1e-9 while the
+    # HiGHS reads a coefficient of 1e-9 or less as 0. If a load is below 2e-9, one power
+    # of two scales every load row, mu's -1 too, so that it reaches 2e-9 while the
     # largest stays below 1e12; mu and the normalised duals are unchanged. Else scale is 1.
     low, high = math.log2(load[load > 0].min(initial=1.0)), math.log2(load.max(initial=1.0))
     lift = min(math.ceil(math.log2(2e-9) - low), math.floor(math.log2(1e12) - high))

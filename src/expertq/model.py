@@ -323,7 +323,7 @@ def config_field(doc: dict, path: str, kind: str, default=_REQUIRED):
     ``_KINDS``. Integers may be written as integral floats; ``bool`` and
     ``null`` are never numbers. A missing parent reads as an empty object,
     and a missing field as ``default``. Raises ValueError naming the field,
-    e.g. ``config field 'drift.horizon': expected a positive integer, got true``.
+    e.g. ``config field 'routing_check.horizon': expected a positive integer, got true``.
     """
     parent, _, key = path.rpartition(".")
     if parent:
@@ -342,8 +342,8 @@ def config_field(doc: dict, path: str, kind: str, default=_REQUIRED):
 def config_block(doc: dict, path: str, fields: dict, owner: str | None = None) -> list:
     """The object at dotted ``path``, missing or not, read by ``fields`` in its
     order: each key maps to ``(kind, default)``, or ``(kind,)`` if required. A
-    key the table lacks raises ValueError, e.g. ``config field 'drift.horizn':
-    'drift' takes only ('lambda', 'horizon')``; ``owner`` replaces ``'drift'``."""
+    key the table lacks raises ValueError, e.g. ``config field 'routing_check.horizn':
+    'routing_check' takes only ('horizon', 's')``; ``owner`` replaces ``'routing_check'``."""
     for key in config_field(doc, path, "object", {}):
         if key not in fields:
             owner = owner or repr(path)
