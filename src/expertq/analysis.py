@@ -295,7 +295,9 @@ def misestimation_check(
     """Stability under capacity computed from misestimated research times.
 
     For each seed, an estimate generator produces an (experts, topics) time
-    matrix bounded below by ``gamma`` times the truth. The routing LP on the
+    matrix bounded below by ``gamma`` times the truth. Before that seed's LP,
+    a ``ValueError`` names the first (expert, topic) whose estimate is below
+    that bound, NaN, or infinite where the truth is finite. The routing LP on the
     estimates gives a routing matrix and a capacity, and the run drives the
     true system under that matrix at ``LOAD_FRACTION`` of ``gamma`` times
     that capacity. The estimates are at least ``gamma`` times the truth pair
@@ -326,10 +328,13 @@ def misestimation_check(
         estimated = np.asarray(generator(true_times, gamma, rng), dtype=np.float64)
         if estimated.shape != true_times.shape:
             raise ValueError("estimate generator returned the wrong shape")
-        if np.any(estimated < gamma * true_times - 1e-12):
+        bounded = estimated >= gamma * true_times - 1e-12  # False for NaN
+        bad = ~bounded | (np.isinf(estimated) & np.isfinite(true_times))
+        if bad.any():
+            expert, topic = np.argwhere(bad)[0]
             raise ValueError(
-                "estimate generator violated its bound: some estimated time "
-                "is below gamma times the true time"
+                f"estimate generator violated its bound at expert {expert}, topic {topic}: "
+                "an estimate must be at least gamma times the true time, and finite where it is"
             )
         experts = [ExpertProfile.from_mean_times(i, row) for i, row in enumerate(estimated)]
         optimal = multi_capacity_dual(merged_pmf(inst), experts)

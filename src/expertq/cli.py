@@ -1,6 +1,6 @@
 """Command-line entry point, on the standard library's ``argparse``.
 
-Four subcommands, each driven by a single JSON config file:
+Four subcommands (the ``_COMMANDS`` table), each driven by one JSON config file:
 
 * ``capacity``  -- analytic capacity of an instance, written as JSON.
 * ``simulate``  -- one seeded run, written as a trace CSV plus summary JSON.
@@ -71,19 +71,6 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-_COMMANDS: dict = {}
-
-
-def _command(name: str, *outputs: str, seeded: bool = True):
-    """Register ``body(cfg, inst, seed_override, prepare)`` as the command ``name``."""
-
-    def register(body):
-        _COMMANDS[name] = (body, outputs, seeded)
-        return body
-
-    return register
-
-
 def run(argv: list[str] | None = None) -> int:
     """Run the command line ``argv`` (default ``sys.argv[1:]``) and return
     its exit code; the parser exits 2 itself on a usage error."""
@@ -133,7 +120,6 @@ def main() -> None:
     sys.exit(run())
 
 
-@_command("capacity", "capacity.json", seeded=False)
 def cmd_capacity(cfg, inst, seed_override, prepare) -> None:
     """Compute the configured capacity value and certificate."""
     report = capacity.capacity_report(inst, cfg)
@@ -141,7 +127,6 @@ def cmd_capacity(cfg, inst, seed_override, prepare) -> None:
     _write_json(target, report)
 
 
-@_command("simulate", "trace.csv", "summary.json")
 def cmd_simulate(cfg, inst, seed_override, prepare) -> None:
     """Run one seeded simulation; write trace.csv and summary.json."""
     scheduler = sched.build_scheduler(inst, config_field(cfg, "scheduler", "object"))
@@ -171,7 +156,6 @@ def cmd_simulate(cfg, inst, seed_override, prepare) -> None:
     _write_json(summary_target, summary)
 
 
-@_command("sweep", "sweep.csv", "bracket.json")
 def cmd_sweep(cfg, inst, seed_override, prepare) -> None:
     """Sweep a load grid; write sweep.csv and bracket.json."""
     scheduler = sched.build_scheduler(inst, config_field(cfg, "scheduler", "object"))
@@ -209,7 +193,6 @@ def cmd_sweep(cfg, inst, seed_override, prepare) -> None:
     )
 
 
-@_command("verify", "verify.json")
 def cmd_verify(cfg, inst, seed_override, prepare) -> int:
     """Cross-check analytic values against simulation; exit 1 on failure."""
     seed = config_field(cfg, "seed", "seed", 0)
@@ -222,6 +205,15 @@ def cmd_verify(cfg, inst, seed_override, prepare) -> int:
         print(f"{'PASS' if c['passed'] else 'FAIL'} {c['name']}")
     return 0 if all_passed else 1
 
+
+# Each command's body(cfg, inst, seed_override, prepare), the files it
+# writes in --out, and whether it takes --seed-override; run keeps this order.
+_COMMANDS = {
+    "capacity": (cmd_capacity, ("capacity.json",), False),
+    "simulate": (cmd_simulate, ("trace.csv", "summary.json"), True),
+    "sweep": (cmd_sweep, ("sweep.csv", "bracket.json"), True),
+    "verify": (cmd_verify, ("verify.json",), True),
+}
 
 # Not API: the benchmark launcher still calls the click-style
 # ``main.main(args=..., prog_name=..., standalone_mode=False)``.

@@ -622,6 +622,32 @@ class TestMisestimation:
                 inflate=lambda t, g, rng: 0.4 * t,
             )
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "times, first", [([[1.0, 2.0]], (0, 0)), ([[1.0, 2.0], [2.0, 1.0]], (0, 1))]
+    )
+    def test_nan_or_infinite_estimate_is_named_before_the_lp(
+        self, monkeypatch, times, first, bad
+    ):
+        # NaN would read as "cannot answer", and inf makes the LP call a topic
+        # unanswerable: both are refused at the first such pair.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("reached the LP or a run")
+
+        monkeypatch.setattr(analysis, "multi_capacity_dual", forbidden)
+        monkeypatch.setattr(analysis, "run", forbidden)
+        experts = tuple(ExpertProfile.from_mean_times(i, row) for i, row in enumerate(times))
+        inst = Instance(experts, ArrivalSpec(lam=0.5, pmf=[[0.5, 0.5]] * len(times)))
+
+        def inflate(t, g, rng):
+            estimates = t.copy()
+            estimates[0, len(times) - 1] = estimates[-1, 0] = bad
+            return estimates
+
+        expert, topic = first
+        with pytest.raises(ValueError, match=f"bound at expert {expert}, topic {topic}: "):
+            misestimation_check(inst, gamma=0.5, seeds=[0], horizon=10, inflate=inflate)
+
     def test_several_experts_run_under_the_routing_of_the_estimates(self, monkeypatch):
         # Estimates of 1/gamma times the truth: the LP on them gives gamma
         # times the true capacity, and each run routes by their certificate.

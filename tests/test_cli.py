@@ -920,6 +920,15 @@ def test_negative_seed_override_is_refused(tmp_path, monkeypatch, command):
     assert not out.exists()
 
 
+def test_capacity_takes_no_seed_override(tmp_path):
+    cfg = write_json(tmp_path / "cfg.json", {"instance": single_expert_doc()})
+    out = tmp_path / "out"
+    result = invoke(["capacity", cfg, "--out", str(out), "--seed-override", "1"])
+    assert result.exit_code == 2, result.output
+    assert "unrecognized arguments: --seed-override 1" in result.stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["capacity", "simulate", "sweep", "verify"])
 @pytest.mark.parametrize("case", ["file", "below-file", "dangling-link"])
 def test_out_naming_a_file_is_refused_before_the_config_is_read(
@@ -997,7 +1006,16 @@ def test_unexpected_error_keeps_its_traceback(tmp_path, monkeypatch):
 def test_help_names_every_command_and_a_missing_command_exits_2():
     result = invoke(["--help"])
     assert result.exit_code == 0, result.output
-    assert all(name in result.stdout for name in ("capacity", "simulate", "sweep", "verify"))
+    # Each command in order, with its body's docstring, however argparse wraps it.
+    text = " ".join(result.stdout.split())
+    lines = [
+        "capacity Compute the configured capacity value and certificate.",
+        "simulate Run one seeded simulation; write trace.csv and summary.json.",
+        "sweep Sweep a load grid; write sweep.csv and bracket.json.",
+        "verify Cross-check analytic values against simulation; exit 1 on failure.",
+    ]
+    at = [text.find(line) for line in lines]
+    assert -1 not in at and at == sorted(at), result.stdout
     assert invoke([]).exit_code == 2
     assert invoke(["route"]).exit_code == 2
 
