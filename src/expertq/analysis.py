@@ -89,14 +89,14 @@ class StabilityVerdict:
     empty_fraction: float
 
 
-def drift_check(stats: TraceStats, expert: int = 0, sched: Scheduler | None = None) -> DriftReport:
+def drift_check(stats: TraceStats, expert: int = 0) -> DriftReport:
     """Compare the simulated busy-slot drift against its analytic value.
 
     Requires a run recorded with ``record_lyapunov``; raises if the run
     had fewer than two busy slots or if the policy sends the expert a topic
-    it cannot answer (the weighted sum is undefined there). The load and the
-    expert's success probabilities come from the run's config, the expert's
-    flow from ``sched``, by default the run's own policy.
+    it cannot answer (the weighted sum is undefined there). The load, the
+    expert's success probabilities and its flow under the run's own policy
+    come from the run's config.
     The mean and variance are formed exactly from ``busy_moments``, whose
     sums are scaled by 2**52 (see ``TraceStats``): that is, with the float
     weights 1.0/q(x). The mean and standard error are rounded once.
@@ -105,7 +105,7 @@ def drift_check(stats: TraceStats, expert: int = 0, sched: Scheduler | None = No
         raise ValueError("drift check needs a run with record_lyapunov enabled")
     inst = stats.config.instance
     q = inst.success_matrix()[expert]
-    load = service_load(_flow(inst, sched or stats.config.scheduler)[expert], q)
+    load = service_load(_flow(inst, stats.config.scheduler)[expert], q)
     if load == math.inf:
         raise ValueError("drift undefined: mass-bearing topic with zero success prob")
     delta = 1.0 - inst.arrivals.lam * load
@@ -387,7 +387,7 @@ def verify(inst: Instance, cfg: dict, seed: int) -> list[dict]:
     return [
         *checked,
         _certificate_load(inst, sched, optimal),
-        _drift(stats, sched),
+        _drift(stats),
         _frequencies(stats, policy),
         _service(stats),
         _misestimation(inst, gamma, seeds, mis_horizon),
@@ -410,13 +410,13 @@ def _duality_gap(inst: Instance, optimal) -> dict:
     return _row("duality_gap", gap <= tol, measured=gap, tolerance=tol)
 
 
-def _drift(stats: TraceStats, sched: Scheduler) -> dict:
-    """Each expert's busy-slot drift against the one ``sched`` predicts,
+def _drift(stats: TraceStats) -> dict:
+    """Each expert's busy-slot drift against the one the run's policy predicts,
     over the experts with at least two busy slots, as ``_binomial`` judges
     pairs: the signed worst excess over four standard errors. A row that
     judged no expert fails."""
     judged = [i for i, (count, _, _) in enumerate(stats.busy_moments) if count >= 2]
-    reports = [drift_check(stats, i, sched) for i in judged]
+    reports = [drift_check(stats, i) for i in judged]
     excess = [abs(r.empirical_drift - r.predicted_drift) - 4.0 * r.std_error for r in reports]
     worst = max(excess, default=None)
     return _row("drift", excess and worst <= 0, measured_worst_excess=worst)

@@ -76,12 +76,12 @@ def run(argv: list[str] | None = None) -> int:
     its exit code; the parser exits 2 itself on a usage error."""
     parser = argparse.ArgumentParser("expertq", description=main.__doc__)
     commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
-    for name, (body, _, seeded) in _COMMANDS.items():
+    for name, (body, _, fields) in _COMMANDS.items():
         command = commands.add_parser(name, help=body.__doc__, allow_abbrev=False)
         command.add_argument("config_path")
         command.add_argument("--out", default=".", help="default: %(default)s")
         command.add_argument("--force", action="store_true")
-        if seeded:
+        if "seed" in fields or "seeds" in fields:
             command.add_argument("--seed-override", type=int, metavar="N")
     args = parser.parse_args(argv)
     seed_override = getattr(args, "seed_override", None)
@@ -91,7 +91,7 @@ def run(argv: list[str] | None = None) -> int:
     existing = next(path for path in (out, *out.parents) if path.exists() or path.is_symlink())
     if not existing.is_dir():
         parser.error(f"argument --out: {existing} is not a directory")
-    body, outputs, _ = _COMMANDS[args.command]
+    body, outputs, fields = _COMMANDS[args.command]
     targets = [out / n for n in outputs]
 
     # A body calls this once its work is done, so a rejected command makes no --out.
@@ -104,7 +104,12 @@ def run(argv: list[str] | None = None) -> int:
         for target in targets:
             if target.exists() and not args.force:
                 raise ValueError(f"{target} exists; pass --force to overwrite")
-        code = body(cfg, inst, seed_override, prepare)
+        values = {key: config_field(cfg, key, *spec) for key, spec in fields.items()}
+        if seed_override is not None and "seed" in values:
+            values["seed"] = seed_override
+        if seed_override is not None and "seeds" in values:
+            values["seeds"] = [seed_override + k for k in range(len(values["seeds"]))]
+        code = body(cfg, inst, prepare, **values)
     except (ValueError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -120,56 +125,37 @@ def main() -> None:
     sys.exit(run())
 
 
-def cmd_capacity(cfg, inst, seed_override, prepare) -> None:
+def cmd_capacity(cfg, inst, prepare) -> None:
     """Compute the configured capacity value and certificate."""
     report = capacity.capacity_report(inst, cfg)
     (target,) = prepare()
     _write_json(target, report)
 
 
-def cmd_simulate(cfg, inst, seed_override, prepare) -> None:
+def cmd_simulate(cfg, inst, prepare, scheduler, seed, horizon, sample_interval) -> None:
     """Run one seeded simulation; write trace.csv and summary.json."""
-    scheduler = sched.build_scheduler(inst, config_field(cfg, "scheduler", "object"))
-    seed = config_field(cfg, "seed", "seed", 0)
-    seed = seed if seed_override is None else seed_override
-    config = sim.SimConfig(
-        instance=inst,
-        scheduler=scheduler,
-        horizon=config_field(cfg, "horizon", "count"),
-        seed=seed,
-        sample_interval=config_field(cfg, "sample_interval", "count", sim.SAMPLE_INTERVAL),
-    )
-    stats = sim.run(config)
+    scheduler = sched.build_scheduler(inst, scheduler)
+    stats = sim.run(sim.SimConfig(inst, scheduler, horizon, seed, sample_interval))
     verdict = analysis.classify_stability(stats)
-    summary = stats.summary()
-    summary.update(
-        {
-            "seed": seed,
-            "scheduler": scheduler.kind,
-            "lambda": inst.arrivals.lam,
-            "verdict": verdict.verdict,
-            "growth_slope": verdict.growth_slope,
-        }
-    )
+    summary = {
+        **stats.summary(),
+        "seed": seed,
+        "scheduler": scheduler.kind,
+        "lambda": inst.arrivals.lam,
+        "verdict": verdict.verdict,
+        "growth_slope": verdict.growth_slope,
+    }
     trace_target, summary_target = prepare()
     sim.write_trace_csv(stats, trace_target)
     _write_json(summary_target, summary)
 
 
-def cmd_sweep(cfg, inst, seed_override, prepare) -> None:
+def cmd_sweep(cfg, inst, prepare, scheduler, seeds, lambdas, horizon, slope_threshold,
+              sample_interval) -> None:
     """Sweep a load grid; write sweep.csv and bracket.json."""
-    scheduler = sched.build_scheduler(inst, config_field(cfg, "scheduler", "object"))
-    seeds = config_field(cfg, "seeds", "seeds")
-    if seed_override is not None:
-        seeds = [seed_override + k for k in range(len(seeds))]
+    scheduler = sched.build_scheduler(inst, scheduler)
     result = analysis.capacity_boundary_sweep(
-        inst,
-        scheduler,
-        lambdas=config_field(cfg, "lambdas", "loads"),
-        horizon=config_field(cfg, "horizon", "count"),
-        seeds=seeds,
-        slope_threshold=config_field(cfg, "slope_threshold", "number", None),
-        sample_interval=config_field(cfg, "sample_interval", "count", sim.SAMPLE_INTERVAL),
+        inst, scheduler, lambdas, horizon, seeds, slope_threshold, sample_interval
     )
     boundary = analysis.analytic_boundary(inst, scheduler)
     sweep_target, bracket_target = prepare()
@@ -193,10 +179,8 @@ def cmd_sweep(cfg, inst, seed_override, prepare) -> None:
     )
 
 
-def cmd_verify(cfg, inst, seed_override, prepare) -> int:
+def cmd_verify(cfg, inst, prepare, seed) -> int:
     """Cross-check analytic values against simulation; exit 1 on failure."""
-    seed = config_field(cfg, "seed", "seed", 0)
-    seed = seed if seed_override is None else seed_override
     checks = analysis.verify(inst, cfg, seed)
     all_passed = all(c["passed"] for c in checks)
     (target,) = prepare()
@@ -206,13 +190,27 @@ def cmd_verify(cfg, inst, seed_override, prepare) -> int:
     return 0 if all_passed else 1
 
 
-# Each command's body(cfg, inst, seed_override, prepare), the files it
-# writes in --out, and whether it takes --seed-override; run keeps this order.
+# Each command's body, the files it writes in --out, and the top-level fields
+# run reads first, in order, as config_field(cfg, key, kind[, default]) and passes
+# as body(cfg, inst, prepare, **fields). A command reading 'seed' or 'seeds' takes
+# --seed-override N: 'seed' becomes N, and 'seeds' N, N+1, ...
 _COMMANDS = {
-    "capacity": (cmd_capacity, ("capacity.json",), False),
-    "simulate": (cmd_simulate, ("trace.csv", "summary.json"), True),
-    "sweep": (cmd_sweep, ("sweep.csv", "bracket.json"), True),
-    "verify": (cmd_verify, ("verify.json",), True),
+    "capacity": (cmd_capacity, ("capacity.json",), {}),
+    "simulate": (cmd_simulate, ("trace.csv", "summary.json"), {
+        "scheduler": ("object",),
+        "seed": ("seed", 0),
+        "horizon": ("count",),
+        "sample_interval": ("count", sim.SAMPLE_INTERVAL),
+    }),
+    "sweep": (cmd_sweep, ("sweep.csv", "bracket.json"), {
+        "scheduler": ("object",),
+        "seeds": ("seeds",),
+        "lambdas": ("loads",),
+        "horizon": ("count",),
+        "slope_threshold": ("positive", None),
+        "sample_interval": ("count", sim.SAMPLE_INTERVAL),
+    }),
+    "verify": (cmd_verify, ("verify.json",), {"seed": ("seed", 0)}),
 }
 
 # Not API: the benchmark launcher still calls the click-style

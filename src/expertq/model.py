@@ -268,7 +268,7 @@ _KINDS = {
     "count": "a positive integer",
     "number": "a number",
     "prob": "a number in (0, 1]",
-    "rate": "a number in (0, 1)",
+    "positive": "a finite positive number",
     "budget": "a finite non-negative number",
     "string": "a string",
     "object": "a JSON object",
@@ -287,9 +287,9 @@ def _as_kind(value, kind: str):
     kind is non-empty, with items of the kind without its final s; those of
     ``rows`` are equal-length ``numbers``, and a ``time`` is a number or None.
     A ``seed`` is an integer from 0, a ``count`` one from 1, a ``prob`` a
-    number in (0, 1], a ``rate`` one in (0, 1), a ``load`` one in [0, 1), a
-    ``fraction`` one in [0, 1] and a ``budget`` a finite one from 0; NaN lies
-    in no range."""
+    number in (0, 1], a ``positive`` a finite one above 0, a ``load`` one in
+    [0, 1), a ``fraction`` one in [0, 1] and a ``budget`` a finite one from 0;
+    NaN lies in no range."""
     if kind in ("seeds", "numbers", "loads", "fractions", "times", "objects", "rows"):
         ok = isinstance(value, (list, tuple)) and len(value) > 0
         item = "numbers" if kind == "rows" else kind[:-1]
@@ -308,7 +308,7 @@ def _as_kind(value, kind: str):
         return int(value) if integral and (lowest is None or value >= lowest) else _FAIL
     in_range = {
         "prob": 0.0 < value <= 1.0,
-        "rate": 0.0 < value < 1.0,
+        "positive": 0.0 < value < np.inf,
         "load": 0.0 <= value < 1.0,
         "fraction": 0.0 <= value <= 1.0,
         "budget": 0.0 <= value < np.inf,

@@ -921,15 +921,16 @@ class TestVerify:
         assert checks["drift"]["measured_worst_excess"] == worst < 0.0
 
     def test_drift_row_fails_a_run_not_under_the_certificate(self, monkeypatch):
-        # The recorded run routes by the anti-optimal baseline, so its drift is
-        # not the one the certificate predicts, and the row catches it.
+        # The recorded run routes by the anti-optimal baseline but reports the
+        # certificate's config, so its drift is not the one the certificate
+        # predicts, and the row catches it.
         simulate = analysis.run
 
         def mismatched(config):
-            if config.record_lyapunov:
-                baseline = mismatch_baseline(config.instance)
-                config = dataclasses.replace(config, scheduler=baseline)
-            return simulate(config)
+            if not config.record_lyapunov:
+                return simulate(config)
+            baseline = dataclasses.replace(config, scheduler=mismatch_baseline(config.instance))
+            return dataclasses.replace(simulate(baseline), config=config)
 
         monkeypatch.setattr(analysis, "run", mismatched)
         check = self.checks(5_000)["drift"]

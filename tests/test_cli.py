@@ -539,7 +539,7 @@ def test_invalid_instance_file_is_named_with_its_violation(tmp_path):
 
 def rejected_before_running_cases():
     """(command, config) for each bad value that used to be rejected only
-    after some cells or the routing LP had run."""
+    after some cells or a routing LP had run."""
     sweep = {
         "instance": single_expert_doc(),
         "scheduler": {"kind": "work_conserving"},
@@ -548,7 +548,16 @@ def rejected_before_running_cases():
         "horizon": 200,
     }
     verify = {"instance": single_expert_doc()}
+    # A routing scheduler without 's' solves the LP when it is built.
+    routing = {**sweep, "instance": specialist_doc(), "scheduler": {"kind": "routing"}}
     return {
+        "simulate-routing-horizon-0": ("simulate", {**routing, "horizon": 0}),
+        "simulate-routing-seed-negative": ("simulate", {**routing, "seed": -1}),
+        "simulate-routing-sample-interval-0": ("simulate", {**routing, "sample_interval": 0}),
+        "sweep-routing-horizon-0": ("sweep", {**routing, "horizon": 0}),
+        "sweep-routing-lambdas-empty": ("sweep", {**routing, "lambdas": []}),
+        "sweep-routing-seeds-negative": ("sweep", {**routing, "seeds": [-1]}),
+        "sweep-routing-slope-threshold-nan": ("sweep", {**routing, "slope_threshold": math.nan}),
         "sweep-last-load-1.2": ("sweep", {**sweep, "lambdas": [0.3, 0.4, 1.2]}),
         "sweep-horizon-0": ("sweep", {**sweep, "horizon": 0}),
         "sweep-sample-interval-0": ("sweep", {**sweep, "sample_interval": 0}),
@@ -594,6 +603,8 @@ def test_rejected_before_any_simulation_or_solve(tmp_path, monkeypatch, case):
 
     for name in ("run", "multi_capacity_dual"):
         monkeypatch.setattr(analysis, name, forbidden)
+    # sched binds the LP solver when it is imported, so its name is patched too.
+    monkeypatch.setattr(sched, "multi_capacity_dual", forbidden)
     command, config = rejected_before_running_cases()[case]
     cfg = write_json(tmp_path / "cfg.json", config)
     out = tmp_path / "out"
