@@ -274,7 +274,7 @@ _KINDS = {
     "object": "a JSON object",
     "seeds": "a non-empty list of non-negative integers",
     "numbers": "a non-empty list of numbers",
-    "loads": "a non-empty list of numbers in [0, 1)",
+    "loads": "a non-empty ascending list of numbers in [0, 1)",
     "fractions": "a non-empty list of numbers in [0, 1]",
     "times": "a non-empty list of numbers or nulls",
     "objects": "a non-empty list of JSON objects",
@@ -285,17 +285,17 @@ _KINDS = {
 def _as_kind(value, kind: str):
     """``value`` converted to ``kind``, or ``_FAIL`` if it is not one. A list
     kind is non-empty, with items of the kind without its final s; those of
-    ``rows`` are equal-length ``numbers``, and a ``time`` is a number or None.
-    A ``seed`` is an integer from 0, a ``count`` one from 1, a ``prob`` a
-    number in (0, 1], a ``positive`` a finite one above 0, a ``load`` one in
-    [0, 1), a ``fraction`` one in [0, 1] and a ``budget`` a finite one from 0;
-    NaN lies in no range."""
+    ``rows`` are equal-length ``numbers``, those of ``loads`` ascend, and a
+    ``time`` is a number or None. A ``seed`` is an integer from 0, a ``count``
+    one from 1, a ``prob`` a number in (0, 1], a ``positive`` a finite one
+    above 0, a ``load`` one in [0, 1), a ``fraction`` one in [0, 1] and a
+    ``budget`` a finite one from 0; NaN lies in no range."""
     if kind in ("seeds", "numbers", "loads", "fractions", "times", "objects", "rows"):
         ok = isinstance(value, (list, tuple)) and len(value) > 0
         item = "numbers" if kind == "rows" else kind[:-1]
         items = [_as_kind(v, item) for v in value] if ok else [_FAIL]
-        ragged = kind == "rows" and _FAIL not in items and len(set(map(len, items))) > 1
-        return _FAIL if _FAIL in items or ragged else items
+        bad = _FAIL in items or (kind == "rows" and len(set(map(len, items))) > 1)
+        return _FAIL if bad or (kind == "loads" and items != sorted(items)) else items
     if kind == "time" and value is None:
         return None
     if kind in ("object", "string"):

@@ -146,7 +146,8 @@ class TraceStats:
     d_x is queue x's change over the slot and W_x = fl(1/q_x) * 2**52 (0
     where q_x = 0). Every double >= 1 is a multiple of 2**-52, so each W_x,
     and the record, is an exact integer; three per expert, whatever the
-    horizon and the number of topics.
+    horizon and the number of topics. The engine keeps it as it plays each
+    enqueue (dL += W) and completion (dL -= W), copying no queue row.
     """
 
     config: SimConfig
@@ -175,16 +176,21 @@ class TraceStats:
 
 
 class _Engine:
-    """Mutable run state from the empty system at t = 0, expert-major
-    plain-Python lists for speed."""
+    """Mutable run state from the empty system at t = 0 on ``seed``'s streams,
+    expert-major plain-Python lists for speed; with ``record``, also the drift
+    record (``moments``), kept as each enqueue (+W) and completion (-W) plays."""
 
-    def __init__(self, inst: Instance, sched: Scheduler, streams: RngStreams) -> None:
+    def __init__(self, inst: Instance, sched: Scheduler, seed: int, record=False) -> None:
         self.sched = sched
-        self.streams = streams
+        self.streams = RngStreams.from_seed(seed)
         self.n = n = inst.n_experts
         self.n_topics = n_topics = inst.n_topics
         self.probs = np.ascontiguousarray(inst.arrivals.lam * inst.arrivals.pmf)
-        self.qprob = [[float(v) for v in e.success_prob] for e in inst.experts]
+        self.qprob = qprob = [[float(v) for v in e.success_prob] for e in inst.experts]
+        self.weights = self.moments = None  # per expert, W and (N, sum dL, sum dL^2)
+        if record:
+            self.weights = [[int(Fraction(1.0 / v) * 2**52) if v else 0 for v in q] for q in qprob]
+            self.moments = [[0, 0, 0] for _ in range(n)]
         self.t = 0
         self.queues = [[0] * n_topics for _ in range(n)]
         self.cum_dep = [[0] * n_topics for _ in range(n)]
@@ -217,19 +223,21 @@ class _Engine:
 
     def advance(self, slot_arrivals) -> None:
         """Play out one slot given its (door_expert, topic) arrival list."""
-        sched = self.sched
-        streams = self.streams
-        queues = self.queues
+        sched, streams, queues = self.sched, self.streams, self.queues
         totals = self.totals
+        if weights := self.weights:  # the experts busy at slot start, and each one's dL
+            busy, step = [i for i, v in enumerate(totals) if v], [0] * self.n
         for i, x in slot_arrivals:
             if sched.admit(x, i, streams):
                 j = sched.route(x, i, streams)
                 queues[j][x] += 1
                 totals[j] += 1
+                if weights:
+                    step[j] += weights[j][x]
             else:
                 self.cum_loss[i][x] += 1
                 self.losses_total += 1
-        service = self.streams.service
+        service = streams.service
         cum_att, area, idle = self.cum_att, self.area, self.idle
         empty = 0
         for i in range(self.n):
@@ -242,12 +250,18 @@ class _Engine:
                     totals[i] = total = total - 1
                     self.cum_dep[i][x] += 1
                     self.deps_total += 1
+                    if weights:
+                        step[i] -= weights[i][x]
             area[i] += total
             if not total:
                 idle[i] += 1
                 empty += 1
         self.idle_slots += empty == self.n
         self.t += 1
+        if weights:
+            for i in busy:
+                m, d = self.moments[i], step[i]
+                m[0], m[1], m[2] = m[0] + 1, m[1] + d, m[2] + d * d
 
     def arrivals(self, horizon: int) -> Iterator[list[tuple[int, int]]]:
         """The (door_expert, topic) arrival list of each of ``horizon`` slots,
@@ -308,7 +322,7 @@ def steps(config: SimConfig) -> Iterator[tuple[QueueState, SlotEvents]]:
     pass through a fresh recorder; the scheduler itself is left unchanged.
     """
     sched = config.scheduler
-    engine = _Engine(config.instance, sched, RngStreams.from_seed(config.seed))
+    engine = _Engine(config.instance, sched, config.seed)
     before = engine.snapshot()
     for slot_arrivals in engine.arrivals(config.horizon):
         recorder = engine.sched = _Recorder(sched, engine.n)
@@ -330,7 +344,7 @@ def steps(config: SimConfig) -> Iterator[tuple[QueueState, SlotEvents]]:
 
 def run(config: SimConfig) -> TraceStats:
     """Simulate the configured horizon and collect metrics."""
-    engine = _Engine(config.instance, config.scheduler, RngStreams.from_seed(config.seed))
+    engine = _Engine(config.instance, config.scheduler, config.seed, config.record_lyapunov)
     horizon = config.horizon
     interval = config.sample_interval
 
@@ -338,28 +352,13 @@ def run(config: SimConfig) -> TraceStats:
     quarter_start = horizon - quarter_len  # in [0, horizon), so the loop reaches it
     samples = array("q")  # (t, queue, cum loss, cum departures) per sample, flat
 
-    record = config.record_lyapunov
-    if record:  # per expert, W and the record (N, sum dL, sum dL^2); see TraceStats
-        weights = [[int(Fraction(1.0 / qx) * 2**52) if qx else 0 for qx in q] for q in engine.qprob]
-        moments = [[0, 0, 0] for _ in range(engine.n)]
-    busy = ()
     for t_abs, slot_arrivals in enumerate(engine.arrivals(horizon)):
         if t_abs % interval == 0:
             samples.extend((t_abs, sum(engine.totals), engine.losses_total, engine.deps_total))
         if t_abs == quarter_start:
             area_at_quarter = list(engine.area)
             loss_at_quarter = [sum(row) for row in engine.cum_loss]
-        if record:
-            # Busy experts' live queue rows, slot-start copies, W and records.
-            rows = zip(engine.queues, weights, moments, engine.totals)
-            busy = [(r, r[:], w, m) for r, w, m, v in rows if v]
         engine.advance(slot_arrivals)
-        for row, before, w, m in busy:
-            m[0] += 1
-            if row != before:
-                d = sum(wx * (a - b) for wx, a, b in zip(w, row, before) if a != b)
-                m[1] += d
-                m[2] += d * d
 
     totals = engine.totals
     samples.extend((horizon, sum(totals), engine.losses_total, engine.deps_total))
@@ -385,7 +384,7 @@ def run(config: SimConfig) -> TraceStats:
             [1 + idle - (not total) for idle, total in zip(engine.idle, totals)], dtype=np.float64
         )
         / horizon,
-        busy_moments=tuple(map(tuple, moments)) if record else None,
+        busy_moments=tuple(map(tuple, engine.moments)) if engine.moments else None,
         final_state=engine.snapshot(),
     )
 

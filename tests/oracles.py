@@ -13,7 +13,9 @@ Both scan their grids in bounded blocks and refuse a grid too large to scan.
 
 It also holds per-element scans, the references for the bisections
 :class:`expertq.sched.Scheduler` routes and selects by: :func:`route_scan`,
-:func:`weighted_scan` and :func:`longest_scan`.
+:func:`weighted_scan` and :func:`longest_scan`; and :func:`drift_record`,
+the reference for the drift record a recording run keeps, rebuilt from the
+states :func:`expertq.sim.steps` replays.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import numpy as np
 from expertq.capacity import CapacityResult, RoutingPolicy, multi_capacity_dual
 from expertq.lp import LinearProgram, LpSolution
 from expertq.model import ExpertProfile
+from expertq.sim import SimConfig, steps
 
 FEAS_TOL = 1e-7
 MAX_GRID_POINTS = 20_000_000
@@ -322,3 +325,32 @@ def longest_scan(queue_row: list[int]) -> int:
         if count > best_count:
             best, best_count = x, count
     return best
+
+
+def drift_record(config: SimConfig) -> tuple[tuple[int, int, int], ...]:
+    """``busy_moments`` of ``config`` run with ``record_lyapunov``, from the
+    states ``steps(config)`` replays: expert i is busy at a slot's start when
+    the previous state's column i totals above 0, and that slot adds (1, dL,
+    dL^2) to its record, dL = sum_x W_x (q_after - q_before) over column i.
+    W_x = fl(1/q_x) * 2**52, 0 where q_x = 0, as ``TraceStats`` defines it."""
+    weights = []
+    for expert in config.instance.experts:
+        row = []
+        for q in expert.success_prob.tolist():
+            # 1.0 / q >= 1 is num / den with den a power of two at most 2**52.
+            num, den = (1.0 / q).as_integer_ratio() if q else (0, 1)
+            row.append(num * 2**52 // den)
+        weights.append(row)
+    n = config.instance.n_experts
+    moments = [[0, 0, 0] for _ in range(n)]
+    before = np.zeros((config.instance.n_topics, n), dtype=np.int64)
+    for state, _ in steps(config):
+        for i in range(n):
+            if before[:, i].sum() > 0:
+                change = (state.q[:, i] - before[:, i]).tolist()
+                d = sum(w * c for w, c in zip(weights[i], change))
+                moments[i][0] += 1
+                moments[i][1] += d
+                moments[i][2] += d * d
+        before = state.q
+    return tuple(tuple(m) for m in moments)

@@ -556,6 +556,7 @@ def rejected_before_running_cases():
         "simulate-routing-sample-interval-0": ("simulate", {**routing, "sample_interval": 0}),
         "sweep-routing-horizon-0": ("sweep", {**routing, "horizon": 0}),
         "sweep-routing-lambdas-empty": ("sweep", {**routing, "lambdas": []}),
+        "sweep-routing-lambdas-unsorted": ("sweep", {**routing, "lambdas": [0.5, 0.3]}),
         "sweep-routing-seeds-negative": ("sweep", {**routing, "seeds": [-1]}),
         "sweep-routing-slope-threshold-nan": ("sweep", {**routing, "slope_threshold": math.nan}),
         "sweep-last-load-1.2": ("sweep", {**sweep, "lambdas": [0.3, 0.4, 1.2]}),
@@ -661,13 +662,14 @@ def test_rejected_before_any_simulation_or_solve(tmp_path, monkeypatch, case):
         (
             "sweep",
             {"lambdas": [0.5, 1.2]},
-            "config field 'lambdas': expected a non-empty list of numbers in [0, 1), "
+            "config field 'lambdas': expected a non-empty ascending list of numbers in [0, 1), "
             "got [0.5, 1.2]",
         ),
         (
             "sweep",
             {"lambdas": [0.5, 0.3]},
-            "field 'lambdas' must be sorted ascending, got [0.5, 0.3]",
+            "config field 'lambdas': expected a non-empty ascending list of numbers in [0, 1), "
+            "got [0.5, 0.3]",
         ),
         (
             "simulate",

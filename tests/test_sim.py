@@ -7,17 +7,23 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expertq import rng, sim
 from expertq.capacity import LossPolicy, RoutingPolicy, multi_capacity_dual
 from expertq.model import ArrivalSpec, ExpertProfile, Instance, merged_pmf
 from expertq.rng import RngStreams, UniformBuffer
 from expertq.sched import (
+    SELECTION_MODES,
+    TIE_BREAKS,
+    mismatch_baseline,
     offline_loss_scheduler,
     offline_routing_scheduler,
     work_conserving_single,
 )
 from expertq.sim import SimConfig, run, steps, write_trace_csv
+from oracles import drift_record
 from test_golden import CASES, build
 
 
@@ -345,6 +351,70 @@ class TestRun:
             )
         )
         assert stats.samples[:, 0].tolist() == [0, 250, 500, 750, 1000]
+
+
+def _mass(draw, n: int) -> list[float]:
+    """n non-negative weights, not all 0, normalised to sum to 1."""
+    weights = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    weights[draw(st.integers(0, n - 1))] += 1
+    return [w / sum(weights) for w in weights]
+
+
+@st.composite
+def recorded_configs(draw) -> SimConfig:
+    """A small random instance under any scheduler kind and rule; every
+    topic is answerable by some expert, and routing sends each topic only
+    to experts that can answer it."""
+    kind = draw(st.sampled_from(["work_conserving", "loss", "routing", "baseline"]))
+    n = 1 if kind in ("work_conserving", "loss") else draw(st.integers(1, 3))
+    n_topics = draw(st.integers(1, 3))
+    prob = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.05, 1.0))
+    q = [draw(st.lists(prob, min_size=n_topics, max_size=n_topics)) for _ in range(n)]
+    for x in range(n_topics):
+        if not any(row[x] for row in q):
+            q[x % n][x] = 0.5
+    experts = tuple(ExpertProfile.from_success_probs(i, row) for i, row in enumerate(q))
+    lam = draw(st.floats(0.2, 0.95))
+    inst = Instance(experts, ArrivalSpec(lam=lam, pmf=[_mass(draw, n_topics) for _ in range(n)]))
+    if kind in ("work_conserving", "loss"):
+        tie_break = draw(st.sampled_from(sorted(TIE_BREAKS)))
+        if kind == "work_conserving":
+            sched = work_conserving_single(inst, tie_break)
+        else:
+            mu = draw(st.lists(st.floats(0.0, 1.0), min_size=n_topics, max_size=n_topics))
+            sched = offline_loss_scheduler(inst, LossPolicy(mu=mu, epsilon=0.0), tie_break)
+    else:
+        selection = draw(st.sampled_from(sorted(SELECTION_MODES)))
+        if kind == "baseline":
+            sched = mismatch_baseline(inst, selection)
+        else:
+            s = np.zeros((n, n_topics))
+            for x in range(n_topics):
+                answering = [i for i in range(n) if q[i][x] > 0]
+                s[answering, x] = _mass(draw, len(answering))
+            sched = offline_routing_scheduler(inst, RoutingPolicy(s=s), selection)
+    horizon = draw(st.integers(1, 150))
+    interval = draw(st.integers(1, 50))
+    return SimConfig(inst, sched, horizon, draw(st.integers(0, 2**20)), interval)
+
+
+class TestDriftRecord:
+    @settings(max_examples=80, deadline=None)
+    @given(config=recorded_configs())
+    def test_matches_the_replayed_states_and_changes_nothing_else(self, config):
+        plain = run(config)
+        recorded = run(dataclasses.replace(config, record_lyapunov=True))
+        assert plain.busy_moments is None
+        assert recorded.busy_moments == drift_record(config)
+        # Recording draws nothing: every other field is the plain run's.
+        for field in dataclasses.fields(sim.QueueState):
+            a, b = (getattr(s.final_state, field.name) for s in (recorded, plain))
+            np.testing.assert_array_equal(a, b)
+        skip = {"config", "busy_moments", "final_state"}
+        for field in dataclasses.fields(sim.TraceStats):
+            if field.name not in skip:
+                a, b = getattr(recorded, field.name), getattr(plain, field.name)
+                np.testing.assert_array_equal(a, b)
 
 
 def generalist_instance(lam, n, n_topics, q=0.5):
