@@ -26,7 +26,7 @@ from .capacity import (
     routing_policy_violations,
     service_load,
 )
-from .model import ArrivalSpec, ExpertProfile, Instance, config_block, merged_pmf
+from .model import ArrivalSpec, ExpertProfile, Instance, checked, config_block, merged_pmf
 from .sched import Scheduler, offline_routing_scheduler
 from .sim import MAX_SAMPLES, SAMPLE_INTERVAL, SimConfig, TraceStats, run
 
@@ -130,14 +130,6 @@ def _sqrt(r: Fraction) -> float:
     return (root | (root * root * r.denominator != r.numerator << 2 * k)) / (1 << k)
 
 
-def _given_threshold(slope_threshold: float | None) -> float | None:
-    """A given slope threshold as a float; it must be finite and > 0."""
-    threshold = None if slope_threshold is None else float(slope_threshold)
-    if threshold is not None and not (0.0 < threshold < math.inf):
-        raise ValueError(f"field 'slope_threshold' must be finite and > 0, got {threshold}")
-    return threshold
-
-
 def classify_stability(
     stats: TraceStats, *, slope_threshold: float | None = None
 ) -> StabilityVerdict:
@@ -153,7 +145,10 @@ def classify_stability(
     """
     config = stats.config
     lam = config.instance.arrivals.lam
-    threshold = _given_threshold(slope_threshold) or 0.01 * lam
+    if slope_threshold is None:
+        threshold = 0.01 * lam  # 0 at no load: only a given threshold must be positive
+    else:
+        threshold = checked(slope_threshold, "positive", "slope_threshold")
     final_half = stats.samples[stats.samples[:, 0] >= config.horizon / 2]
     # Python ints, so the sums below are exact and cannot overflow.
     t, y = final_half[:, 0].tolist(), final_half[:, 1].tolist()
@@ -209,22 +204,21 @@ def capacity_boundary_sweep(
 ) -> SweepResult:
     """Simulate a sorted load grid across seeds and bracket the boundary.
 
-    One instance per load and every cell's run are built, and so checked,
-    before the first one runs; the cells then run in order in this process.
+    ``lambdas``, ``seeds`` and a given ``slope_threshold`` are checked by
+    their config kinds, then one instance per load and every cell's run are
+    built, and so checked, before the first one runs; the cells then run in
+    order in this process.
     """
-    lambdas = tuple(float(v) for v in lambdas)
-    if list(lambdas) != sorted(lambdas):
-        raise ValueError(f"field 'lambdas' must be sorted ascending, got {list(lambdas)}")
-    seeds = tuple(int(s) for s in seeds)
-    if not (lambdas and seeds):
-        raise ValueError("a sweep needs at least one load and one seed")
-    threshold = _given_threshold(slope_threshold)
+    lambdas = tuple(checked(lambdas, "loads", "lambdas"))
+    seeds = tuple(checked(seeds, "seeds", "seeds"))
+    if slope_threshold is not None:
+        checked(slope_threshold, "positive", "slope_threshold")
     configs = [
         SimConfig(loaded, sched, horizon, seed, sample_interval=sample_interval)
         for loaded in [with_load(inst, lam) for lam in lambdas]
         for seed in seeds
     ]
-    cells = tuple(classify_stability(run(c), slope_threshold=threshold) for c in configs)
+    cells = tuple(classify_stability(run(c), slope_threshold=slope_threshold) for c in configs)
 
     verdicts = {lam: {c.verdict for c in cells if c.lam == lam} for lam in lambdas}
     stable = [lam for lam, seen in verdicts.items() if seen == {"stable"}]
@@ -308,15 +302,11 @@ def misestimation_check(
     and run are built, and so checked, before the first one runs; each run
     is judged as a sweep cell is, with the default slope threshold.
     """
+    horizon = checked(horizon, "count", "horizon")
     if horizon > MISESTIMATION_MAX_HORIZON:
         raise ValueError(f"horizon must be at most {MISESTIMATION_MAX_HORIZON}, got {horizon}")
-    if not (0.0 < gamma <= 1.0):
-        raise ValueError("gamma must lie in (0, 1]")
-    seeds = [int(seed) for seed in seeds]
-    if not seeds:
-        raise ValueError("misestimation check needs at least one seed")
-    if min(seeds) < 0:
-        raise ValueError(f"seeds must be non-negative, got {min(seeds)}")
+    gamma = checked(gamma, "prob", "gamma")
+    seeds = checked(seeds, "seeds", "seeds")
     generator = _default_inflate if inflate is None else inflate
     true_times = np.vstack([e.mean_time for e in inst.experts])
 

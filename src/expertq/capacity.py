@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lp import LinearProgram, solve_lp
-from .model import ExpertProfile, Instance, _frozen_array, config_field, merged_pmf
+from .model import ExpertProfile, Instance, _frozen_array, checked, config_field, merged_pmf
 
 __all__ = [
     "LossPolicy",
@@ -67,10 +67,8 @@ class LossPolicy:
             raise ValueError(f"admission probabilities must be finite, got {mu.tolist()}")
         if mu.size and (mu.min() < -1e-12 or mu.max() > 1.0 + 1e-12):
             raise ValueError("admission probabilities must lie in [0, 1]")
-        if not 0 <= self.epsilon < math.inf:  # also rejects NaN
-            raise ValueError(f"loss budget must be finite and non-negative, got {self.epsilon}")
         object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "epsilon", float(self.epsilon))
+        object.__setattr__(self, "epsilon", checked(self.epsilon, "budget", "epsilon"))
 
 
 @dataclass(frozen=True)
@@ -201,9 +199,7 @@ def loss_capacity(p, q, epsilon: float) -> CapacityResult:
     q = np.asarray(q, dtype=np.float64)
     if p.shape != q.shape:
         raise ValueError("topic mass and success vectors differ in length")
-    if not 0 <= epsilon < math.inf:  # also rejects NaN
-        raise ValueError(f"loss budget must be finite and non-negative, got {epsilon}")
-    epsilon = float(epsilon)
+    epsilon = checked(epsilon, "budget", "epsilon")
 
     mu = np.where(q > 0, 1.0, 0.0)
     served = (p > 0) & (q > 0)
@@ -233,9 +229,7 @@ def degraded_capacity(p, q_hat, gamma: float) -> float:
     the capacity computed from the estimates, which the true system is
     guaranteed to sustain.
     """
-    if not (0.0 < gamma <= 1.0):
-        raise ValueError("gamma must lie in (0, 1]")
-    return gamma * single_capacity(p, q_hat).lambda_star
+    return checked(gamma, "prob", "gamma") * single_capacity(p, q_hat).lambda_star
 
 
 def routing_lp(

@@ -134,6 +134,7 @@ def cmd_capacity(cfg, inst, prepare) -> None:
 
 def cmd_simulate(cfg, inst, prepare, scheduler, seed, horizon, sample_interval) -> None:
     """Run one seeded simulation; write trace.csv and summary.json."""
+    sim.check_sample_count(horizon, sample_interval)
     scheduler = sched.build_scheduler(inst, scheduler)
     stats = sim.run(sim.SimConfig(inst, scheduler, horizon, seed, sample_interval))
     verdict = analysis.classify_stability(stats)
@@ -153,6 +154,7 @@ def cmd_simulate(cfg, inst, prepare, scheduler, seed, horizon, sample_interval) 
 def cmd_sweep(cfg, inst, prepare, scheduler, seeds, lambdas, horizon, slope_threshold,
               sample_interval) -> None:
     """Sweep a load grid; write sweep.csv and bracket.json."""
+    sim.check_sample_count(horizon, sample_interval)
     scheduler = sched.build_scheduler(inst, scheduler)
     result = analysis.capacity_boundary_sweep(
         inst, scheduler, lambdas, horizon, seeds, slope_threshold, sample_interval

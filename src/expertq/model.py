@@ -284,14 +284,16 @@ _KINDS = {
 
 def _as_kind(value, kind: str):
     """``value`` converted to ``kind``, or ``_FAIL`` if it is not one. A list
-    kind is non-empty, with items of the kind without its final s; those of
-    ``rows`` are equal-length ``numbers``, those of ``loads`` ascend, and a
-    ``time`` is a number or None. A ``seed`` is an integer from 0, a ``count``
-    one from 1, a ``prob`` a number in (0, 1], a ``positive`` a finite one
-    above 0, a ``load`` one in [0, 1), a ``fraction`` one in [0, 1] and a
-    ``budget`` a finite one from 0; NaN lies in no range."""
+    kind is a non-empty list, tuple, range or array, with items of the kind
+    without its final s; those of ``rows`` are equal-length ``numbers``, those
+    of ``loads`` ascend, and a ``time`` is a number or None. A ``seed`` is an
+    integer from 0, a ``count`` one from 1, a ``prob`` a number in (0, 1], a
+    ``positive`` a finite one above 0, a ``load`` one in [0, 1), a
+    ``fraction`` one in [0, 1] and a ``budget`` a finite one from 0; NaN lies
+    in no range."""
     if kind in ("seeds", "numbers", "loads", "fractions", "times", "objects", "rows"):
-        ok = isinstance(value, (list, tuple)) and len(value) > 0
+        value = value.tolist() if isinstance(value, np.ndarray) else value
+        ok = isinstance(value, (list, tuple, range)) and len(value) > 0
         item = "numbers" if kind == "rows" else kind[:-1]
         items = [_as_kind(v, item) for v in value] if ok else [_FAIL]
         bad = _FAIL in items or (kind == "rows" and len(set(map(len, items))) > 1)
@@ -332,11 +334,17 @@ def config_field(doc: dict, path: str, kind: str, default=_REQUIRED):
         if default is _REQUIRED:
             raise ValueError(f"config is missing required field {path!r}")
         return default
-    value = _as_kind(doc[key], kind)
-    if value is _FAIL:
-        got = json.dumps(doc[key], default=repr)
-        raise ValueError(f"config field {path!r}: expected {_KINDS[kind]}, got {got}")
-    return value
+    return checked(doc[key], kind, f"config field {path!r}")
+
+
+def checked(value, kind: str, name: str):
+    """``value`` converted to ``kind``, a key of ``_KINDS``. Raises ValueError
+    naming it ``name``, e.g. ``gamma: expected a number in (0, 1], got 1.5``."""
+    result = _as_kind(value, kind)
+    if result is _FAIL:
+        got = json.dumps(value, default=repr)
+        raise ValueError(f"{name}: expected {_KINDS[kind]}, got {got}")
+    return result
 
 
 def config_block(doc: dict, path: str, fields: dict, owner: str | None = None) -> list:

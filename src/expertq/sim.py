@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import Instance
+from .model import Instance, checked
 from .rng import RngStreams, block_rows
 from .sched import Scheduler
 
@@ -48,6 +48,17 @@ MAX_SAMPLES = 2**22
 SAMPLE_INTERVAL = 100
 
 
+def check_sample_count(horizon: int, sample_interval: int) -> None:
+    """Raise ValueError if a run of ``horizon`` slots sampled every
+    ``sample_interval`` would keep more than ``MAX_SAMPLES`` samples."""
+    samples = horizon // sample_interval + 2
+    if samples > MAX_SAMPLES:
+        raise ValueError(
+            f"horizon {horizon} at sample_interval {sample_interval} keeps "
+            f"{samples} samples, over the cap of {MAX_SAMPLES}; raise sample_interval"
+        )
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Everything one run needs: instance, policy, horizon, seed.
@@ -57,9 +68,10 @@ class SimConfig:
     ``horizon // sample_interval + 2`` samples, which may not exceed
     ``MAX_SAMPLES``. ``record_lyapunov`` additionally keeps, per expert, the
     three integers over busy slots that drift checks need. The instance
-    checked itself when it was built; this raises ValueError on a scheduler
-    built for another shape, a negative seed, a horizon or sample interval
-    below 1, or too many samples.
+    checked itself when it was built; this raises ValueError on a horizon or
+    sample interval that is not a positive integer, a seed that is not a
+    non-negative one (``bool`` is neither), too many samples, or a scheduler
+    built for another shape. Integral floats are kept as ints.
     """
 
     instance: Instance
@@ -70,18 +82,9 @@ class SimConfig:
     record_lyapunov: bool = False
 
     def __post_init__(self) -> None:
-        if self.horizon < 1:
-            raise ValueError("horizon must be at least 1")
-        if self.sample_interval < 1:
-            raise ValueError("sample_interval must be at least 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
-        samples = self.horizon // self.sample_interval + 2
-        if samples > MAX_SAMPLES:
-            raise ValueError(
-                f"horizon {self.horizon} at sample_interval {self.sample_interval} keeps "
-                f"{samples} samples, over the cap of {MAX_SAMPLES}; raise sample_interval"
-            )
+        for name, kind in (("horizon", "count"), ("sample_interval", "count"), ("seed", "seed")):
+            object.__setattr__(self, name, checked(getattr(self, name), kind, name))
+        check_sample_count(self.horizon, self.sample_interval)
         inst, sched = self.instance, self.scheduler
         if (inst.n_experts, inst.n_topics) != (sched.n_experts, sched.n_topics):
             raise ValueError(

@@ -23,6 +23,7 @@ from expertq.capacity import (
     LossPolicy,
     RoutingPolicy,
     degraded_capacity,
+    loss_capacity,
     multi_capacity_dual,
     single_capacity,
 )
@@ -251,7 +252,7 @@ class TestClassifyStability:
                 seed=4,
             )
         )
-        with pytest.raises(ValueError, match="'slope_threshold' must be finite and > 0"):
+        with pytest.raises(ValueError, match="^slope_threshold: expected a finite positive number"):
             classify_stability(stats, slope_threshold=threshold)
 
 
@@ -406,12 +407,21 @@ class TestBoundarySweep:
         with pytest.raises(ValueError):
             capacity_boundary_sweep(inst, sched, [0.5, 0.4], horizon=10, seeds=[0])
 
+    def test_grid_and_seeds_may_be_tuples_ranges_or_arrays(self):
+        inst = single_expert_instance(0.5, [1.0], [1.0])
+        sched = work_conserving_single(inst)
+        expected = capacity_boundary_sweep(inst, sched, [0.2, 0.4], horizon=1000, seeds=[0, 1])
+        for grid, seeds in [((0.2, 0.4), range(2)), (np.array([0.2, 0.4]), np.arange(2))]:
+            result = capacity_boundary_sweep(inst, sched, grid, horizon=1000, seeds=seeds)
+            assert result == expected
+
     @pytest.mark.parametrize("grid, seeds", [([], [0]), ([0.4], [])])
     def test_empty_grid_or_seed_list_rejected(self, grid, seeds):
         # Either used to give a sweep with no cells that exited cleanly.
         inst = single_expert_instance(0.5, [1.0], [1.0])
         sched = work_conserving_single(inst)
-        with pytest.raises(ValueError, match="at least one load and one seed"):
+        name = "seeds" if grid else "lambdas"
+        with pytest.raises(ValueError, match=rf"^{name}: expected a non-empty .*, got \[\]$"):
             capacity_boundary_sweep(inst, sched, grid, horizon=10, seeds=seeds)
 
 
@@ -609,7 +619,8 @@ class TestMisestimation:
 
     def test_empty_seed_list_rejected(self):
         # No runs used to mean all_stable.
-        with pytest.raises(ValueError, match="at least one seed"):
+        message = r"^seeds: expected a non-empty list of non-negative integers, got \[\]$"
+        with pytest.raises(ValueError, match=message):
             misestimation_check(self.base_instance(), gamma=0.5, seeds=[], horizon=10)
 
     def test_bound_violations_rejected_before_simulation(self):
@@ -710,7 +721,7 @@ class TestMisestimation:
             raise AssertionError("ran before the bad seed was rejected")
 
         monkeypatch.setattr(analysis, "run", forbidden)
-        with pytest.raises(ValueError, match="got -2"):
+        with pytest.raises(ValueError, match=r"^seeds: expected .*, got \[1, -2\]$"):
             misestimation_check(self.base_instance(), gamma=0.5, seeds=[1, -2], horizon=200_000)
 
     def test_horizon_past_the_sample_cap_is_named(self, monkeypatch):
@@ -1050,3 +1061,65 @@ class TestServiceSuccess:
         assert checks["service_success"] == analysis._service(checked)
         assert checks["service_success"]["passed"] is True
         assert checks["service_success"]["measured_worst_excess"] is not None
+
+
+# Each library argument read by a config kind: (entry point, argument, integer?).
+CHECKED_ARGUMENTS = [
+    ("classify_stability", "slope_threshold", False),
+    ("capacity_boundary_sweep", "lambdas", False),
+    ("capacity_boundary_sweep", "seeds", True),
+    ("capacity_boundary_sweep", "slope_threshold", False),
+    ("misestimation_check", "horizon", True),
+    ("misestimation_check", "gamma", False),
+    ("misestimation_check", "seeds", True),
+    ("LossPolicy", "epsilon", False),
+    ("loss_capacity", "epsilon", False),
+    ("degraded_capacity", "gamma", False),
+    ("SimConfig", "horizon", True),
+    ("SimConfig", "sample_interval", True),
+    ("SimConfig", "seed", True),
+]
+
+
+@pytest.mark.parametrize(
+    "entry, name, bad",
+    [
+        pytest.param(entry, name, bad, id=f"{entry}-{name}-{label}")
+        for entry, name, integer in CHECKED_ARGUMENTS
+        for label, bad in [("bool", True), ("nan", math.nan), ("non-integral", 1.5)]
+        if integer or label != "non-integral"
+    ],
+)
+def test_bad_library_argument_is_named_before_any_work(monkeypatch, entry, name, bad):
+    # A bool used to run as 1 (or 1.0), and a non-integral seed to fail in numpy.
+    inst = single_expert_instance(0.5, [0.5, 0.5], [1.0, 0.5])
+    sched = work_conserving_single(inst)
+    stats = run(SimConfig(inst, sched, horizon=10, seed=0))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("ran before the bad argument was refused")
+
+    monkeypatch.setattr(analysis, "run", forbidden)
+    monkeypatch.setattr(analysis, "multi_capacity_dual", forbidden)
+    entries = {
+        "classify_stability": (classify_stability, {"stats": stats}),
+        "capacity_boundary_sweep": (
+            capacity_boundary_sweep,
+            {"inst": inst, "sched": sched, "lambdas": [0.3], "horizon": 10, "seeds": [0]},
+        ),
+        "misestimation_check": (
+            misestimation_check,
+            {"inst": inst, "gamma": 0.5, "seeds": [0], "horizon": 10},
+        ),
+        "LossPolicy": (LossPolicy, {"mu": [1.0, 1.0], "epsilon": 0.0}),
+        "loss_capacity": (loss_capacity, {"p": [0.5, 0.5], "q": [1.0, 0.5], "epsilon": 0.0}),
+        "degraded_capacity": (
+            degraded_capacity,
+            {"p": [0.5, 0.5], "q_hat": [1.0, 0.5], "gamma": 0.5},
+        ),
+        "SimConfig": (SimConfig, {"instance": inst, "scheduler": sched, "horizon": 10, "seed": 0}),
+    }
+    function, arguments = entries[entry]
+    value = [bad] if name in ("lambdas", "seeds") else bad
+    with pytest.raises(ValueError, match=f"^{name}: expected "):
+        function(**{**arguments, name: value})

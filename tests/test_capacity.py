@@ -282,10 +282,11 @@ class TestLossCapacity:
             loss_capacity([1.0], [1.0], -0.1)
 
     def test_nan_budget_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
+        message = "^epsilon: expected a finite non-negative number, got "
+        with pytest.raises(ValueError, match=message + "NaN$"):
             loss_capacity([1.0], [1.0], math.nan)
         # An infinite budget used to shed every topic and report a null capacity.
-        with pytest.raises(ValueError, match="finite and non-negative, got inf"):
+        with pytest.raises(ValueError, match=message + "Infinity$"):
             loss_capacity([1.0], [1.0], math.inf)
 
 
@@ -298,7 +299,7 @@ class TestLossPolicyValidation:
             ([0.5, 1.5], 0.1, r"\[0, 1\]"),
             ([0.5, 1.0], math.nan, "non-negative"),
             ([0.5, 1.0], -0.1, "non-negative"),
-            ([0.5, 1.0], math.inf, "finite and non-negative, got inf"),
+            ([0.5, 1.0], math.inf, "^epsilon: expected a finite non-negative number, got Infinity"),
         ],
     )
     def test_bad_policy_rejected(self, mu, epsilon, message):

@@ -550,6 +550,7 @@ def rejected_before_running_cases():
     verify = {"instance": single_expert_doc()}
     # A routing scheduler without 's' solves the LP when it is built.
     routing = {**sweep, "instance": specialist_doc(), "scheduler": {"kind": "routing"}}
+    past_the_cap = {"horizon": sim.MAX_SAMPLES - 1, "sample_interval": 1}
     return {
         "simulate-routing-horizon-0": ("simulate", {**routing, "horizon": 0}),
         "simulate-routing-seed-negative": ("simulate", {**routing, "seed": -1}),
@@ -559,6 +560,8 @@ def rejected_before_running_cases():
         "sweep-routing-lambdas-unsorted": ("sweep", {**routing, "lambdas": [0.5, 0.3]}),
         "sweep-routing-seeds-negative": ("sweep", {**routing, "seeds": [-1]}),
         "sweep-routing-slope-threshold-nan": ("sweep", {**routing, "slope_threshold": math.nan}),
+        "simulate-routing-samples-past-the-cap": ("simulate", {**routing, **past_the_cap}),
+        "sweep-routing-samples-past-the-cap": ("sweep", {**routing, **past_the_cap}),
         "sweep-last-load-1.2": ("sweep", {**sweep, "lambdas": [0.3, 0.4, 1.2]}),
         "sweep-horizon-0": ("sweep", {**sweep, "horizon": 0}),
         "sweep-sample-interval-0": ("sweep", {**sweep, "sample_interval": 0}),

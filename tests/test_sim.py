@@ -267,11 +267,22 @@ class TestRun:
         message = "scheduler built for 1 experts x 1 topics, instance has 1 x 2"
         with pytest.raises(ValueError, match=message):
             SimConfig(instance=other, scheduler=sched, horizon=10, seed=0)
-        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+        with pytest.raises(ValueError, match="^seed: expected a non-negative integer, got -1$"):
             SimConfig(instance=inst, scheduler=sched, horizon=10, seed=-1)
         # An invalid instance cannot reach a SimConfig: it fails when built.
         with pytest.raises(ValueError, match="lambda"):
             single_expert_instance(1.2, [1.0], [1.0])
+
+    def test_integral_floats_are_kept_as_ints(self):
+        # horizon=100.0 used to pass the check, then fail in range() when run.
+        inst = single_expert_instance(0.5, [1.0], [1.0])
+        sched = work_conserving_single(inst)
+        config = SimConfig(inst, sched, horizon=100.0, seed=3.0, sample_interval=10.0)
+        assert config == SimConfig(inst, sched, horizon=100, seed=3, sample_interval=10)
+        assert type(config.horizon) is type(config.seed) is type(config.sample_interval) is int
+        stats, expected = run(config), run(SimConfig(inst, sched, 100, 3, 10))
+        assert np.array_equal(stats.samples, expected.samples)
+        assert stats.summary() == expected.summary()
 
     @pytest.mark.parametrize("interval", [1, 1000])
     def test_sample_count_is_capped(self, interval):
