@@ -12,6 +12,7 @@ verify`` reports, on one path whatever the expert count.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,7 +29,7 @@ from .capacity import (
 )
 from .model import ArrivalSpec, ExpertProfile, Instance, checked, config_block, merged_pmf
 from .sched import Scheduler, offline_routing_scheduler
-from .sim import MAX_SAMPLES, SAMPLE_INTERVAL, SimConfig, TraceStats, run
+from .sim import SAMPLE_INTERVAL, SimConfig, TraceStats, check_sample_count, run
 
 __all__ = [
     "DriftReport",
@@ -49,8 +50,6 @@ GAMMA_DEFAULT = 0.5
 # The misestimation check drives the true system at this fraction of the
 # guaranteed load.
 LOAD_FRACTION = 0.95
-# Its runs sample at SimConfig's default interval, so the sample cap admits this horizon.
-MISESTIMATION_MAX_HORIZON = (MAX_SAMPLES - 1) * SAMPLE_INTERVAL - 1
 
 
 @dataclass(frozen=True)
@@ -92,11 +91,11 @@ class StabilityVerdict:
 def drift_check(stats: TraceStats, expert: int = 0) -> DriftReport:
     """Compare the simulated busy-slot drift against its analytic value.
 
-    Requires a run recorded with ``record_lyapunov``; raises if the run
-    had fewer than two busy slots or if the policy sends the expert a topic
-    it cannot answer (the weighted sum is undefined there). The load, the
-    expert's success probabilities and its flow under the run's own policy
-    come from the run's config.
+    Requires a run recorded with ``record_lyapunov`` and an integer
+    ``expert`` in [0, n); raises if the run had fewer than two busy slots or
+    if the policy sends the expert a topic it cannot answer (the weighted
+    sum is undefined there). The load, the expert's success probabilities
+    and its flow under the run's own policy come from the run's config.
     The mean and variance are formed exactly from ``busy_moments``, whose
     sums are scaled by 2**52 (see ``TraceStats``): that is, with the float
     weights 1.0/q(x). The mean and standard error are rounded once.
@@ -104,6 +103,9 @@ def drift_check(stats: TraceStats, expert: int = 0) -> DriftReport:
     if stats.busy_moments is None:
         raise ValueError("drift check needs a run with record_lyapunov enabled")
     inst = stats.config.instance
+    n = inst.n_experts
+    if not isinstance(expert, numbers.Integral) or checked(expert, "seed", "expert") >= n:
+        raise ValueError(f"expert: expected an integer in [0, {n}), got {expert!r}")
     q = inst.success_matrix()[expert]
     load = service_load(_flow(inst, stats.config.scheduler)[expert], q)
     if load == math.inf:
@@ -303,8 +305,7 @@ def misestimation_check(
     is judged as a sweep cell is, with the default slope threshold.
     """
     horizon = checked(horizon, "count", "horizon")
-    if horizon > MISESTIMATION_MAX_HORIZON:
-        raise ValueError(f"horizon must be at most {MISESTIMATION_MAX_HORIZON}, got {horizon}")
+    check_sample_count(horizon, SAMPLE_INTERVAL)  # each run samples at SimConfig's default
     gamma = checked(gamma, "prob", "gamma")
     seeds = checked(seeds, "seeds", "seeds")
     generator = _default_inflate if inflate is None else inflate
@@ -361,9 +362,10 @@ def verify(inst: Instance, cfg: dict, seed: int) -> list[dict]:
         "horizon": ("count", 100_000),
     }
     gamma, seeds, mis_horizon = config_block(cfg, "misestimation", misestimation)
-    if mis_horizon > MISESTIMATION_MAX_HORIZON:
-        detail = f"expected at most {MISESTIMATION_MAX_HORIZON}, got {mis_horizon}"
-        raise ValueError(f"config field 'misestimation.horizon': {detail}")
+    try:
+        check_sample_count(mis_horizon, SAMPLE_INTERVAL)
+    except ValueError as exc:
+        raise ValueError(f"config field 'misestimation.horizon': {exc}") from exc
 
     optimal = multi_capacity_dual(merged_pmf(inst), list(inst.experts))
     policy = optimal.certificate if s is None else RoutingPolicy(s=s)

@@ -116,7 +116,8 @@ class QueueState:
 
 @dataclass(frozen=True)
 class SlotEvents:
-    """Everything that happened in one slot, for auditing.
+    """Everything that happened in one slot, for auditing, as :func:`steps`
+    reads it from the engine's counters and destination list.
 
     ``arrivals``/``admitted``/``losses`` hold (topic, door_expert) pairs;
     ``enqueued`` holds (topic, destination_expert) pairs aligned with
@@ -181,7 +182,9 @@ class TraceStats:
 class _Engine:
     """Mutable run state from the empty system at t = 0 on ``seed``'s streams,
     expert-major plain-Python lists for speed; with ``record``, also the drift
-    record (``moments``), kept as each enqueue (+W) and completion (-W) plays."""
+    record (``moments``), kept as each enqueue (+W) and completion (-W) plays.
+    Its counters, and the destinations ``advance`` lists when asked, are all
+    :func:`steps` needs to tell each slot's events."""
 
     def __init__(self, inst: Instance, sched: Scheduler, seed: int, record=False) -> None:
         self.sched = sched
@@ -224,8 +227,9 @@ class _Engine:
             cum_attempts=pack(self.cum_att),
         )
 
-    def advance(self, slot_arrivals) -> None:
-        """Play out one slot given its (door_expert, topic) arrival list."""
+    def advance(self, slot_arrivals, dests: list[int] | None) -> None:
+        """Play out one slot given its (door_expert, topic) arrival list,
+        appending each admitted arrival's destination to ``dests`` unless None."""
         sched, streams, queues = self.sched, self.streams, self.queues
         totals = self.totals
         if weights := self.weights:  # the experts busy at slot start, and each one's dL
@@ -237,6 +241,8 @@ class _Engine:
                 totals[j] += 1
                 if weights:
                     step[j] += weights[j][x]
+                if dests is not None:
+                    dests.append(j)
             else:
                 self.cum_loss[i][x] += 1
                 self.losses_total += 1
@@ -288,58 +294,36 @@ class _Engine:
                 yield slot_arrivals
 
 
-class _Recorder:
-    """Forwards one slot's decisions to a scheduler and records them."""
-
-    def __init__(self, sched: Scheduler, n_experts: int) -> None:
-        self.sched = sched
-        self.arrivals: list[tuple[int, int]] = []
-        self.admitted: list[tuple[int, int]] = []
-        self.enqueued: list[tuple[int, int]] = []
-        self.losses: list[tuple[int, int]] = []
-        self.assignments: dict = dict.fromkeys(range(n_experts))
-
-    def admit(self, topic: int, door_expert: int, streams: RngStreams) -> bool:
-        self.arrivals.append((topic, door_expert))
-        admitted = self.sched.admit(topic, door_expert, streams)
-        (self.admitted if admitted else self.losses).append((topic, door_expert))
-        return admitted
-
-    def route(self, topic: int, door_expert: int, streams: RngStreams) -> int:
-        dest = self.sched.route(topic, door_expert, streams)
-        self.enqueued.append((topic, dest))
-        return dest
-
-    def select(self, expert: int, queue_row: list[int], total: int, streams) -> int:
-        topic = self.sched.select(expert, queue_row, total, streams)
-        self.assignments[expert] = topic
-        return topic
-
-
 def steps(config: SimConfig) -> Iterator[tuple[QueueState, SlotEvents]]:
     """Replay ``run(config)`` slot by slot: the state after each of
     ``config.horizon`` slots and everything that happened in it.
 
     One engine plays the whole horizon on the streams of ``config.seed``,
-    so the trajectory is exactly that of :func:`run`. Each slot's decisions
-    pass through a fresh recorder; the scheduler itself is left unchanged.
+    so the trajectory is exactly that of :func:`run`. Each slot's events are
+    the change in the engine's counters over it, with the destinations
+    ``advance`` lists; no scheduler method is wrapped or replaced.
     """
-    sched = config.scheduler
-    engine = _Engine(config.instance, sched, config.seed)
+    engine = _Engine(config.instance, config.scheduler, config.seed)
     before = engine.snapshot()
     for slot_arrivals in engine.arrivals(config.horizon):
-        recorder = engine.sched = _Recorder(sched, engine.n)
-        engine.advance(slot_arrivals)
+        dests: list[int] = []
+        engine.advance(slot_arrivals, dests)
         after = engine.snapshot()
-        # Each expert completes at most one request per slot, so the nonzero
-        # entries list the completions in expert order.
+        # A (topic, door) pair arrives at most once a slot, and a busy expert
+        # makes one attempt and at most one completion: each change is one event.
+        lost = (after.cum_losses - before.cum_losses).tolist()
+        arrivals = [(x, i) for i, x in slot_arrivals]
+        admitted = [(x, i) for x, i in arrivals if not lost[x][i]]
+        assignments = dict.fromkeys(range(engine.n))
+        tried_exp, tried_top = np.nonzero((after.cum_attempts - before.cum_attempts).T)
+        assignments.update(zip(tried_exp.tolist(), tried_top.tolist()))
         done_exp, done_top = np.nonzero((after.cum_departures - before.cum_departures).T)
         yield after, SlotEvents(
-            arrivals=tuple(recorder.arrivals),
-            admitted=tuple(recorder.admitted),
-            enqueued=tuple(recorder.enqueued),
-            losses=tuple(recorder.losses),
-            assignments=recorder.assignments,
+            arrivals=tuple(arrivals),
+            admitted=tuple(admitted),
+            enqueued=tuple((x, j) for (x, _), j in zip(admitted, dests)),
+            losses=tuple((x, i) for x, i in arrivals if lost[x][i]),
+            assignments=assignments,
             completions=tuple(zip(done_top.tolist(), done_exp.tolist())),
         )
         before = after
@@ -361,7 +345,7 @@ def run(config: SimConfig) -> TraceStats:
         if t_abs == quarter_start:
             area_at_quarter = list(engine.area)
             loss_at_quarter = [sum(row) for row in engine.cum_loss]
-        engine.advance(slot_arrivals)
+        engine.advance(slot_arrivals, None)
 
     totals = engine.totals
     samples.extend((horizon, sum(totals), engine.losses_total, engine.deps_total))

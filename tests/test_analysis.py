@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from expertq import analysis, capacity
+from expertq import analysis, capacity, sim
 from expertq.analysis import (
     analytic_boundary,
     capacity_boundary_sweep,
@@ -173,6 +173,30 @@ class TestDriftCheck:
             report = drift_check(stats, expert=i)
             assert report.delta == pytest.approx(1.0 - 2 * lam, abs=1e-12)
             assert report.within(4.0), (i, report)
+
+    @pytest.mark.parametrize(
+        "expert,message",
+        [
+            (-1, "expected a non-negative integer, got -1"),
+            (True, "expected a non-negative integer, got true"),
+            (2, r"expected an integer in \[0, 2\), got 2"),
+            (1.0, r"expected an integer in \[0, 2\), got 1.0"),
+            ("1", r"expected an integer in \[0, 2\), got '1'"),
+        ],
+        ids=["minus-one", "true", "n", "integral-float", "string"],
+    )
+    def test_expert_out_of_range_or_not_an_integer_is_named(self, expert, message):
+        experts = tuple(ExpertProfile.from_mean_times(i, t) for i, t in enumerate([[1, 2], [2, 1]]))
+        inst = Instance(experts=experts, arrivals=ArrivalSpec(lam=0.3, pmf=[[0.5, 0.5]] * 2))
+        policy = multi_capacity_dual(merged_pmf(inst), list(inst.experts)).certificate
+        config = SimConfig(
+            inst, offline_routing_scheduler(inst, policy), 2_000, 1, record_lyapunov=True
+        )
+        stats = run(config)
+        assert all(count >= 2 for count, _, _ in stats.busy_moments)
+        with pytest.raises(ValueError, match=f"^expert: {message}$"):
+            drift_check(stats, expert)
+        assert drift_check(stats, np.int64(1)) == drift_check(stats, 1)
 
 
 class TestClassifyStability:
@@ -725,15 +749,23 @@ class TestMisestimation:
             misestimation_check(self.base_instance(), gamma=0.5, seeds=[1, -2], horizon=200_000)
 
     def test_horizon_past_the_sample_cap_is_named(self, monkeypatch):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("reached a run")
+        def forbidden(name):
+            def call(*args, **kwargs):
+                raise AssertionError(f"reached {name}")
 
-        monkeypatch.setattr(analysis, "run", forbidden)
-        cap = analysis.MISESTIMATION_MAX_HORIZON
-        with pytest.raises(ValueError, match=f"^horizon must be at most {cap}, got {cap + 1}$"):
+            return call
+
+        monkeypatch.setattr(analysis, "run", forbidden("a run"))
+        monkeypatch.setattr(analysis, "multi_capacity_dual", forbidden("the LP"))
+        # Each run samples every SAMPLE_INTERVAL slots: the longest horizon
+        # whose samples fit the cap.
+        cap = (sim.MAX_SAMPLES - 1) * sim.SAMPLE_INTERVAL - 1
+        interval, samples = sim.SAMPLE_INTERVAL, sim.MAX_SAMPLES + 1
+        message = f"^horizon {cap + 1} at sample_interval {interval} keeps {samples} samples"
+        with pytest.raises(ValueError, match=message):
             misestimation_check(self.base_instance(), gamma=0.5, seeds=[0], horizon=cap + 1)
-        # At the cap every run is built, so the first one is reached.
-        with pytest.raises(AssertionError, match="reached a run"):
+        # At the cap the first seed's LP is reached.
+        with pytest.raises(AssertionError, match="reached the LP"):
             misestimation_check(self.base_instance(), gamma=0.5, seeds=[0], horizon=cap)
 
     def test_every_run_is_built_before_the_first_runs(self, monkeypatch):

@@ -867,23 +867,25 @@ def test_misestimation_horizon_past_the_cap_exits_2_before_any_run(tmp_path, mon
     # Misestimation runs sample every 100 slots: 419,430,299 is the longest
     # horizon whose samples fit the cap.
     def forbidden(*args, **kwargs):
-        raise AssertionError("ran before the misestimation horizon was refused")
+        raise AssertionError("ran or solved before the misestimation horizon was refused")
 
     for module in (analysis, sim):
         monkeypatch.setattr(module, "run", forbidden)
+    monkeypatch.setattr(analysis, "multi_capacity_dual", forbidden)
     (path,) = [p for p in CONFIGS if p.name == "verify_single.json"]
     doc = json.loads(path.read_text(encoding="utf-8"))
     doc["instance_path"] = str(path.parent / doc["instance_path"])
-    doc.update({"routing_check": {"horizon": 1000}, "misestimation": {"horizon": 500_000_000}})
+    doc.update({"routing_check": {"horizon": 1000}, "misestimation": {"horizon": 419_430_300}})
     cfg = write_json(tmp_path / "cfg.json", doc)
     out = tmp_path / "out"
     result = invoke(["verify", cfg, "--out", str(out)])
     assert result.exit_code == 2, result.output
     assert result.stderr == (
-        "config error: config field 'misestimation.horizon': "
-        "expected at most 419430299, got 500000000\n"
+        "config error: config field 'misestimation.horizon': horizon 419430300 at "
+        "sample_interval 100 keeps 4194305 samples, over the cap of 4194304; "
+        "raise sample_interval\n"
     )
-    assert analysis.MISESTIMATION_MAX_HORIZON // 100 + 2 == sim.MAX_SAMPLES
+    sim.check_sample_count(419_430_299, sim.SAMPLE_INTERVAL)
     assert not out.exists()
 
 
@@ -1544,6 +1546,53 @@ class TestShippedConfigs:
         assert result.exit_code == 2, result.output
         assert "config error:" in result.output
         assert not out.exists()
+
+    # The top-level keys a command body reads itself, beside its _COMMANDS table.
+    BODY_READS = {
+        "capacity": {"mode", "epsilon"},
+        "verify": {"routing_check", "misestimation", "drift"},
+    }
+
+    def test_every_command_has_a_shipped_config(self):
+        assert {p.stem.split("_")[0] for p in CONFIGS} >= cli._COMMANDS.keys()
+
+    @pytest.mark.parametrize(
+        "path", [p for p in CONFIGS if p.stem.split("_")[0] in cli._COMMANDS], ids=lambda p: p.name
+    )
+    def test_command_reads_its_table_and_nothing_else(self, tmp_path, monkeypatch, path):
+        # Every top-level lookup on the config, found or not, is recorded; the
+        # instance file the config names is loaded second and not recorded.
+        class Recording(dict):
+            def __contains__(self, key):
+                read.add(key)
+                return super().__contains__(key)
+
+            def __getitem__(self, key):
+                read.add(key)
+                return super().__getitem__(key)
+
+            def get(self, key, default=None):
+                read.add(key)
+                return super().get(key, default)
+
+        read, loaded, load = set(), [], json.load
+
+        def recording_load(fh):
+            doc = load(fh)
+            loaded.append(doc)
+            return Recording(doc) if len(loaded) == 1 else doc
+
+        monkeypatch.setattr(json, "load", recording_load)
+        command = path.stem.split("_")[0]
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = shortened({**doc, "instance_path": str(path.parent / doc["instance_path"])})
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        result = invoke([command, cfg, "--out", str(tmp_path / "out")])
+        assert result.exit_code == 0, result.output
+        assert len(loaded) == 2
+        _, _, fields = cli._COMMANDS[command]
+        expected = {*fields, "instance", "instance_path", *self.BODY_READS.get(command, ())}
+        assert read == expected
 
     def test_capacity_multi_primal_on_shipped_specialists(self, tmp_path):
         (path,) = [p for p in CONFIGS if p.name == "instance_specialists.json"]

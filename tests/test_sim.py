@@ -137,6 +137,22 @@ class TestStep:
         assert sum(1 for _ in steps(config)) == 300
         assert len(built) == 1
 
+    @pytest.mark.parametrize("case", ["loss:uniform_random", "routing:request_weighted"])
+    def test_the_engine_calls_the_config_scheduler_itself(self, monkeypatch, case):
+        # steps() reads events from the engine's counters and destination
+        # list, so every slot runs on the scheduler run() would use.
+        seen = []
+
+        class WatchedEngine(sim._Engine):
+            def advance(self, *args) -> None:
+                seen.append(self.sched)
+                super().advance(*args)
+
+        monkeypatch.setattr(sim, "_Engine", WatchedEngine)
+        inst, sched = build(case)
+        assert sum(1 for _ in steps(SimConfig(inst, sched, 50, 2))) == 50
+        assert len(seen) == 50 and all(s is sched for s in seen)
+
 
 def short_run_config(name, horizon):
     """One expert work-conserving, one expert with a loss scheduler
