@@ -6,7 +6,8 @@ service-weighted queue sum, an empirical stable/unstable verdict with an
 explicit inconclusive band, a load sweep that brackets the capacity
 boundary, a stability check under certified misestimation of research
 times for any number of experts, and the cross-checks that ``expertq
-verify`` reports, on one path whatever the expert count.
+verify`` reports, on one path whatever the expert count. ``simulate_report``
+and ``sweep_report`` return what ``expertq simulate`` and ``sweep`` write.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .capacity import (
     service_load,
 )
 from .model import ArrivalSpec, ExpertProfile, Instance, checked, config_block, merged_pmf
-from .sched import Scheduler, offline_routing_scheduler
+from .sched import Scheduler, build_scheduler, offline_routing_scheduler
 from .sim import SAMPLE_INTERVAL, SimConfig, TraceStats, check_sample_count, run
 
 __all__ = [
@@ -42,6 +43,8 @@ __all__ = [
     "misestimation_check",
     "policy_load",
     "analytic_boundary",
+    "simulate_report",
+    "sweep_report",
     "verify",
     "with_load",
 ]
@@ -263,6 +266,35 @@ def analytic_boundary(inst: Instance, sched: Scheduler) -> float:
     return capacity_of(policy_load(inst, sched))
 
 
+def simulate_report(inst: Instance, scheduler: dict, seed: int, horizon: int,
+                    sample_interval: int = SAMPLE_INTERVAL) -> tuple[TraceStats, dict]:
+    """What ``expertq simulate`` writes for the policy a config's ``scheduler``
+    object names: the run's ``TraceStats`` (``trace.csv``) and ``summary.json``.
+    The sample count is checked before the scheduler, or its LP, is built."""
+    check_sample_count(horizon, sample_interval)
+    sched = build_scheduler(inst, scheduler)
+    stats = run(SimConfig(inst, sched, horizon, seed, sample_interval))
+    verdict = classify_stability(stats)
+    about = {"seed": stats.config.seed, "scheduler": sched.kind, "lambda": inst.arrivals.lam}
+    return stats, {**stats.summary(), **about, "verdict": verdict.verdict,
+                   "growth_slope": verdict.growth_slope}
+
+
+def sweep_report(inst: Instance, scheduler: dict, seeds, lambdas, horizon: int,
+                 slope_threshold: float | None = None,
+                 sample_interval: int = SAMPLE_INTERVAL) -> tuple[SweepResult, dict]:
+    """What ``expertq sweep`` writes, as :func:`simulate_report` for
+    ``simulate``: the ``SweepResult`` (``sweep.csv``) and ``bracket.json``."""
+    check_sample_count(horizon, sample_interval)
+    sched = build_scheduler(inst, scheduler)
+    result = capacity_boundary_sweep(
+        inst, sched, lambdas, horizon, seeds, slope_threshold, sample_interval
+    )
+    bracket = {"lambda_lo": result.lambda_lo, "lambda_hi": result.lambda_hi}
+    bracket["analytic_lambda_star"] = analytic_boundary(inst, sched)
+    return result, {**bracket, "lambdas": list(result.lambdas), "seeds": list(result.seeds)}
+
+
 @dataclass(frozen=True)
 class MisestimationResult:
     """One run per seed, in seed order: ``cells[k]`` ran at ``LOAD_FRACTION``
@@ -304,7 +336,6 @@ def misestimation_check(
     and run are built, and so checked, before the first one runs; each run
     is judged as a sweep cell is, with the default slope threshold.
     """
-    horizon = checked(horizon, "count", "horizon")
     check_sample_count(horizon, SAMPLE_INTERVAL)  # each run samples at SimConfig's default
     gamma = checked(gamma, "prob", "gamma")
     seeds = checked(seeds, "seeds", "seeds")

@@ -132,36 +132,18 @@ def cmd_capacity(cfg, inst, prepare) -> None:
     _write_json(target, report)
 
 
-def cmd_simulate(cfg, inst, prepare, scheduler, seed, horizon, sample_interval) -> None:
+def cmd_simulate(cfg, inst, prepare, **values) -> None:
     """Run one seeded simulation; write trace.csv and summary.json."""
-    sim.check_sample_count(horizon, sample_interval)
-    scheduler = sched.build_scheduler(inst, scheduler)
-    stats = sim.run(sim.SimConfig(inst, scheduler, horizon, seed, sample_interval))
-    verdict = analysis.classify_stability(stats)
-    summary = {
-        **stats.summary(),
-        "seed": seed,
-        "scheduler": scheduler.kind,
-        "lambda": inst.arrivals.lam,
-        "verdict": verdict.verdict,
-        "growth_slope": verdict.growth_slope,
-    }
+    stats, summary = analysis.simulate_report(inst, **values)
     trace_target, summary_target = prepare()
     sim.write_trace_csv(stats, trace_target)
     _write_json(summary_target, summary)
 
 
-def cmd_sweep(cfg, inst, prepare, scheduler, seeds, lambdas, horizon, slope_threshold,
-              sample_interval) -> None:
+def cmd_sweep(cfg, inst, prepare, **values) -> None:
     """Sweep a load grid; write sweep.csv and bracket.json."""
-    sim.check_sample_count(horizon, sample_interval)
-    scheduler = sched.build_scheduler(inst, scheduler)
-    result = analysis.capacity_boundary_sweep(
-        inst, scheduler, lambdas, horizon, seeds, slope_threshold, sample_interval
-    )
-    boundary = analysis.analytic_boundary(inst, scheduler)
+    result, bracket = analysis.sweep_report(inst, **values)
     sweep_target, bracket_target = prepare()
-
     with open(sweep_target, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["lambda", "seed", "verdict", "slope", "final_quarter_mean"])
@@ -169,16 +151,7 @@ def cmd_sweep(cfg, inst, prepare, scheduler, seeds, lambdas, horizon, slope_thre
             [repr(c.lam), c.seed, c.verdict, repr(c.growth_slope), repr(c.final_quarter_mean)]
             for c in result.cells
         )
-    _write_json(
-        bracket_target,
-        {
-            "lambda_lo": result.lambda_lo,
-            "lambda_hi": result.lambda_hi,
-            "analytic_lambda_star": boundary,
-            "lambdas": list(result.lambdas),
-            "seeds": list(result.seeds),
-        },
-    )
+    _write_json(bracket_target, bracket)
 
 
 def cmd_verify(cfg, inst, prepare, seed) -> int:

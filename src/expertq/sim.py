@@ -49,13 +49,16 @@ SAMPLE_INTERVAL = 100
 
 
 def check_sample_count(horizon: int, sample_interval: int) -> None:
-    """Raise ValueError if a run of ``horizon`` slots sampled every
-    ``sample_interval`` would keep more than ``MAX_SAMPLES`` samples."""
+    """Raise ValueError naming the argument that is not a positive integer,
+    or if a run of ``horizon`` slots sampled every ``sample_interval`` would
+    keep more than ``MAX_SAMPLES`` samples."""
+    horizon = checked(horizon, "count", "horizon")
+    sample_interval = checked(sample_interval, "count", "sample_interval")
     samples = horizon // sample_interval + 2
     if samples > MAX_SAMPLES:
         raise ValueError(
             f"horizon {horizon} at sample_interval {sample_interval} keeps "
-            f"{samples} samples, over the cap of {MAX_SAMPLES}; raise sample_interval"
+            f"{samples} samples, over the cap of {MAX_SAMPLES}"
         )
 
 

@@ -1,4 +1,7 @@
+import csv
 import dataclasses
+import io
+import json
 import math
 import operator
 from decimal import Decimal, localcontext
@@ -9,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from expertq import analysis, capacity, sim
+from expertq import analysis, capacity, cli, sched, sim
 from expertq.analysis import (
     analytic_boundary,
     capacity_boundary_sweep,
@@ -17,6 +20,8 @@ from expertq.analysis import (
     drift_check,
     misestimation_check,
     policy_load,
+    simulate_report,
+    sweep_report,
     with_load,
 )
 from expertq.capacity import (
@@ -27,7 +32,7 @@ from expertq.capacity import (
     multi_capacity_dual,
     single_capacity,
 )
-from expertq.model import ArrivalSpec, ExpertProfile, Instance, merged_pmf
+from expertq.model import ArrivalSpec, ExpertProfile, Instance, instance_from_dict, merged_pmf
 from expertq.sched import (
     Scheduler,
     mismatch_baseline,
@@ -36,6 +41,7 @@ from expertq.sched import (
     work_conserving_single,
 )
 from expertq.sim import SimConfig, run, steps
+from test_cli import CONFIGS, generalist_doc, invoke, shortened, write_json
 
 
 def single_expert_instance(lam, p, q):
@@ -1155,3 +1161,66 @@ def test_bad_library_argument_is_named_before_any_work(monkeypatch, entry, name,
     value = [bad] if name in ("lambdas", "seeds") else bad
     with pytest.raises(ValueError, match=f"^{name}: expected "):
         function(**{**arguments, name: value})
+
+
+REPORTS = {"simulate": simulate_report, "sweep": sweep_report}
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in CONFIGS if p.stem.split("_")[0] in REPORTS], ids=lambda p: p.name
+)
+def test_report_is_what_the_cli_writes(tmp_path, path):
+    # The shipped config, shortened, through the CLI and through its report,
+    # which takes the config's fields by their _COMMANDS names and defaults.
+    command = path.stem.split("_")[0]
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc = shortened({**doc, "instance_path": str(path.parent / doc["instance_path"])})
+    out = tmp_path / "out"
+    result = invoke([command, write_json(tmp_path / "cfg.json", doc), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    _, inst = cli._read_config(str(tmp_path / "cfg.json"))
+    _, (csv_name, json_name), fields = cli._COMMANDS[command]
+    table, document = REPORTS[command](inst, **{k: doc[k] for k in fields if k in doc})
+
+    assert json.loads((out / json_name).read_text(encoding="utf-8")) == cli._jsonify(document)
+    if command == "simulate":
+        sim.write_trace_csv(table, tmp_path / csv_name)
+        written = (tmp_path / csv_name).read_bytes()
+    else:
+        fh = io.StringIO(newline="")
+        writer = csv.writer(fh)
+        writer.writerow(["lambda", "seed", "verdict", "slope", "final_quarter_mean"])
+        writer.writerows(
+            [repr(c.lam), c.seed, c.verdict, repr(c.growth_slope), repr(c.final_quarter_mean)]
+            for c in table.cells
+        )
+        written = fh.getvalue().encode("utf-8")
+    assert written == (out / csv_name).read_bytes()
+
+
+@pytest.mark.parametrize("command", sorted(REPORTS))
+@pytest.mark.parametrize(
+    "name, bad, message",
+    [
+        ("horizon", sim.MAX_SAMPLES - 1, "^horizon 4194303 at sample_interval 1 keeps 4194305"),
+        ("horizon", True, "^horizon: expected a positive integer, got true$"),
+        ("horizon", 0, "^horizon: expected a positive integer, got 0$"),
+        ("sample_interval", 1.5, "^sample_interval: expected a positive integer, got 1.5$"),
+    ],
+    ids=["past-the-cap", "bool", "zero", "non-integral"],
+)
+def test_report_refuses_its_run_before_the_routing_lp(monkeypatch, command, name, bad, message):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("ran or solved before the run was refused")
+
+    monkeypatch.setattr(analysis, "run", forbidden)
+    # sched binds the LP solver when it is imported: the routing policy's LP.
+    monkeypatch.setattr(sched, "multi_capacity_dual", forbidden)
+    inst = instance_from_dict(generalist_doc())
+    arguments = {"horizon": 100, "sample_interval": 1, name: bad}
+    if command == "simulate":
+        arguments["seed"] = 0
+    else:
+        arguments.update(seeds=[0], lambdas=[0.1])
+    with pytest.raises(ValueError, match=message):
+        REPORTS[command](inst, {"kind": "routing"}, **arguments)
